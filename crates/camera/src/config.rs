@@ -110,15 +110,25 @@ impl CameraConfig {
         self.phase_s + j as f64 * self.frame_period()
     }
 
+    /// Temporal centre of capture frame `j` in display time: its start
+    /// plus half the readout sweep plus half the exposure.
+    pub fn frame_mid(&self, j: u64) -> f64 {
+        self.frame_start(j) + (self.readout_s() / 2.0 + self.exposure_s / 2.0)
+    }
+
     /// Full time window touched by capture frame `j` (first row's exposure
     /// start through last row's exposure end).
     pub fn frame_window(&self, j: u64) -> (f64, f64) {
         let t0 = self.frame_start(j);
-        let readout = match self.shutter {
+        (t0, t0 + self.readout_s() + self.exposure_s)
+    }
+
+    /// Rolling-shutter readout sweep, seconds (0 for a global shutter).
+    fn readout_s(&self) -> f64 {
+        match self.shutter {
             Shutter::Global => 0.0,
             Shutter::Rolling { readout_s } => readout_s,
-        };
-        (t0, t0 + readout + self.exposure_s)
+        }
     }
 
     /// Validates physical plausibility.
@@ -185,6 +195,8 @@ mod tests {
         let (t0, t1) = c.frame_window(0);
         assert_eq!(t0, 0.5);
         assert!((t1 - (0.5 + 0.024 + 1.0 / 120.0)).abs() < 1e-12);
+        // The midpoint sits halfway through the window.
+        assert!((c.frame_mid(0) - (t0 + t1) / 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -14,8 +14,6 @@
 //!   encoder, syndrome computation, Berlekamp–Massey, Chien search, Forney
 //!   algorithm), used by the coding ablation bench.
 //! * [`gf256`] — the underlying finite-field arithmetic.
-//! * [`interleave`] — rectangular block interleaving to spread burst errors
-//!   (rolling-shutter bands are bursts in row order).
 //! * [`prbs`] — the "pseudo-random data generator with a pre-set seed" the
 //!   paper uses to produce data frames (§4), plus a fast xoshiro-based bit
 //!   source.
@@ -28,7 +26,6 @@
 pub mod crc;
 pub mod framing;
 pub mod gf256;
-pub mod interleave;
 pub mod parity;
 pub mod prbs;
 pub mod rs;

@@ -20,21 +20,21 @@
 //! fault cost in availability and decode overhead. Every injector is
 //! seeded; a fixed configuration replays bit-for-bit.
 
+use crate::link::{CapturePump, Link};
 use crate::pipeline::SimulationConfig;
 use crate::scenarios::Scenario;
 use inframe_camera::tap::{CaptureTap, TappedCapture};
-use inframe_camera::{Camera, Shutter};
+use inframe_camera::Camera;
 use inframe_code::prbs::Xoshiro256;
 use inframe_core::sender::Sender;
 use inframe_core::sync::{LockState, TrackerPolicy};
-use inframe_display::{DisplayStream, FrameEmission};
-use inframe_link::carousel::{Carousel, SymbolGeometry};
+use inframe_link::carousel::Carousel;
 use inframe_link::control::{ChannelHealth, ControllerPolicy, ModulationController};
-use inframe_link::session::{CompletionTarget, ReceiverSession, SyncMode};
+use inframe_link::session::CompletionTarget;
 use inframe_link::ModulationCommand;
 use inframe_obs::{names, Counter, Event, FaultClass, Telemetry};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
+use std::ops::ControlFlow;
 
 /// One class of capture fault.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -565,31 +565,16 @@ pub fn run_fault_scenario_with_telemetry(
     telemetry: &Telemetry,
 ) -> FaultOutcome {
     let c = &cfg.sim;
-    c.inframe.validate();
-    c.camera.validate();
-    c.display.validate();
+    let link = Link::new(*c);
 
     let layout = inframe_core::layout::DataLayout::from_config(&c.inframe);
     let mut carousel = Carousel::for_channel(&layout, c.inframe.coding);
     let data = object_bytes(cfg.object_len, cfg.object_id, c.seed);
     carousel.add_object(cfg.object_id, 1, &data);
 
-    let registration = c.geometry.display_to_sensor(
-        c.inframe.display_w,
-        c.inframe.display_h,
-        c.camera.width,
-        c.camera.height,
-    );
-    let mut session = ReceiverSession::capture_level(
-        &c.inframe,
-        SymbolGeometry::for_channel(&layout, c.inframe.coding),
-        &registration,
-        c.camera.width,
-        c.camera.height,
-        SyncMode::Known { phase: 0.0 },
-        CompletionTarget::AllOf(vec![cfg.object_id]),
-    )
-    .with_telemetry(telemetry);
+    let mut session = link
+        .session(CompletionTarget::AllOf(vec![cfg.object_id]))
+        .with_telemetry(telemetry);
     // Faulted channels trade transient tolerance for relock latency.
     session.set_tracker_policy(TrackerPolicy::fast_recovery());
 
@@ -625,103 +610,73 @@ pub fn run_fault_scenario_with_telemetry(
     let video = cfg
         .scenario
         .source(c.inframe.display_w, c.inframe.display_h, c.seed);
-    let mut sender = Sender::new(c.inframe, video, carousel).with_telemetry(telemetry);
-    let mut display = DisplayStream::new(c.display);
-    let mut camera = Camera::new(c.camera, c.geometry, c.seed ^ 0xCAFE);
-    let readout = match c.camera.shutter {
-        Shutter::Global => 0.0,
-        Shutter::Rolling { readout_s } => readout_s,
-    };
-    let exposure_mid = readout / 2.0 + c.camera.exposure_s / 2.0;
+    let sender = Sender::new(c.inframe, video, carousel).with_telemetry(telemetry);
+    let mut pump = CapturePump::new(c, sender);
+    let mut camera = [Camera::new(c.camera, c.geometry, c.seed ^ 0xCAFE)];
 
-    let mut window: VecDeque<FrameEmission> = VecDeque::new();
     let mut last_decoded_cycle: Option<u64> = None;
     let mut watchdog_fires = 0u64;
     let mut watchdog_stalled = false;
-    let total = c.cycles as u64 * c.inframe.tau as u64;
-    'pump: for _ in 0..total {
-        let Some(frame) = sender.next_frame() else {
-            break;
-        };
-        let emission = display.present(&frame.plane);
-        let end = emission.t_start + emission.duration;
-        window.push_back(emission);
-        loop {
-            let (need_start, need_end) = camera.required_window();
-            if need_end > end {
-                break;
-            }
-            while window
-                .front()
-                .is_some_and(|e| e.t_start + e.duration <= need_start + 1e-12)
-            {
-                window.pop_front();
-            }
-            let emissions: Vec<FrameEmission> = window.iter().cloned().collect();
-            let t_mid = camera.config().frame_start(camera.next_index()) + exposure_mid;
-            let true_cycle = (t_mid / cycle_duration).floor().max(0.0) as u64;
-            // The watchdog measures on the capture clock, not on decode
-            // deliveries — a fault that swallows every capture must
-            // still trip it.
-            if let Some(budget) = cfg.watchdog_cycles {
-                let since = true_cycle.saturating_sub(last_decoded_cycle.unwrap_or(0));
-                if !watchdog_stalled && since > budget {
-                    watchdog_stalled = true;
-                    watchdog_fires += 1;
-                    telemetry.event(Event::Watchdog {
-                        cycle: true_cycle,
-                        last_decoded_cycle: last_decoded_cycle.unwrap_or(u64::MAX),
-                        budget_cycles: budget,
-                    });
-                }
-            }
-            match camera.capture(&emissions) {
-                Ok(cap) => {
-                    for delivered in injector.tap(TappedCapture {
-                        plane: cap.plane,
-                        t_mid,
-                    }) {
-                        let report = session.push_capture(&delivered.plane, delivered.t_mid);
-                        let health = session.health();
-                        if health != last_health {
-                            transitions.push((true_cycle, health));
-                            telemetry.event(Event::SessionHealth {
-                                cycle: true_cycle,
-                                state: health.obs_state(),
-                            });
-                            if let Some(ctl) = controller.as_mut() {
-                                if let Some(cmd) = ctl.set_health(health_of(health)) {
-                                    if cfg.closed_loop {
-                                        sender.queue_modulation(cmd.delta, cmd.tau);
-                                    }
-                                    commands.push(cmd);
-                                }
-                            }
-                            last_health = health;
-                        }
-                        if report.is_some() {
-                            last_decoded_cycle = Some(true_cycle);
-                            watchdog_stalled = false;
-                            if let (Some(ctl), Some(d)) =
-                                (controller.as_mut(), session.decoded().last())
-                            {
-                                if let Some(cmd) = ctl.observe_cycle(&d.stats) {
-                                    if cfg.closed_loop {
-                                        sender.queue_modulation(cmd.delta, cmd.tau);
-                                    }
-                                    commands.push(cmd);
-                                }
-                            }
-                        }
-                        if session.is_complete() {
-                            break 'pump;
-                        }
-                    }
-                }
-                Err(_) => camera.skip_frame(),
+    pump.run(&mut camera, |_, capture, t_mid, sender| {
+        let true_cycle = (t_mid / cycle_duration).floor().max(0.0) as u64;
+        // The watchdog measures on the capture clock, not on decode
+        // deliveries — a fault that swallows every capture must still
+        // trip it.
+        if let Some(budget) = cfg.watchdog_cycles {
+            let since = true_cycle.saturating_sub(last_decoded_cycle.unwrap_or(0));
+            if !watchdog_stalled && since > budget {
+                watchdog_stalled = true;
+                watchdog_fires += 1;
+                telemetry.event(Event::Watchdog {
+                    cycle: true_cycle,
+                    last_decoded_cycle: last_decoded_cycle.unwrap_or(u64::MAX),
+                    budget_cycles: budget,
+                });
             }
         }
-    }
+        let Ok(cap) = capture else {
+            return ControlFlow::Continue(());
+        };
+        for delivered in injector.tap(TappedCapture {
+            plane: cap.plane,
+            t_mid,
+        }) {
+            let report = session.push_capture(&delivered.plane, delivered.t_mid);
+            let health = session.health();
+            if health != last_health {
+                transitions.push((true_cycle, health));
+                telemetry.event(Event::SessionHealth {
+                    cycle: true_cycle,
+                    state: health.obs_state(),
+                });
+                if let Some(ctl) = controller.as_mut() {
+                    if let Some(cmd) = ctl.set_health(health_of(health)) {
+                        if cfg.closed_loop {
+                            sender.queue_modulation(cmd.delta, cmd.tau);
+                        }
+                        commands.push(cmd);
+                    }
+                }
+                last_health = health;
+            }
+            if report.is_some() {
+                last_decoded_cycle = Some(true_cycle);
+                watchdog_stalled = false;
+                if let (Some(ctl), Some(d)) = (controller.as_mut(), session.decoded().last()) {
+                    if let Some(cmd) = ctl.observe_cycle(&d.stats) {
+                        if cfg.closed_loop {
+                            sender.queue_modulation(cmd.delta, cmd.tau);
+                        }
+                        commands.push(cmd);
+                    }
+                }
+            }
+            if session.is_complete() {
+                return ControlFlow::Break(());
+            }
+        }
+        ControlFlow::Continue(())
+    });
     session.finish();
 
     // Relock latency: first LOCKED transition after the last lock loss,

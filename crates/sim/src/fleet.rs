@@ -29,21 +29,23 @@
 //! [`Histogram::merge`]: inframe_obs::Histogram::merge
 
 use crate::faults::occlusion_rect;
+use crate::link::CapturePump;
 use crate::pipeline::SimulationConfig;
 use crate::scenarios::Scenario;
 use inframe_camera::perturb::ae_gain_q12;
-use inframe_camera::{Camera, Shutter};
+use inframe_camera::Camera;
 use inframe_code::prbs::Xoshiro256;
+use inframe_core::batch::{SKIP, UNREADABLE};
 use inframe_core::demux::RegionCache;
 use inframe_core::sender::Sender;
 use inframe_core::{BatchScorer, CodingMode, DataLayout, ParallelEngine, ScoreClass};
-use inframe_display::{DisplayStream, FrameEmission};
 use inframe_frame::perturb::{CaptureTransform, OcclusionRect};
 use inframe_frame::qplane;
 use inframe_link::{absorb_cycle_bulk, Carousel, CompletionTarget, ReceiverSession};
 use inframe_obs::{names, HistogramSnapshot, Telemetry};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 /// Stable-half phase gate: captures whose cycle phase is past this are
@@ -346,29 +348,70 @@ fn percentile<T>(sorted: &[T], q: f64) -> Option<&T> {
     sorted.get(rank)
 }
 
-/// Converts each receiver's best-score row into verdicts and steps every
-/// joined session through cycle `cycle` in bulk.
-#[allow(clippy::too_many_arguments)]
-fn flush_cycle(
-    scorer: &BatchScorer,
-    engine: &ParallelEngine,
-    layout: &DataLayout,
-    coding: CodingMode,
-    profiles: &[ReceiverProfile],
-    sessions: &mut [ReceiverSession],
-    best: &[f32],
-    cycle: u64,
-    verdicts: &mut [Option<bool>],
-    row: &mut Vec<Option<bool>>,
-    active: &mut [bool],
-) {
-    let nb = scorer.num_blocks();
-    for (r, profile) in profiles.iter().enumerate() {
-        active[r] = cycle >= profile.join_cycle;
-        scorer.verdicts_into(&best[r * nb..(r + 1) * nb], row);
-        verdicts[r * nb..(r + 1) * nb].copy_from_slice(row);
+/// Best-score tables for the cycle being accumulated and (because the
+/// phase bins cross cycle boundaries a capture apart) the next one, plus
+/// the scratch that turns a finished table into per-receiver verdicts.
+struct CycleTables {
+    current: u64,
+    best: Vec<f32>,
+    next_best: Vec<f32>,
+    verdicts: Vec<Option<bool>>,
+    row: Vec<Option<bool>>,
+    active: Vec<bool>,
+}
+
+impl CycleTables {
+    fn new(receivers: usize, num_blocks: usize) -> Self {
+        Self {
+            current: 0,
+            best: vec![UNREADABLE; receivers * num_blocks],
+            next_best: vec![UNREADABLE; receivers * num_blocks],
+            verdicts: vec![None; receivers * num_blocks],
+            row: Vec::with_capacity(num_blocks),
+            active: vec![false; receivers],
+        }
     }
-    absorb_cycle_bulk(engine, layout, coding, sessions, verdicts, active, cycle);
+
+    /// The table a capture from `cycle` merges into.
+    fn table(&mut self, cycle: u64) -> &mut [f32] {
+        if cycle == self.current {
+            &mut self.best
+        } else {
+            &mut self.next_best
+        }
+    }
+
+    /// Converts each receiver's best-score row into verdicts, steps every
+    /// joined session through the current cycle in bulk, and rolls the
+    /// tables to the next cycle.
+    fn flush(
+        &mut self,
+        scorer: &BatchScorer,
+        engine: &ParallelEngine,
+        layout: &DataLayout,
+        coding: CodingMode,
+        profiles: &[ReceiverProfile],
+        sessions: &mut [ReceiverSession],
+    ) {
+        let nb = scorer.num_blocks();
+        for (r, profile) in profiles.iter().enumerate() {
+            self.active[r] = self.current >= profile.join_cycle;
+            scorer.verdicts_into(&self.best[r * nb..(r + 1) * nb], &mut self.row);
+            self.verdicts[r * nb..(r + 1) * nb].copy_from_slice(&self.row);
+        }
+        absorb_cycle_bulk(
+            engine,
+            layout,
+            coding,
+            sessions,
+            &self.verdicts,
+            &self.active,
+            self.current,
+        );
+        std::mem::swap(&mut self.best, &mut self.next_best);
+        self.next_best.fill(UNREADABLE);
+        self.current += 1;
+    }
 }
 
 /// Runs the fleet, reporting into the `INFRAME_OBS` spine when enabled.
@@ -411,12 +454,9 @@ fn run_fleet_inner(
     fold_eps: bool,
 ) -> FleetReport {
     let c = &cfg.sim;
-    c.inframe.validate();
-    c.display.validate();
-    c.camera.validate();
+    c.validate();
     assert!(cfg.receivers >= 1, "fleet needs at least one receiver");
     assert!(cfg.phase_bins >= 1, "need at least one phase bin");
-    assert!(c.cycles >= 1, "need at least one cycle");
 
     // Shared channel: one sender, one display, one carousel object.
     let layout = DataLayout::from_config(&c.inframe);
@@ -430,8 +470,8 @@ fn run_fleet_inner(
     let video = cfg
         .scenario
         .source(c.inframe.display_w, c.inframe.display_h, c.seed);
-    let mut sender = Sender::new(c.inframe, video, carousel).with_telemetry(telemetry);
-    let mut display = DisplayStream::new(c.display);
+    let sender = Sender::new(c.inframe, video, carousel).with_telemetry(telemetry);
+    let mut pump = CapturePump::new(c, sender);
 
     // One camera per phase bin, each offset by a whole number of display
     // frames. The offset must be frame-aligned: a fractional-frame shift
@@ -450,14 +490,13 @@ fn run_fleet_inner(
         .collect();
 
     // The shared scorer over the shared registration.
-    let registration = c.geometry.display_to_sensor(
-        c.inframe.display_w,
-        c.inframe.display_h,
+    let engine = Arc::new(ParallelEngine::new(cfg.workers));
+    let cache = RegionCache::build(
+        &c.inframe,
+        &c.registration(),
         c.camera.width,
         c.camera.height,
     );
-    let engine = Arc::new(ParallelEngine::new(cfg.workers));
-    let cache = RegionCache::build(&c.inframe, &registration, c.camera.width, c.camera.height);
     let mut scorer =
         BatchScorer::new(c.inframe, cache, Arc::clone(&engine)).with_telemetry(telemetry);
     let nb = scorer.num_blocks();
@@ -476,151 +515,74 @@ fn run_fleet_inner(
         .collect();
 
     let cycle_duration = c.inframe.tau as f64 / c.inframe.refresh_hz;
-    let exposure_mid = {
-        let readout = match c.camera.shutter {
-            Shutter::Global => 0.0,
-            Shutter::Rolling { readout_s } => readout_s,
-        };
-        readout / 2.0 + c.camera.exposure_s / 2.0
-    };
-
-    // Best-score tables for the cycle being accumulated and (because the
-    // phase bins cross cycle boundaries a capture apart) the next one.
-    let mut best = vec![inframe_core::batch::UNREADABLE; cfg.receivers * nb];
-    let mut next_best = best.clone();
-    let mut assign: Vec<u32> = vec![inframe_core::batch::SKIP; cfg.receivers];
-    let mut verdicts: Vec<Option<bool>> = vec![None; cfg.receivers * nb];
-    let mut row: Vec<Option<bool>> = Vec::with_capacity(nb);
-    let mut active = vec![false; cfg.receivers];
+    let cycles = c.cycles as u64;
+    let mut tables = CycleTables::new(cfg.receivers, nb);
+    let mut assign: Vec<u32> = vec![SKIP; cfg.receivers];
     let mut profiles = pop.profiles;
 
-    let mut current_cycle: u64 = 0;
     let mut bin_cycle: Vec<i64> = vec![-1; cfg.phase_bins];
     let mut captures_scored: u64 = 0;
     let mut dropped: u64 = 0;
     // Live progress marker for a concurrently-polling operator console.
     let fleet_cycle = telemetry.gauge(names::fleet::CYCLE);
 
-    let mut window: VecDeque<FrameEmission> = VecDeque::new();
-    let total_display_frames = c.cycles as u64 * c.inframe.tau as u64;
-    for _ in 0..total_display_frames {
-        let Some(frame) = sender.next_frame() else {
-            break;
-        };
-        let emission = display.present(&frame.plane);
-        let window_end = emission.t_start + emission.duration;
-        window.push_back(emission);
-        for (k, camera) in cameras.iter_mut().enumerate() {
-            loop {
-                let (need_start, need_end) = camera.required_window();
-                if need_end > window_end {
-                    break;
-                }
-                let emissions: Vec<FrameEmission> = window
-                    .iter()
-                    .filter(|e| e.t_start + e.duration > need_start + 1e-12)
-                    .cloned()
-                    .collect();
-                let t_mid = camera.config().frame_start(camera.next_index()) + exposure_mid;
-                let plane = match camera.capture(&emissions) {
-                    Ok(cap) => cap.plane,
-                    Err(_) => {
-                        camera.skip_frame();
-                        continue;
-                    }
-                };
-                if t_mid < 0.0 {
-                    continue;
-                }
-                let cycle = (t_mid / cycle_duration).floor() as u64;
-                bin_cycle[k] = bin_cycle[k].max(cycle as i64);
-                let phase = (t_mid / cycle_duration).fract();
-                if phase >= PHASE_GATE || cycle >= c.cycles as u64 {
-                    continue;
-                }
-                // Score every class once against this bin's capture…
-                scorer.score_classes(&plane, &pop.transforms, &pop.classes);
-                captures_scored += 1;
-                // …then fan the class rows out to this bin's receivers.
-                for (r, profile) in profiles.iter_mut().enumerate() {
-                    assign[r] = inframe_core::batch::SKIP;
-                    if profile.bin != k {
-                        continue;
-                    }
-                    // Draw the drop stream for every bin capture (joined
-                    // or not) so late joiners stay deterministic.
-                    let dropped_now = profile.drop_rng.next_f64() < cfg.drop_rate;
-                    if cycle < profile.join_cycle {
-                        continue;
-                    }
-                    if dropped_now {
-                        dropped += 1;
-                        continue;
-                    }
-                    assign[r] = profile.class_at(cycle);
-                }
-                let table = if cycle == current_cycle {
-                    &mut best
-                } else {
-                    &mut next_best
-                };
-                scorer.merge_assigned(&assign, table);
+    loop {
+        let flow = pump.step(&mut cameras, |k, capture, t_mid, _| {
+            let Ok(cap) = capture else {
+                return ControlFlow::Continue(());
+            };
+            if t_mid < 0.0 {
+                return ControlFlow::Continue(());
             }
-        }
-        // Prune emissions no camera can still need.
-        let min_need = cameras
-            .iter()
-            .map(|cam| cam.required_window().0)
-            .fold(f64::INFINITY, f64::min);
-        while window
-            .front()
-            .is_some_and(|e| e.t_start + e.duration <= min_need + 1e-12)
-        {
-            window.pop_front();
-        }
+            let cycle = (t_mid / cycle_duration).floor() as u64;
+            bin_cycle[k] = bin_cycle[k].max(cycle as i64);
+            let phase = (t_mid / cycle_duration).fract();
+            if phase >= PHASE_GATE || cycle >= cycles {
+                return ControlFlow::Continue(());
+            }
+            // Score every class once against this bin's capture…
+            scorer.score_classes(&cap.plane, &pop.transforms, &pop.classes);
+            captures_scored += 1;
+            // …then fan the class rows out to this bin's receivers.
+            for (r, profile) in profiles.iter_mut().enumerate() {
+                assign[r] = SKIP;
+                if profile.bin != k {
+                    continue;
+                }
+                // Draw the drop stream for every bin capture (joined or
+                // not) so late joiners stay deterministic.
+                let dropped_now = profile.drop_rng.next_f64() < cfg.drop_rate;
+                if cycle < profile.join_cycle {
+                    continue;
+                }
+                if dropped_now {
+                    dropped += 1;
+                    continue;
+                }
+                assign[r] = profile.class_at(cycle);
+            }
+            scorer.merge_assigned(&assign, tables.table(cycle));
+            ControlFlow::Continue(())
+        });
         // A cycle is complete once every bin's capture stream moved past
-        // it; step the whole fleet and roll the tables.
-        while bin_cycle.iter().all(|&bc| bc > current_cycle as i64)
-            && current_cycle < c.cycles as u64
+        // it (or, at the end of the run, once it is still in flight).
+        let done = flow.is_break();
+        while (done || bin_cycle.iter().all(|&bc| bc > tables.current as i64))
+            && tables.current < cycles
         {
-            flush_cycle(
+            tables.flush(
                 &scorer,
                 &engine,
                 &layout,
                 c.inframe.coding,
                 &profiles,
                 &mut sessions,
-                &best,
-                current_cycle,
-                &mut verdicts,
-                &mut row,
-                &mut active,
             );
-            std::mem::swap(&mut best, &mut next_best);
-            next_best.fill(inframe_core::batch::UNREADABLE);
-            current_cycle += 1;
-            fleet_cycle.set(current_cycle);
+            fleet_cycle.set(tables.current);
         }
-    }
-    // Flush whatever cycles are still in flight.
-    while current_cycle < c.cycles as u64 {
-        flush_cycle(
-            &scorer,
-            &engine,
-            &layout,
-            c.inframe.coding,
-            &profiles,
-            &mut sessions,
-            &best,
-            current_cycle,
-            &mut verdicts,
-            &mut row,
-            &mut active,
-        );
-        std::mem::swap(&mut best, &mut next_best);
-        next_best.fill(inframe_core::batch::UNREADABLE);
-        current_cycle += 1;
-        fleet_cycle.set(current_cycle);
+        if done {
+            break;
+        }
     }
 
     // Fleet aggregation through the obs spine.

@@ -13,8 +13,11 @@
 //!       → Demultiplexer (inframe-core)  decoded data frames + GOB stats
 //! ```
 //!
-//! [`pipeline`] wires the chain with a bounded sliding window of display
-//! emissions; [`scenarios`] provides the paper's three inputs (gray, dark
+//! [`link::CapturePump`] is the one display → camera pump, over a
+//! bounded window of display emissions; [`pipeline`], [`link`],
+//! [`faults`] and [`fleet`] all drive the pixel chain through it, while
+//! the GOB-level drivers ([`linksim`], [`netsim`]) keep their own loops.
+//! [`scenarios`] provides the paper's three inputs (gray, dark
 //! gray, sunrise clip) at both paper scale and a fast test scale; the
 //! `fig*` modules run each experiment:
 //!

@@ -1,22 +1,135 @@
-//! A ready-made application link: pump bits through the whole channel
-//! without writing the sender/display/camera/receiver loop by hand.
+//! The display → camera capture pump, and a ready-made application link
+//! built on it.
 //!
-//! The examples (`ad_coupons`, `sports_ticker`) and downstream users all
-//! need the same plumbing: feed sender frames to the display, capture
-//! whenever the camera's window is covered, push captures into the
-//! receiver, collect decoded cycles. The receive side lives in
-//! [`inframe_link::session::ReceiverSession`]; [`Link::session`] builds
-//! one wired to this link's camera registration and [`Link::run_session`]
-//! is the capture pump that drives it.
+//! [`CapturePump`] is the one loop every pixel-chain driver runs: feed
+//! sender frames to the display, and capture from each camera whenever
+//! its exposure window is covered. Drivers differ only in what they do
+//! with a capture — demultiplex and score it ([`crate::Simulation`]),
+//! push it into a session ([`Link::run_session`]), fault it first
+//! ([`crate::faults`]), or batch-score it for a receiver fleet
+//! ([`crate::fleet`]).
+//!
+//! The receive side lives in [`inframe_link::session::ReceiverSession`];
+//! [`Link::session`] builds one wired to this link's camera registration
+//! and [`Link::run_session`] pumps captures into it.
 
 use crate::pipeline::SimulationConfig;
-use inframe_camera::{Camera, Shutter};
+use inframe_camera::{Camera, CapturedFrame};
 use inframe_core::sender::{PayloadSource, Sender};
 use inframe_display::{DisplayStream, FrameEmission};
 use inframe_link::carousel::SymbolGeometry;
 use inframe_link::session::{CompletionTarget, ReceiverSession, SyncMode};
 use inframe_video::VideoSource;
 use std::collections::VecDeque;
+use std::ops::ControlFlow;
+
+/// The sender → display → camera pump over a bounded window of display
+/// emissions.
+///
+/// The pump owns the display and the `cycles × τ` frame budget; the
+/// caller builds the [`Sender`] and owns the cameras, so one pump can
+/// serve a single receiver or a bank of phase-offset cameras.
+pub struct CapturePump<V, P> {
+    sender: Sender<V, P>,
+    display: DisplayStream,
+    window: VecDeque<FrameEmission>,
+    frames_left: u64,
+}
+
+impl<V: VideoSource, P: PayloadSource> CapturePump<V, P> {
+    /// A pump presenting `config.cycles` data cycles of `sender` frames
+    /// on `config.display`.
+    pub fn new(config: &SimulationConfig, sender: Sender<V, P>) -> Self {
+        Self {
+            sender,
+            display: DisplayStream::new(config.display),
+            window: VecDeque::new(),
+            frames_left: config.cycles as u64 * config.inframe.tau as u64,
+        }
+    }
+
+    /// The sender, e.g. for its ground-truth payload log.
+    pub(crate) fn sender(&self) -> &Sender<V, P> {
+        &self.sender
+    }
+
+    /// One frame of [`CapturePump::run`]. Returns [`ControlFlow::Break`]
+    /// when the frame budget is spent, the sender runs dry, or the
+    /// callback breaks.
+    pub(crate) fn step(
+        &mut self,
+        cameras: &mut [Camera],
+        mut on_capture: impl FnMut(
+            usize,
+            Result<CapturedFrame, u64>,
+            f64,
+            &mut Sender<V, P>,
+        ) -> ControlFlow<()>,
+    ) -> ControlFlow<()> {
+        if self.frames_left == 0 {
+            return ControlFlow::Break(());
+        }
+        let Some(frame) = self.sender.next_frame() else {
+            return ControlFlow::Break(());
+        };
+        self.frames_left -= 1;
+        let emission = self.display.present(&frame.plane);
+        let window_end = emission.t_start + emission.duration;
+        self.window.push_back(emission);
+
+        // Drop emissions that ended before any camera's next window.
+        let min_need = cameras
+            .iter()
+            .map(|cam| cam.required_window().0)
+            .fold(f64::INFINITY, f64::min);
+        while self
+            .window
+            .front()
+            .is_some_and(|e| e.t_start + e.duration <= min_need + 1e-12)
+        {
+            self.window.pop_front();
+        }
+        let window = self.window.make_contiguous();
+        for (k, camera) in cameras.iter_mut().enumerate() {
+            loop {
+                let (need_start, need_end) = camera.required_window();
+                if need_end > window_end {
+                    break;
+                }
+                let first =
+                    window.partition_point(|e| e.t_start + e.duration <= need_start + 1e-12);
+                let index = camera.next_index();
+                let t_mid = camera.config().frame_mid(index);
+                let capture = camera.capture(&window[first..]).map_err(|_| {
+                    camera.skip_frame();
+                    index
+                });
+                on_capture(k, capture, t_mid, &mut self.sender)?;
+            }
+        }
+        ControlFlow::Continue(())
+    }
+
+    /// Presents sender frames until the frame budget is spent or the
+    /// sender runs dry. After each frame, calls `on_capture` once for
+    /// every capture of every camera whose exposure window is now covered,
+    /// in camera order, with the camera index, the captured frame (or the
+    /// index of a frame the camera had to skip), the capture's exposure
+    /// midpoint, and the sender, so a control loop can re-modulate in
+    /// flight. Stops early when `on_capture` breaks.
+    pub fn run(
+        &mut self,
+        cameras: &mut [Camera],
+        mut on_capture: impl FnMut(
+            usize,
+            Result<CapturedFrame, u64>,
+            f64,
+            &mut Sender<V, P>,
+        ) -> ControlFlow<()>,
+    ) {
+        while self.step(cameras, &mut on_capture).is_continue() {}
+    }
+}
 
 /// A configured screen–camera link.
 pub struct Link {
@@ -25,10 +138,12 @@ pub struct Link {
 
 impl Link {
     /// Creates a link from a simulation configuration.
+    ///
+    /// # Panics
+    /// Panics on an invalid configuration (see
+    /// [`SimulationConfig::validate`]).
     pub fn new(config: SimulationConfig) -> Self {
-        config.inframe.validate();
-        config.camera.validate();
-        config.display.validate();
+        config.validate();
         Self { config }
     }
 
@@ -36,19 +151,13 @@ impl Link {
     /// registration, synced to the simulation's shared clock.
     pub fn session(&self, target: CompletionTarget) -> ReceiverSession {
         let c = &self.config;
-        let registration = c.geometry.display_to_sensor(
-            c.inframe.display_w,
-            c.inframe.display_h,
-            c.camera.width,
-            c.camera.height,
-        );
         ReceiverSession::capture_level(
             &c.inframe,
             SymbolGeometry::for_channel(
                 &inframe_core::layout::DataLayout::from_config(&c.inframe),
                 c.inframe.coding,
             ),
-            &registration,
+            &c.registration(),
             c.camera.width,
             c.camera.height,
             SyncMode::Known { phase: 0.0 },
@@ -56,9 +165,9 @@ impl Link {
         )
     }
 
-    /// The capture pump: runs `cycles` data cycles of `payload` over
-    /// `video`, pushing every capture into `session`, and returns the
-    /// session (finished). Stops early when the session completes.
+    /// Runs `cycles` data cycles of `payload` over `video`, pushing every
+    /// capture into `session`, and returns the session (finished). Stops
+    /// early when the session completes.
     pub fn run_session(
         &self,
         video: impl VideoSource,
@@ -67,54 +176,19 @@ impl Link {
         mut session: ReceiverSession,
     ) -> ReceiverSession {
         let c = &self.config;
-        let mut sender = Sender::new(c.inframe, video, payload);
-        let mut display = DisplayStream::new(c.display);
-        let mut camera = Camera::new(c.camera, c.geometry, camera_seed);
-        let exposure_mid = self.exposure_mid_offset();
-
-        let mut window: VecDeque<FrameEmission> = VecDeque::new();
-        let total = c.cycles as u64 * c.inframe.tau as u64;
-        'pump: for _ in 0..total {
-            let Some(frame) = sender.next_frame() else {
-                break;
-            };
-            let emission = display.present(&frame.plane);
-            let end = emission.t_start + emission.duration;
-            window.push_back(emission);
-            loop {
-                let (need_start, need_end) = camera.required_window();
-                if need_end > end {
-                    break;
-                }
-                while window
-                    .front()
-                    .is_some_and(|e| e.t_start + e.duration <= need_start + 1e-12)
-                {
-                    window.pop_front();
-                }
-                let emissions: Vec<FrameEmission> = window.iter().cloned().collect();
-                let t_mid = camera.config().frame_start(camera.next_index()) + exposure_mid;
-                match camera.capture(&emissions) {
-                    Ok(cap) => {
-                        session.push_capture(&cap.plane, t_mid);
-                        if session.is_complete() {
-                            break 'pump;
-                        }
-                    }
-                    Err(_) => camera.skip_frame(),
+        let mut pump = CapturePump::new(c, Sender::new(c.inframe, video, payload));
+        let mut camera = [Camera::new(c.camera, c.geometry, camera_seed)];
+        pump.run(&mut camera, |_, capture, t_mid, _| {
+            if let Ok(cap) = capture {
+                session.push_capture(&cap.plane, t_mid);
+                if session.is_complete() {
+                    return ControlFlow::Break(());
                 }
             }
-        }
+            ControlFlow::Continue(())
+        });
         session.finish();
         session
-    }
-
-    fn exposure_mid_offset(&self) -> f64 {
-        let readout = match self.config.camera.shutter {
-            Shutter::Global => 0.0,
-            Shutter::Rolling { readout_s } => readout_s,
-        };
-        readout / 2.0 + self.config.camera.exposure_s / 2.0
     }
 }
 
@@ -155,7 +229,7 @@ mod tests {
         let bits: Vec<Option<bool>> = session
             .decoded()
             .iter()
-            .flat_map(|d| d.payload.iter().cloned())
+            .flat_map(|d| d.payload.iter().copied())
             .collect();
         let recovered = bits.iter().filter(|b| b.is_some()).count();
         let ratio = recovered as f64 / bits.len() as f64;

@@ -1,15 +1,17 @@
 //! The end-to-end channel simulation.
 
-use inframe_camera::{Camera, CameraConfig, CaptureGeometry, Shutter};
+use crate::link::CapturePump;
+use inframe_camera::{Camera, CameraConfig, CaptureGeometry};
 use inframe_code::parity::GobStats;
 use inframe_core::metrics::{bit_accuracy, ThroughputReport};
 use inframe_core::sender::{PrbsPayload, Sender};
 use inframe_core::{DecodedDataFrame, Demultiplexer, InFrameConfig};
-use inframe_display::{DisplayConfig, DisplayStream, FrameEmission};
+use inframe_display::DisplayConfig;
+use inframe_frame::geometry::Homography;
 use inframe_obs::{names, ChannelSummary, Telemetry};
 use inframe_video::VideoSource;
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
+use std::ops::ControlFlow;
 
 /// Everything needed to run one end-to-end experiment.
 #[derive(Debug, Clone, Copy)]
@@ -26,6 +28,34 @@ pub struct SimulationConfig {
     pub cycles: u32,
     /// Seed for payload and sensor noise.
     pub seed: u64,
+}
+
+impl SimulationConfig {
+    /// Validates every component and their agreement.
+    ///
+    /// # Panics
+    /// Panics on an invalid component, zero cycles, or a display whose
+    /// refresh rate differs from the InFrame refresh rate.
+    pub fn validate(&self) {
+        self.inframe.validate();
+        self.display.validate();
+        self.camera.validate();
+        assert!(self.cycles >= 1, "need at least one cycle");
+        assert!(
+            (self.display.refresh_hz - self.inframe.refresh_hz).abs() < 1e-9,
+            "display and InFrame refresh rates must agree"
+        );
+    }
+
+    /// The display→sensor registration a receiver inverts to find blocks.
+    pub fn registration(&self) -> Homography {
+        self.geometry.display_to_sensor(
+            self.inframe.display_w,
+            self.inframe.display_h,
+            self.camera.width,
+            self.camera.height,
+        )
+    }
 }
 
 /// Result of one simulation run.
@@ -82,14 +112,7 @@ pub struct Simulation {
 impl Simulation {
     /// Creates a simulation.
     pub fn new(config: SimulationConfig) -> Self {
-        config.inframe.validate();
-        config.display.validate();
-        config.camera.validate();
-        assert!(config.cycles >= 1, "need at least one cycle");
-        assert!(
-            (config.display.refresh_hz - config.inframe.refresh_hz).abs() < 1e-9,
-            "display and InFrame refresh rates must agree"
-        );
+        config.validate();
         Self { config }
     }
 
@@ -119,61 +142,30 @@ impl Simulation {
         };
         let before = tele.summary().channel();
         let c = &self.config;
-        let mut sender =
-            Sender::new(c.inframe, video, PrbsPayload::new(c.seed)).with_telemetry(tele);
-        let mut display = DisplayStream::new(c.display);
-        let mut camera = Camera::new(c.camera, c.geometry, c.seed ^ 0xCA_3E1A);
-        let registration = c.geometry.display_to_sensor(
-            c.inframe.display_w,
-            c.inframe.display_h,
+        let sender = Sender::new(c.inframe, video, PrbsPayload::new(c.seed)).with_telemetry(tele);
+        let mut pump = CapturePump::new(c, sender);
+        let mut camera = [Camera::new(c.camera, c.geometry, c.seed ^ 0xCA_3E1A)];
+        let mut demux = Demultiplexer::new(
+            c.inframe,
+            &c.registration(),
             c.camera.width,
             c.camera.height,
-        );
-        let mut demux =
-            Demultiplexer::new(c.inframe, &registration, c.camera.width, c.camera.height)
-                .with_telemetry(tele);
-
-        let total_display_frames = c.cycles as u64 * c.inframe.tau as u64;
-        let mut window: VecDeque<FrameEmission> = VecDeque::new();
+        )
+        .with_telemetry(tele);
         let mut decoded: Vec<DecodedDataFrame> = Vec::new();
-
-        let exposure_mid = self.capture_mid_offset();
-        for _ in 0..total_display_frames {
-            let Some(frame) = sender.next_frame() else {
-                break;
-            };
-            let emission = display.present(&frame.plane);
-            let window_end = emission.t_start + emission.duration;
-            window.push_back(emission);
-            // Capture every frame whose full exposure window is now
-            // covered.
-            loop {
-                let (need_start, need_end) = camera.required_window();
-                if need_end > window_end {
-                    break;
-                }
-                // Drop emissions that ended before the needed window.
-                while window
-                    .front()
-                    .is_some_and(|e| e.t_start + e.duration <= need_start + 1e-12)
-                {
-                    window.pop_front();
-                }
-                let emissions: Vec<FrameEmission> = window.iter().cloned().collect();
-                let t_mid = camera.config().frame_start(camera.next_index()) + exposure_mid;
-                match camera.capture(&emissions) {
-                    Ok(cap) => {
-                        if let Some(frame) = demux.push_capture(&cap.plane, t_mid) {
-                            decoded.push(frame);
-                        }
-                    }
-                    Err(_) => camera.skip_frame(),
-                }
+        pump.run(&mut camera, |_, capture, t_mid, _| {
+            if let Some(frame) = capture
+                .ok()
+                .and_then(|cap| demux.push_capture(&cap.plane, t_mid))
+            {
+                decoded.push(frame);
             }
-        }
+            ControlFlow::Continue(())
+        });
         if let Some(frame) = demux.finish() {
             decoded.push(frame);
         }
+        let sender = pump.sender();
 
         // Score against ground truth, reporting into the spine.
         let mut bits_correct = 0;
@@ -207,16 +199,6 @@ impl Simulation {
             payload_bits: sender.payload_bits(),
             data_frame_rate: c.inframe.data_frame_rate(),
         }
-    }
-
-    /// Temporal centre of a capture relative to its frame start: half the
-    /// readout sweep plus half the exposure.
-    fn capture_mid_offset(&self) -> f64 {
-        let readout = match self.config.camera.shutter {
-            Shutter::Global => 0.0,
-            Shutter::Rolling { readout_s } => readout_s,
-        };
-        readout / 2.0 + self.config.camera.exposure_s / 2.0
     }
 }
 
@@ -297,18 +279,31 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "refresh rates must agree")]
     fn mismatched_refresh_rejected() {
-        let s = Scale::Quick;
-        let mut display = s.display();
-        display.refresh_hz = 60.0;
-        let _ = Simulation::new(SimulationConfig {
-            inframe: s.inframe(),
-            display,
-            camera: s.camera(),
-            geometry: s.geometry(),
-            cycles: 1,
-            seed: 0,
+        // Every pixel-chain driver validates through one
+        // `SimulationConfig::validate`, so none can run a 120 Hz chain on
+        // a 60 Hz display.
+        let mut c = quick_sim(1, 0).config;
+        c.display.refresh_hz = 60.0;
+        let rejects = |run: &dyn Fn()| {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+                .expect_err("a mismatched display must be rejected");
+            let msg = err.downcast_ref::<&str>().copied().unwrap_or_default();
+            assert!(msg.contains("refresh rates must agree"), "{msg}");
+        };
+        rejects(&|| {
+            Simulation::new(c);
+        });
+        rejects(&|| {
+            crate::Link::new(c);
+        });
+        rejects(&|| {
+            crate::run_fault_scenario(&crate::FaultScenarioConfig::baseline(c, 8));
+        });
+        rejects(&|| {
+            let mut fleet = crate::FleetConfig::quick(1, 1, 0);
+            fleet.sim = c;
+            crate::run_fleet(&fleet);
         });
     }
 }

@@ -50,8 +50,8 @@ fn blind_sync_recovers_unknown_camera_phase() {
     use inframe::camera::Camera;
     use inframe::core::sender::{PrbsPayload, Sender};
     use inframe::core::Demultiplexer;
-    use inframe::display::DisplayStream;
-    use std::collections::VecDeque;
+    use inframe::sim::link::CapturePump;
+    use std::ops::ControlFlow;
 
     let mut c = base(16);
     // τ = 10: the 33.3 ms capture period is not an integer fraction of the
@@ -64,71 +64,46 @@ fn blind_sync_recovers_unknown_camera_phase() {
     c.camera.phase_s = true_phase;
     let (w, h) = (c.inframe.display_w, c.inframe.display_h);
 
-    let mut sender = Sender::new(
+    let sender = Sender::new(
         c.inframe,
         SolidClip::new(w, h, 127.0, FrameRate::VIDEO_30),
         PrbsPayload::new(3),
     );
-    let mut display = DisplayStream::new(c.display);
-    let mut camera = Camera::new(c.camera, c.geometry, 3);
-    let registration = c
-        .geometry
-        .display_to_sensor(w, h, c.camera.width, c.camera.height);
-    let mut demux = Demultiplexer::new(c.inframe, &registration, c.camera.width, c.camera.height);
+    let mut pump = CapturePump::new(&c, sender);
+    let mut camera = [Camera::new(c.camera, c.geometry, 3)];
+    let mut demux = Demultiplexer::new(
+        c.inframe,
+        &c.registration(),
+        c.camera.width,
+        c.camera.height,
+    );
     let mut sync = CycleSynchronizer::new(&c.inframe);
-
-    let mut window = VecDeque::new();
-    let total = c.cycles as u64 * c.inframe.tau as u64;
-    for _ in 0..total {
-        let Some(frame) = sender.next_frame() else {
-            break;
-        };
-        let emission = display.present(&frame.plane);
-        let end = emission.t_start + emission.duration;
-        window.push_back(emission);
-        loop {
-            let (need_start, need_end) = camera.required_window();
-            if need_end > end {
-                break;
-            }
-            while window
-                .front()
-                .is_some_and(|e: &inframe::display::FrameEmission| {
-                    e.t_start + e.duration <= need_start + 1e-12
-                })
-            {
-                window.pop_front();
-            }
-            let emissions: Vec<_> = window.iter().cloned().collect();
+    pump.run(&mut camera, |_, capture, _, _| {
+        if let Ok(cap) = capture {
             // The receiver only knows its own capture count, not display
             // time: use camera-local timestamps.
-            let local_t = camera.next_index() as f64 / c.camera.fps;
-            match camera.capture(&emissions) {
-                Ok(cap) => {
-                    let scores = demux.score_capture(&cap.plane);
-                    sync.observe(
-                        local_t,
-                        CycleSynchronizer::decisiveness_of_scores(
-                            &scores,
-                            c.inframe.threshold,
-                            c.inframe.margin,
-                        ),
-                    );
-                }
-                Err(_) => camera.skip_frame(),
-            }
+            let local_t = cap.index as f64 / c.camera.fps;
+            let scores = demux.score_capture(&cap.plane);
+            sync.observe(
+                local_t,
+                CycleSynchronizer::decisiveness_of_scores(
+                    &scores,
+                    c.inframe.threshold,
+                    c.inframe.margin,
+                ),
+            );
         }
-    }
+        ControlFlow::Continue(())
+    });
 
     let est = sync.estimate().expect("enough captures");
     // The SRRC smoothing deliberately minimizes the very signature blind
     // sync keys on, so the contrast is modest — but it must exist.
     assert!(est.confidence > 1.05, "confidence {}", est.confidence);
     // The estimate is in camera-local time; the true cycle origin in that
-    // frame of reference is −(phase + exposure midpoint) (mod cycle).
+    // frame of reference is −(first capture's midpoint) (mod cycle).
     let d = sync.cycle_duration();
-    let readout_mid = 0.024 / 2.0 + c.camera.exposure_s / 2.0;
-    let expected = ((-(true_phase + readout_mid)) % d + d) % d;
+    let expected = ((-c.camera.frame_mid(0)) % d + d) % d;
     // Accept a circular error of up to a third of a cycle: the 30 FPS
     // camera folds to only three positions per cycle, bounding resolution.
     let err = {
