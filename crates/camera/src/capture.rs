@@ -7,6 +7,7 @@ use crate::noise::NoiseSource;
 use inframe_display::FrameEmission;
 use inframe_frame::color;
 use inframe_frame::filter::gaussian_blur;
+use inframe_frame::resample::{downsample_area_with, AreaTaps};
 use inframe_frame::Plane;
 
 /// Errors raised during capture.
@@ -57,6 +58,21 @@ pub struct Camera {
     geometry: CaptureGeometry,
     noise: NoiseSource,
     frame_index: u64,
+    /// Fronto area-average tap tables for the last display shape seen.
+    fronto_taps: Option<FrontoTaps>,
+}
+
+/// The fronto display→sensor area-average taps of every rolling-shutter
+/// band. They depend only on the display and sensor shapes, so a camera
+/// builds them on its first capture and reuses them after.
+#[derive(Debug)]
+struct FrontoTaps {
+    /// Display `(width, height)` the tables were built for.
+    display: (usize, usize),
+    /// Display columns → sensor columns.
+    columns: AreaTaps,
+    /// Per band: the band's display rows → its sensor rows.
+    rows: Vec<AreaTaps>,
 }
 
 impl Camera {
@@ -70,6 +86,7 @@ impl Camera {
             geometry,
             noise,
             frame_index: 0,
+            fronto_taps: None,
         }
     }
 
@@ -99,61 +116,91 @@ impl Camera {
     }
 
     /// Captures the next frame from the supplied display emissions, which
-    /// must cover [`Camera::required_window`].
+    /// must be contiguous refresh intervals in time order covering
+    /// [`Camera::required_window`].
     ///
     /// # Errors
     /// Returns [`CaptureError::WindowNotCovered`] if coverage is
-    /// insufficient, [`CaptureError::NoEmissions`] for an empty slice.
+    /// insufficient (including a gap or reordering in the slice),
+    /// [`CaptureError::NoEmissions`] for an empty slice. A failed capture
+    /// does not advance the frame index.
     pub fn capture(&mut self, emissions: &[FrameEmission]) -> Result<CapturedFrame, CaptureError> {
         if emissions.is_empty() {
             return Err(CaptureError::NoEmissions);
         }
         let needed = self.required_window();
-        let avail = (
-            emissions[0].t_start,
-            emissions
-                .last()
-                .map(|e| e.t_start + e.duration)
-                .expect("nonempty"),
-        );
-        if needed.0 < avail.0 - 1e-9 || needed.1 > avail.1 + 1e-9 {
+        // Only a back-to-back run of intervals lights the window without a
+        // dark gap; `avail` is the leading run's span.
+        let run = 1 + emissions
+            .windows(2)
+            .take_while(|p| (p[1].t_start - (p[0].t_start + p[0].duration)).abs() <= 1e-9)
+            .count();
+        let last = &emissions[run - 1];
+        let avail = (emissions[0].t_start, last.t_start + last.duration);
+        if run < emissions.len() || needed.0 < avail.0 - 1e-9 || needed.1 > avail.1 + 1e-9 {
             return Err(CaptureError::WindowNotCovered {
                 needed,
                 available: avail,
             });
         }
 
-        let display_h = emissions[0].target.height();
+        let (display_w, display_h) = emissions[0].target.shape();
         let sensor_w = self.config.width;
         let sensor_h = self.config.height;
         let t_frame = self.config.frame_start(self.frame_index);
-
-        // 1. Exposure integration per rolling-shutter band, in display
-        //    space, then geometric projection to sensor space.
-        let mut linear = Plane::<f32>::filled(sensor_w, sensor_h, 0.0);
         let bands = match self.config.shutter {
             Shutter::Global => 1,
             Shutter::Rolling { .. } => self.config.shutter_bands.min(sensor_h),
         };
-        for b in 0..bands {
+        let band_rows = |b: usize| {
             let sr0 = b * sensor_h / bands;
             let sr1 = ((b + 1) * sensor_h / bands).max(sr0 + 1);
-            let (t0, t1) = self.band_exposure(t_frame, b, bands);
             // Display rows feeding this sensor band (fronto mapping; the
             // projective path integrates the full display height because
             // rows mix under perspective).
-            let (dy0, dy1) = if self.geometry.is_fronto() {
-                (
-                    sr0 * display_h / sensor_h,
-                    (sr1 * display_h / sensor_h).max(sr0 * display_h / sensor_h + 1),
-                )
-            } else {
-                (0, display_h)
+            let dy0 = sr0 * display_h / sensor_h;
+            let dy1 = (sr1 * display_h / sensor_h).max(dy0 + 1);
+            (sr0..sr1, dy0..dy1)
+        };
+        // Only fronto captures have tap tables; geometry is fixed per camera.
+        if self.geometry.is_fronto()
+            && self
+                .fronto_taps
+                .as_ref()
+                .is_none_or(|t| t.display != (display_w, display_h))
+        {
+            self.fronto_taps = Some(FrontoTaps {
+                display: (display_w, display_h),
+                columns: AreaTaps::new(display_w, sensor_w),
+                rows: (0..bands)
+                    .map(|b| {
+                        let (sensor, display) = band_rows(b);
+                        AreaTaps::new(display.len(), sensor.len())
+                    })
+                    .collect(),
+            });
+        }
+
+        // 1. Exposure integration per rolling-shutter band, in display
+        //    space, then geometric projection to sensor space.
+        let mut linear = Plane::<f32>::filled(sensor_w, sensor_h, 0.0);
+        for b in 0..bands {
+            let (sensor, display) = band_rows(b);
+            let (t0, t1) = self.band_exposure(t_frame, b, bands);
+            let band_sensor = match &self.fronto_taps {
+                Some(taps) => downsample_area_with(
+                    &integrate_display_rows(emissions, display.start, display.end, t0, t1),
+                    &taps.columns,
+                    &taps.rows[b],
+                ),
+                None => self.geometry.project(
+                    &integrate_display_rows(emissions, 0, display_h, t0, t1),
+                    sensor_w,
+                    sensor.len(),
+                ),
             };
-            let band_light = integrate_display_rows(emissions, dy0, dy1, t0, t1);
-            let band_sensor = self.geometry.project(&band_light, sensor_w, sr1 - sr0);
             linear
-                .blit(&band_sensor, 0, sr0)
+                .blit(&band_sensor, 0, sensor.start)
                 .expect("band geometry is in range by construction");
         }
 
@@ -165,13 +212,16 @@ impl Camera {
         };
 
         // 3. Sensor noise in linear light.
-        let mut noisy = blurred;
-        self.noise.apply(&mut noisy);
+        let mut code = blurred;
+        self.noise.apply(&mut code);
 
         // 4. Gain, gamma encoding, 8-bit quantization.
         let gain = self.config.gain as f32;
-        let mut code = noisy.map(|l| color::linear_to_code((l * gain).clamp(0.0, 1.0)));
-        code.map_in_place(|c| c.round().clamp(0.0, 255.0));
+        code.map_in_place(|l| {
+            color::linear_to_code((l * gain).clamp(0.0, 1.0))
+                .round()
+                .clamp(0.0, 255.0)
+        });
 
         // 5. In-camera processing (denoise/sharpen), then re-quantize.
         if !self.config.isp.is_passthrough() {
@@ -207,9 +257,14 @@ impl Camera {
 /// `[t0, t1]`, combining the piecewise-exponential emissions in closed
 /// form.
 ///
+/// Each emission overlapping the window contributes its
+/// [`FrameEmission::window`] terms, evaluated once, to every sample of
+/// the rows; one whose strobe misses the window would add `+0.0` to
+/// every sample and is skipped.
+///
 /// # Panics
-/// Panics if the emissions do not cover the window (checked by callers) or
-/// the row range is empty/out of bounds.
+/// Panics if the emissions do not cover the window (checked by callers),
+/// differ in shape, or the row range is empty/out of bounds.
 pub fn integrate_display_rows(
     emissions: &[FrameEmission],
     y0: usize,
@@ -218,35 +273,39 @@ pub fn integrate_display_rows(
     t1: f64,
 ) -> Plane<f32> {
     assert!(y1 > y0, "empty row range");
-    let w = emissions[0].target.width();
-    let h = emissions[0].target.height();
+    let (w, h) = emissions[0].target.shape();
     assert!(y1 <= h, "row range out of bounds");
     assert!(t1 > t0, "empty time window");
-    let mut acc = Plane::<f32>::filled(w, y1 - y0, 0.0);
+    let rows = y0 * w..y1 * w;
+    let mut acc = vec![0.0f32; rows.len()];
     let total = t1 - t0;
     let mut covered = 0.0f64;
     for e in emissions {
+        assert!(
+            e.target.shape() == (w, h) && e.initial.shape() == (w, h),
+            "emission shape differs from the first emission"
+        );
         let s = t0.max(e.t_start);
         let t = t1.min(e.t_start + e.duration);
         if t - s <= 1e-12 {
             continue;
         }
-        let weight = ((t - s) / total) as f32;
         covered += t - s;
-        let (ls, lt) = (s - e.t_start, t - e.t_start);
-        for y in y0..y1 {
-            for x in 0..w {
-                let v = e.average_pixel(x, y, ls, lt);
-                let cur = acc.get(x, y - y0);
-                acc.put(x, y - y0, cur + weight * v);
-            }
+        let Some(window) = e.window(s - e.t_start, t - e.t_start) else {
+            continue;
+        };
+        let weight = ((t - s) / total) as f32;
+        let target = &e.target.samples()[rows.clone()];
+        let initial = &e.initial.samples()[rows.clone()];
+        for ((a, &tv), &iv) in acc.iter_mut().zip(target).zip(initial) {
+            *a += weight * window.average(tv, iv);
         }
     }
     assert!(
         (covered - total).abs() < total * 1e-6 + 1e-9,
         "emissions cover only {covered:.6}s of a {total:.6}s window"
     );
-    acc
+    Plane::from_vec(w, y1 - y0, acc).expect("nonempty row range")
 }
 
 #[cfg(test)]
@@ -350,6 +409,38 @@ mod tests {
             Err(CaptureError::WindowNotCovered { .. }) => {}
             other => panic!("expected WindowNotCovered, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn gap_in_emissions_is_reported_without_advancing() {
+        // A dropped refresh in the middle of the slice leaves 1/120 s of
+        // the 1/30 s exposure dark: the first start and last end alone
+        // would claim full coverage.
+        let frames = vec![Plane::filled(8, 8, 100.0); 4];
+        let mut em = emit(&frames);
+        em.remove(1);
+        let mut cam = Camera::new(
+            CameraConfig::ideal(8, 8, 30.0, 1.0 / 30.0),
+            CaptureGeometry::Fronto,
+            1,
+        );
+        match cam.capture(&em) {
+            Err(CaptureError::WindowNotCovered { available, .. }) => {
+                assert!((available.1 - 1.0 / 120.0).abs() < 1e-12, "{available:?}");
+            }
+            other => panic!("expected WindowNotCovered, got {other:?}"),
+        }
+        assert_eq!(cam.next_index(), 0);
+        // Out of order is a gap too.
+        em.insert(1, emit(&frames).remove(1));
+        em.swap(1, 2);
+        assert!(matches!(
+            cam.capture(&em),
+            Err(CaptureError::WindowNotCovered { .. })
+        ));
+        em.swap(1, 2);
+        assert!(cam.capture(&em).is_ok());
+        assert_eq!(cam.next_index(), 1);
     }
 
     #[test]

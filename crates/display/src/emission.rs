@@ -12,10 +12,20 @@
 //! backlight emits `LC(t)` at all times; a strobed backlight emits
 //! `LC(t)/duty` inside the strobe window and nothing outside, so the mean
 //! luminance matches the constant panel. With τ = 0 (ideal panel) the LC
-//! jumps to `T` instantly. Point values and time-averages over any
-//! sub-interval have closed forms, which keeps camera exposure integration
-//! exact and fast.
+//! jumps to `T` instantly.
+//!
+//! Point values and time-averages over any sub-interval have closed
+//! forms. Everything in them except `T` and `A₀` depends only on the time
+//! window, so [`FrameEmission::window`] evaluates the window's terms (the
+//! lit span, the two exponentials, the strobe boost) once into an
+//! [`EmissionWindow`], and each pixel then costs a few multiply-adds. A
+//! window that misses the strobe yields `None`: it emits nothing. The
+//! camera's exposure integration walks whole rows through one
+//! `EmissionWindow` per (emission, exposure window), which is what keeps
+//! it exact and fast; [`FrameEmission::attained`] likewise computes its
+//! decay factor `e^(−Δ/τ)` once per frame.
 
+use inframe_frame::arith::zip_map;
 use inframe_frame::Plane;
 
 /// The emitted light of one displayed frame over its refresh interval.
@@ -39,6 +49,41 @@ pub struct FrameEmission {
     pub strobe: Option<(f64, f64)>,
 }
 
+/// The per-window terms of [`FrameEmission`]'s closed-form mean light over
+/// an in-interval window `[t0, t1]`, lit over `[a, b]` (the window clipped
+/// to the strobe).
+///
+/// Built by [`FrameEmission::window`]; [`EmissionWindow::average`] is the
+/// only place the mean-light formula is written.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EmissionWindow {
+    /// Lit span `b − a`.
+    lit: f64,
+    /// LC response time constant τ (≤ 0 = instant).
+    tau: f64,
+    /// `e^(−a/τ) − e^(−b/τ)` (unused when τ ≤ 0).
+    decay: f64,
+    /// Backlight gain inside the strobe (1 for constant backlight).
+    boost: f64,
+    /// Window length `t1 − t0`.
+    span: f64,
+}
+
+impl EmissionWindow {
+    /// Mean emitted light over the window of a pixel with LC `target` and
+    /// `initial` levels.
+    #[inline]
+    pub fn average(&self, target: f32, initial: f32) -> f32 {
+        let tv = target as f64;
+        let integral = if self.tau <= 0.0 {
+            tv * self.lit
+        } else {
+            tv * self.lit + (initial as f64 - tv) * self.tau * self.decay
+        };
+        (integral * self.boost / self.span) as f32
+    }
+}
+
 impl FrameEmission {
     /// Backlight gain inside the strobe (1 for constant backlight).
     fn strobe_boost(&self) -> f64 {
@@ -48,26 +93,30 @@ impl FrameEmission {
         }
     }
 
-    /// LC state of one pixel at in-interval time `t`.
-    fn lc_pixel(&self, x: usize, y: usize, t: f64) -> f64 {
-        let tv = self.target.get(x, y) as f64;
-        let iv = self.initial.get(x, y) as f64;
-        if self.tau <= 0.0 {
-            tv
-        } else {
-            tv + (iv - tv) * (-t.max(0.0) / self.tau).exp()
+    /// LC decay factor `e^(−t/τ)` at in-interval time `t`, or `None` for
+    /// an instant panel (the LC sits at its target).
+    fn lc_decay(&self, t: f64) -> Option<f64> {
+        (self.tau > 0.0).then(|| (-t.max(0.0) / self.tau).exp())
+    }
+
+    /// LC state of a pixel with levels `target`, `initial` under the
+    /// decay factor from [`FrameEmission::lc_decay`].
+    #[inline]
+    fn lc(target: f32, initial: f32, decay: Option<f64>) -> f64 {
+        let tv = target as f64;
+        match decay {
+            None => tv,
+            Some(k) => tv + (initial as f64 - tv) * k,
         }
     }
 
-    /// Integral of the LC state of one pixel over `[a, b]`.
-    fn lc_integral(&self, x: usize, y: usize, a: f64, b: f64) -> f64 {
-        let tv = self.target.get(x, y) as f64;
-        let iv = self.initial.get(x, y) as f64;
-        if self.tau <= 0.0 {
-            tv * (b - a)
-        } else {
-            tv * (b - a) + (iv - tv) * self.tau * ((-a / self.tau).exp() - (-b / self.tau).exp())
-        }
+    /// LC state of one pixel at in-interval time `t`.
+    fn lc_pixel(&self, x: usize, y: usize, t: f64) -> f64 {
+        Self::lc(
+            self.target.get(x, y),
+            self.initial.get(x, y),
+            self.lc_decay(t),
+        )
     }
 
     /// Point-samples the emitted light of one pixel at in-interval time
@@ -96,44 +145,67 @@ impl FrameEmission {
         })
     }
 
+    /// The closed-form terms of the mean emitted light over the
+    /// in-interval window `[t0, t1]`, or `None` when the window misses the
+    /// strobe (the mean is 0 for every pixel).
+    ///
+    /// # Panics
+    /// Panics unless `0 ≤ t0 < t1 ≤ duration` (within numeric slack).
+    pub fn window(&self, t0: f64, t1: f64) -> Option<EmissionWindow> {
+        assert!(
+            t0 >= -1e-12 && t1 <= self.duration + 1e-9 && t1 > t0,
+            "bad averaging window [{t0}, {t1}] within 0..{}",
+            self.duration
+        );
+        let (a, b) = match self.strobe {
+            None => (t0, t1),
+            Some((on, off)) => (t0.max(on), t1.min(off)),
+        };
+        if b <= a {
+            return None;
+        }
+        let decay = if self.tau <= 0.0 {
+            0.0
+        } else {
+            (-a / self.tau).exp() - (-b / self.tau).exp()
+        };
+        Some(EmissionWindow {
+            lit: b - a,
+            tau: self.tau,
+            decay,
+            boost: self.strobe_boost(),
+            span: t1 - t0,
+        })
+    }
+
     /// Mean emitted light of one pixel over `[t0, t1]` — the exact
     /// exposure integral divided by the window length.
     ///
     /// # Panics
     /// Panics unless `0 ≤ t0 < t1 ≤ duration` (within numeric slack).
     pub fn average_pixel(&self, x: usize, y: usize, t0: f64, t1: f64) -> f32 {
-        assert!(
-            t0 >= -1e-12 && t1 <= self.duration + 1e-9 && t1 > t0,
-            "bad averaging window [{t0}, {t1}] within 0..{}",
-            self.duration
-        );
-        match self.strobe {
-            None => (self.lc_integral(x, y, t0, t1) / (t1 - t0)) as f32,
-            Some((on, off)) => {
-                let a = t0.max(on);
-                let b = t1.min(off);
-                if b <= a {
-                    0.0
-                } else {
-                    (self.lc_integral(x, y, a, b) * self.strobe_boost() / (t1 - t0)) as f32
-                }
-            }
-        }
+        self.window(t0, t1).map_or(0.0, |w| {
+            w.average(self.target.get(x, y), self.initial.get(x, y))
+        })
     }
 
     /// Mean emitted light plane over `[t0, t1]`.
     pub fn average(&self, t0: f64, t1: f64) -> Plane<f32> {
-        Plane::from_fn(self.target.width(), self.target.height(), |x, y| {
-            self.average_pixel(x, y, t0, t1)
-        })
+        match self.window(t0, t1) {
+            None => Plane::filled(self.target.width(), self.target.height(), 0.0),
+            Some(w) => zip_map(&self.target, &self.initial, |t, i| w.average(t, i))
+                .expect("target and initial planes share a shape"),
+        }
     }
 
     /// LC level attained at the end of the interval — the next interval's
     /// `initial`. (LC keeps transitioning regardless of the backlight.)
     pub fn attained(&self) -> Plane<f32> {
-        Plane::from_fn(self.target.width(), self.target.height(), |x, y| {
-            self.lc_pixel(x, y, self.duration) as f32
+        let decay = self.lc_decay(self.duration);
+        zip_map(&self.target, &self.initial, |t, i| {
+            Self::lc(t, i, decay) as f32
         })
+        .expect("target and initial planes share a shape")
     }
 }
 

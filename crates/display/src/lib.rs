@@ -34,5 +34,5 @@ pub mod emission;
 pub mod stream;
 
 pub use config::DisplayConfig;
-pub use emission::FrameEmission;
+pub use emission::{EmissionWindow, FrameEmission};
 pub use stream::DisplayStream;

@@ -46,7 +46,17 @@ impl DisplayStream {
     /// # Panics
     /// Panics if the frame shape differs from previously presented frames.
     pub fn present(&mut self, code_frame: &Plane<f32>) -> FrameEmission {
-        let target = code_frame.map(|c| self.config.code_to_light(c));
+        // Frames are mostly runs of equal codes, and equal bits convert to
+        // equal light, so a run costs one transfer-function evaluation.
+        let mut run: Option<(u32, f32)> = None;
+        let target = code_frame.map(|c| match run {
+            Some((bits, light)) if bits == c.to_bits() => light,
+            _ => {
+                let light = self.config.code_to_light(c);
+                run = Some((c.to_bits(), light));
+                light
+            }
+        });
         let initial = match &self.attained {
             Some(prev) => {
                 assert_eq!(

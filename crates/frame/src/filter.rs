@@ -39,6 +39,13 @@ pub fn separable_convolve(src: &Plane<f32>, kx: &[f32], ky: &[f32], border: Bord
 }
 
 fn convolve_axis(src: &Plane<f32>, k: &[f32], horizontal: bool, border: Border) -> Plane<f32> {
+    if border == Border::Replicate {
+        return if horizontal {
+            convolve_rows_replicate(src, k)
+        } else {
+            convolve_cols_replicate(src, k)
+        };
+    }
     let (w, h) = src.shape();
     let r = (k.len() / 2) as isize;
     Plane::from_fn(w, h, |x, y| {
@@ -50,20 +57,66 @@ fn convolve_axis(src: &Plane<f32>, k: &[f32], horizontal: bool, border: Border) 
             } else {
                 (x as isize, y as isize + off)
             };
-            let v = match border {
-                Border::Replicate => src.get_clamped(sx, sy),
-                Border::Zero => {
-                    if sx < 0 || sy < 0 || sx >= w as isize || sy >= h as isize {
-                        0.0
-                    } else {
-                        src.get(sx as usize, sy as usize)
-                    }
-                }
+            let v = if sx < 0 || sy < 0 || sx >= w as isize || sy >= h as isize {
+                0.0
+            } else {
+                src.get(sx as usize, sy as usize)
             };
             acc += kv * v;
         }
         acc
     })
+}
+
+/// Horizontal replicate-border convolution, one row slice at a time.
+/// Every output sample sums `kv · v` from 0.0 in tap order. Interior
+/// samples read a contiguous window and are accumulated one tap at a time
+/// across the whole interior; the `r` samples at each edge clamp their
+/// source index.
+fn convolve_rows_replicate(src: &Plane<f32>, k: &[f32]) -> Plane<f32> {
+    let (w, h) = src.shape();
+    let r = k.len() / 2;
+    // Interior samples `r..w − r`; empty when the kernel is wider than
+    // the row.
+    let interior = r.min(w)..w.saturating_sub(r).max(r.min(w));
+    let mut out = vec![0.0f32; w * h];
+    for (row, dst) in src.samples().chunks_exact(w).zip(out.chunks_exact_mut(w)) {
+        for x in (0..interior.start).chain(interior.end..w) {
+            for (i, &kv) in k.iter().enumerate() {
+                dst[x] += kv * row[(x + i).saturating_sub(r).min(w - 1)];
+            }
+        }
+        if interior.is_empty() {
+            continue;
+        }
+        let dst = &mut dst[interior.clone()];
+        for (i, &kv) in k.iter().enumerate() {
+            // Tap `i` of interior sample `x` reads `row[x + i − r]`.
+            let taps = &row[interior.start + i - r..][..dst.len()];
+            for (acc, &v) in dst.iter_mut().zip(taps) {
+                *acc += kv * v;
+            }
+        }
+    }
+    Plane::from_vec(w, h, out).expect("shape of the source plane")
+}
+
+/// Vertical replicate-border convolution: each output row accumulates
+/// whole (clamped) source rows in tap order, so every sample sums
+/// `kv · v` from 0.0 in the same order as a per-pixel loop.
+fn convolve_cols_replicate(src: &Plane<f32>, k: &[f32]) -> Plane<f32> {
+    let (w, h) = src.shape();
+    let r = k.len() / 2;
+    let mut out = vec![0.0f32; w * h];
+    for (y, dst) in out.chunks_exact_mut(w).enumerate() {
+        for (i, &kv) in k.iter().enumerate() {
+            let row = src.row((y + i).saturating_sub(r).min(h - 1));
+            for (acc, &v) in dst.iter_mut().zip(row) {
+                *acc += kv * v;
+            }
+        }
+    }
+    Plane::from_vec(w, h, out).expect("shape of the source plane")
 }
 
 /// Box-blurs a plane with a `(2r+1) × (2r+1)` window.
@@ -218,7 +271,85 @@ mod tests {
         }
     }
 
+    /// Pseudo-random fractional samples in roughly `[-64, 192)`.
+    fn noisy_plane(w: usize, h: usize, seed: u64) -> Plane<f32> {
+        Plane::from_fn(w, h, |x, y| {
+            let mut v = seed ^ ((x as u64) << 32 | y as u64);
+            v = v.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            v ^= v >> 29;
+            (v % 65_536) as f32 / 256.0 - 64.0
+        })
+    }
+
+    /// A pseudo-random odd-length kernel of radius `r`, signed taps.
+    fn kernel(r: usize, seed: u64) -> Vec<f32> {
+        (0..2 * r + 1)
+            .map(|i| {
+                let v = (seed ^ i as u64).wrapping_mul(0xD6E8_FEB8_6659_FD93) >> 40;
+                (v % 2001) as f32 / 1000.0 - 1.0
+            })
+            .collect()
+    }
+
+    /// Per-pixel replicate-border convolution through `get_clamped`, as
+    /// `separable_convolve` computed it before the row-slice kernels: the
+    /// bitwise oracle for them.
+    fn naive_separable_replicate(src: &Plane<f32>, kx: &[f32], ky: &[f32]) -> Plane<f32> {
+        let axis = |src: &Plane<f32>, k: &[f32], horizontal: bool| {
+            let r = (k.len() / 2) as isize;
+            Plane::from_fn(src.width(), src.height(), |x, y| {
+                let mut acc = 0.0f32;
+                for (i, &kv) in k.iter().enumerate() {
+                    let off = i as isize - r;
+                    let v = if horizontal {
+                        src.get_clamped(x as isize + off, y as isize)
+                    } else {
+                        src.get_clamped(x as isize, y as isize + off)
+                    };
+                    acc += kv * v;
+                }
+                acc
+            })
+        };
+        axis(&axis(src, kx, true), ky, false)
+    }
+
+    fn bits(p: &Plane<f32>) -> Vec<u32> {
+        p.samples().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn replicate_matches_oracle_on_one_pixel_and_wide_kernels() {
+        for (w, h, r) in [
+            (1, 1, 0),
+            (1, 1, 3),
+            (1, 7, 2),
+            (7, 1, 5),
+            (5, 5, 2),
+            (64, 36, 3),
+        ] {
+            let p = noisy_plane(w, h, 11);
+            let k = kernel(r, 5);
+            let got = separable_convolve(&p, &k, &k, Border::Replicate);
+            assert_eq!(bits(&got), bits(&naive_separable_replicate(&p, &k, &k)));
+        }
+    }
+
     proptest! {
+        #[test]
+        fn replicate_convolution_is_bitwise_the_per_pixel_loop(
+            w in 1usize..24, h in 1usize..24,
+            rx in 0usize..30, ry in 0usize..30,
+            seed in any::<u64>(),
+        ) {
+            // Radii run past the plane size, so some rows and columns have
+            // no interior samples at all.
+            let p = noisy_plane(w, h, seed);
+            let (kx, ky) = (kernel(rx, seed), kernel(ry, !seed));
+            let got = separable_convolve(&p, &kx, &ky, Border::Replicate);
+            prop_assert_eq!(bits(&got), bits(&naive_separable_replicate(&p, &kx, &ky)));
+        }
+
         #[test]
         fn blur_output_within_input_range(
             seed in 0u64..1000,
