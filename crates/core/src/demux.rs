@@ -947,14 +947,14 @@ pub(crate) fn demodulate_noised(
         let mut energy = 0.0f64;
         let mut weight = 0.0f64;
         for dy in y0..y1 {
-            for dx in 0..t.width() {
-                let tv = t.get(dx, dy);
+            let cols = region.x..region.x + t.width();
+            let y = region.y + dy;
+            let row = t.row(dy).iter().zip(&capture.row(y)[cols.clone()]);
+            for ((&tv, &c), &s) in row.zip(&smoothed.row(y)[cols]) {
                 if tv == 0.0 {
                     continue;
                 }
-                let x = region.x + dx;
-                let y = region.y + dy;
-                let hp = (capture.get(x, y) - smoothed.get(x, y)) as f64;
+                let hp = (c - s) as f64;
                 acc += hp * tv as f64;
                 energy += hp * hp;
                 weight += tv.abs() as f64;
