@@ -2,10 +2,10 @@
 //! noise and encoding.
 
 use crate::config::{CameraConfig, Shutter};
+use crate::gamma;
 use crate::geometry::CaptureGeometry;
 use crate::noise::NoiseSource;
 use inframe_display::FrameEmission;
-use inframe_frame::color;
 use inframe_frame::filter::gaussian_blur;
 use inframe_frame::resample::{downsample_area_with, AreaTaps};
 use inframe_frame::Plane;
@@ -215,13 +215,11 @@ impl Camera {
         let mut code = blurred;
         self.noise.apply(&mut code);
 
-        // 4. Gain, gamma encoding, 8-bit quantization.
+        // 4. Gain, gamma encoding, 8-bit quantization (an exact threshold
+        //    table instead of a per-pixel `powf`).
         let gain = self.config.gain as f32;
-        code.map_in_place(|l| {
-            color::linear_to_code((l * gain).clamp(0.0, 1.0))
-                .round()
-                .clamp(0.0, 255.0)
-        });
+        let gamma = gamma::table();
+        code.map_in_place(|l| gamma.encode((l * gain).clamp(0.0, 1.0)));
 
         // 5. In-camera processing (denoise/sharpen), then re-quantize.
         if !self.config.isp.is_passthrough() {

@@ -30,6 +30,7 @@
 pub mod autoexposure;
 pub mod capture;
 pub mod config;
+mod gamma;
 pub mod geometry;
 pub mod isp;
 pub mod noise;

@@ -89,8 +89,11 @@ impl PackedBits {
         self.bit_len += 1;
     }
 
-    /// Appends lossy bits, mapping undecodable positions (`None`) to `0`
-    /// — any frame overlapping them is rejected by its CRC.
+    /// Appends lossy bits, writing each undecodable position (`None`) as
+    /// a plain `0` bit. Nothing marks the erasure afterwards: a frame that
+    /// overlaps one is caught only by its CRC-16, which passes a damaged
+    /// frame with probability about 2⁻¹⁶ (see ROADMAP, "No corrupt
+    /// delivery").
     pub fn push_option_bits(&mut self, bits: &[Option<bool>]) {
         for &b in bits {
             self.push_bit(b.unwrap_or(false));

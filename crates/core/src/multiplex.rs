@@ -67,29 +67,33 @@ pub fn slot(c: &InFrameConfig, f: u64) -> FrameSlot {
 /// Core of the multiplexer: renders the displayed frame for a slot given
 /// the video frame and the current/next data frames.
 ///
-/// The offset pair for the current `(video_index, cycle, pair)` is rendered
-/// once into two long-lived planes and reused by the minus frame of the
-/// pair — no per-frame buffer clones anywhere on this path.
+/// The per-Block envelope amplitudes of the current `(cycle, pair)` are
+/// sampled once and reused by every frame of the pair; each frame is then
+/// written straight into the caller's plane in one pass. On the reference
+/// backend the plus frame also saves the pair's `P⁻` into one long-lived
+/// plane, so the minus frame costs a subtraction per pixel — no per-frame
+/// buffer clones anywhere on this path.
 pub struct Multiplexer {
     config: InFrameConfig,
     layout: DataLayout,
     envelope: Envelope,
     engine: Arc<ParallelEngine>,
-    /// Which `(video_index, cycle_index, pair, scale_epoch)` the offset
-    /// planes hold.
-    cache_key: Option<(u64, u64, u32, u64)>,
-    p_plus: Plane<f32>,
-    p_minus: Plane<f32>,
+    /// Which `(cycle_index, pair, scale_epoch)` `amps` (and, on the
+    /// quantized backend, `steps`) hold.
+    amps_key: Option<(u64, u32, u64)>,
     /// Reused per-Block envelope amplitude buffer (row-major).
     amps: Vec<f32>,
     /// Per-Block amplitude scales (row-major; empty ⇒ all 1.0). Spatial
     /// sub-channels back individual regions off from the global δ here.
     scales: Vec<f32>,
-    /// Bumped whenever `scales` changes, invalidating both render caches.
+    /// Bumped whenever `scales` changes, invalidating the amplitudes.
     scale_epoch: u64,
-    /// Which `(cycle_index, pair, scale_epoch)` the quantized amplitude
-    /// steps hold.
-    steps_key: Option<(u64, u32, u64)>,
+    /// `P⁻` of each chessboard pixel, saved by a reference plus frame for
+    /// the minus frame of its pair.
+    minus_offsets: Plane<f32>,
+    /// Which `(video_index, cycle_index, pair, scale_epoch)`
+    /// `minus_offsets` holds.
+    minus_key: Option<(u64, u64, u32, u64)>,
     /// Reused quantized amplitude steps (row-major, Quantized backend).
     steps: Vec<u16>,
     /// Chessboard delta LUT cache (Quantized backend).
@@ -111,13 +115,12 @@ impl Multiplexer {
             layout: DataLayout::from_config(&config),
             envelope: Envelope::new(config.pairs_per_cycle(), config.envelope),
             engine,
-            cache_key: None,
-            p_plus: Plane::filled(config.display_w, config.display_h, 0.0),
-            p_minus: Plane::filled(config.display_w, config.display_h, 0.0),
+            amps_key: None,
             amps: Vec::new(),
             scales: Vec::new(),
             scale_epoch: 0,
-            steps_key: None,
+            minus_offsets: Plane::filled(config.display_w, config.display_h, 0.0),
+            minus_key: None,
             steps: Vec::new(),
             lut: ChessLut::new(config.delta, config.complementation),
             config,
@@ -167,18 +170,40 @@ impl Multiplexer {
         next: &DataFrame,
         out: &mut Plane<f32>,
     ) {
+        let resampled = self.ensure_amps(s, cur, next);
         match self.config.kernel {
             KernelBackend::Reference => {
-                self.ensure_offsets(s, video, cur, next);
-                match s.sign {
-                    FrameSign::Plus => inframe_frame::arith::add_into(video, &self.p_plus, out)
-                        .expect("same shape by construction"),
-                    FrameSign::Minus => inframe_frame::arith::sub_into(video, &self.p_minus, out)
-                        .expect("same shape by construction"),
+                let key = (s.video_index, s.cycle_index, s.pair, self.scale_epoch);
+                // A minus frame whose plus frame was not rendered first
+                // renders it into `out` anyway, to save the offsets.
+                if s.sign == FrameSign::Plus || self.minus_key != Some(key) {
+                    pattern::render_plus_reference(
+                        &self.layout,
+                        video,
+                        self.config.delta,
+                        self.config.complementation,
+                        &self.amps,
+                        &self.engine,
+                        out,
+                        &mut self.minus_offsets,
+                    );
+                    self.minus_key = Some(key);
+                }
+                if s.sign == FrameSign::Minus {
+                    pattern::render_minus_reference(
+                        &self.layout,
+                        video,
+                        &self.amps,
+                        &self.minus_offsets,
+                        &self.engine,
+                        out,
+                    );
                 }
             }
             KernelBackend::Quantized => {
-                self.ensure_steps(s, cur, next);
+                if resampled {
+                    self.quantize_steps();
+                }
                 pattern::render_frame_lut(
                     &self.layout,
                     video,
@@ -195,8 +220,8 @@ impl Multiplexer {
     /// Sets per-Block amplitude scales (row-major over the Block grid),
     /// multiplied into the envelope amplitude of every Block. Scales are
     /// clamped to `[0, 1]`: spatial sub-channels may back a region off
-    /// from the global δ but never exceed the HVS-assessed ceiling. Both
-    /// backend caches are invalidated; the scale buffer is reused, so
+    /// from the global δ but never exceed the HVS-assessed ceiling. The
+    /// sampled amplitudes are invalidated; the scale buffer is reused, so
     /// steady-state scale updates allocate nothing after the first call.
     ///
     /// # Panics
@@ -222,7 +247,7 @@ impl Multiplexer {
 
     /// Re-points the multiplexer at a new (δ, τ) operating point:
     /// rebuilds the smoothing envelope and the chessboard LUT and
-    /// invalidates both backend render caches. Must only be called at a
+    /// invalidates the sampled amplitudes. Must only be called at a
     /// cycle boundary (`k == 0`) — mid-cycle the envelope phase would
     /// jump visibly. No-op when the operating point is unchanged.
     pub fn set_modulation(&mut self, delta: f32, tau: u32) {
@@ -234,8 +259,7 @@ impl Multiplexer {
         self.config.validate();
         self.envelope = Envelope::new(self.config.pairs_per_cycle(), self.config.envelope);
         self.lut = ChessLut::new(delta, self.config.complementation);
-        self.cache_key = None;
-        self.steps_key = None;
+        self.amps_key = None;
         self.scale_epoch += 1;
     }
 
@@ -255,18 +279,13 @@ impl Multiplexer {
         max_step.max((1.0 - prev).abs())
     }
 
-    /// Ensures `p_plus`/`p_minus` hold the offsets for `s`'s pair,
-    /// re-rendering only at pair boundaries.
-    fn ensure_offsets(
-        &mut self,
-        s: &FrameSlot,
-        video: &Plane<f32>,
-        cur: &DataFrame,
-        next: &DataFrame,
-    ) {
-        let key = (s.video_index, s.cycle_index, s.pair, self.scale_epoch);
-        if self.cache_key == Some(key) {
-            return;
+    /// Ensures `amps` holds the per-Block envelope amplitudes for `s`'s
+    /// pair, resampling only at pair boundaries (one envelope evaluation
+    /// per Block, ≈1500 at paper scale). Returns whether it resampled.
+    fn ensure_amps(&mut self, s: &FrameSlot, cur: &DataFrame, next: &DataFrame) -> bool {
+        let key = (s.cycle_index, s.pair, self.scale_epoch);
+        if self.amps_key == Some(key) {
+            return false;
         }
         let env = &self.envelope;
         let pair = s.pair;
@@ -284,54 +303,21 @@ impl Multiplexer {
             },
             &mut self.amps,
         );
-        pattern::render_offsets_with_amps(
-            &self.layout,
-            video,
-            self.config.delta,
-            self.config.complementation,
-            &self.amps,
-            &self.engine,
-            &mut self.p_plus,
-            &mut self.p_minus,
-        );
-        self.cache_key = Some(key);
+        self.amps_key = Some(key);
+        true
     }
 
-    /// Quantized-path sibling of [`Multiplexer::ensure_offsets`]: ensures
-    /// `steps` holds the per-Block amplitude steps for `s`'s pair and that
-    /// the LUT has a table for each referenced step. Resampling touches
-    /// one envelope evaluation per Block (≈1500 at paper scale) and the
-    /// table build is amortized across the multiplexer's lifetime, so
-    /// steady-state pair turnover costs neither per-pixel math nor heap
-    /// allocations.
-    fn ensure_steps(&mut self, s: &FrameSlot, cur: &DataFrame, next: &DataFrame) {
-        let key = (s.cycle_index, s.pair, self.scale_epoch);
-        if self.steps_key == Some(key) {
-            return;
-        }
-        let env = &self.envelope;
-        let pair = s.pair;
-        let scales = &self.scales;
-        let bxs = self.layout.blocks_x;
-        pattern::sample_amplitudes(
-            &self.layout,
-            |bx, by| {
-                let scale = if scales.is_empty() {
-                    1.0
-                } else {
-                    scales[by * bxs + bx]
-                };
-                env.amplitude(pair, cur.bit(bx, by), next.bit(bx, by)) as f32 * scale
-            },
-            &mut self.amps,
-        );
+    /// Quantized backend: requantizes `amps` into `steps` and makes sure
+    /// the LUT has a table for each referenced step. The table build is
+    /// amortized across the multiplexer's lifetime, so steady-state pair
+    /// turnover costs neither per-pixel math nor heap allocations.
+    fn quantize_steps(&mut self) {
         self.steps.clear();
         self.steps
             .extend(self.amps.iter().map(|&a| ChessLut::amp_step(a)));
         for i in 0..self.steps.len() {
             self.lut.ensure_step(self.steps[i]);
         }
-        self.steps_key = Some(key);
     }
 }
 
@@ -567,6 +553,32 @@ mod tests {
                 assert_eq!(restored.get(x, y), v, "{kernel:?} ({x},{y})");
             }
         }
+    }
+
+    #[test]
+    fn minus_frame_is_the_same_without_its_plus_frame_first() {
+        let c = InFrameConfig {
+            kernel: KernelBackend::Reference,
+            ..InFrameConfig::small_test()
+        };
+        let (cur, next) = frames(&c, 5);
+        let video = Plane::from_fn(c.display_w, c.display_h, |x, y| ((x * 7 + y) % 256) as f32);
+        let bits = |p: &Plane<f32>| p.samples().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut in_order = Multiplexer::new(c);
+        in_order.render(&slot(&c, 2), &video, &cur, &next);
+        let expected = bits(&in_order.render(&slot(&c, 3), &video, &cur, &next));
+        // Alone, and after another pair's plus frame saved its offsets.
+        let mut alone = Multiplexer::new(c);
+        assert_eq!(
+            bits(&alone.render(&slot(&c, 3), &video, &cur, &next)),
+            expected
+        );
+        let mut after_other = Multiplexer::new(c);
+        after_other.render(&slot(&c, 0), &video, &cur, &next);
+        assert_eq!(
+            bits(&after_other.render(&slot(&c, 3), &video, &cur, &next)),
+            expected
+        );
     }
 
     #[test]

@@ -12,10 +12,9 @@
 //!    deterministic order, so `workers = 1` and `workers = N` produce the
 //!    same bytes. The equivalence is enforced by property tests in the
 //!    workspace root.
-//! 2. **No persistent threads.** Workers are scoped (vendored
-//!    `crossbeam::thread::scope` over `std::thread::scope`), so the engine
-//!    is `Sync`, has no shutdown protocol, and `workers = 1` runs inline
-//!    with zero thread overhead.
+//! 2. **No persistent threads.** Workers are scoped
+//!    (`std::thread::scope`), so the engine is `Sync`, has no shutdown
+//!    protocol, and `workers = 1` runs inline with zero thread overhead.
 //!
 //! The engine also accumulates per-worker busy time, which
 //! [`crate::metrics::ThroughputMeter`] turns into a utilization figure.
@@ -149,17 +148,16 @@ impl ParallelEngine {
         let bands_a = a.bands_mut(self.workers);
         let bands_b = b.bands_mut(self.workers);
         let f = &f;
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for ((range, slice_a), (range_b, slice_b)) in bands_a.into_iter().zip(bands_b) {
                 debug_assert_eq!(range, range_b);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let t = Instant::now();
                     f(range, slice_a, slice_b);
                     self.note(t.elapsed());
                 });
             }
-        })
-        .expect("band workers must not panic");
+        });
     }
 
     /// Runs `f` over horizontal bands of a single plane — the one-plane
@@ -185,16 +183,15 @@ impl ParallelEngine {
         }
         let bands = plane.bands_mut(self.workers);
         let f = &f;
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for (range, slice) in bands {
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let t = Instant::now();
                     f(range, slice);
                     self.note(t.elapsed());
                 });
             }
-        })
-        .expect("band workers must not panic");
+        });
     }
 
     /// Runs `f` over matching row bands of two row-major buffers with
@@ -244,7 +241,7 @@ impl ParallelEngine {
             return;
         }
         let f = &f;
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             let mut rest_a = a;
             let mut rest_b = b;
             for (band, range) in band_rows(height, self.workers).into_iter().enumerate() {
@@ -252,14 +249,13 @@ impl ParallelEngine {
                 let (band_b, tail_b) = rest_b.split_at_mut(range.len() * stride_b);
                 rest_a = tail_a;
                 rest_b = tail_b;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let t = Instant::now();
                     f(band, range, band_a, band_b);
                     self.note(t.elapsed());
                 });
             }
-        })
-        .expect("row band workers must not panic");
+        });
     }
 
     /// Runs `f` over row bands of a single row-major buffer — the
@@ -290,19 +286,18 @@ impl ParallelEngine {
             return;
         }
         let f = &f;
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             let mut rest = buf;
             for range in band_rows(height, self.workers) {
                 let (band, tail) = rest.split_at_mut(range.len() * stride);
                 rest = tail;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let t = Instant::now();
                     f(range, band);
                     self.note(t.elapsed());
                 });
             }
-        })
-        .expect("row band workers must not panic");
+        });
     }
 
     /// Zero-allocation sibling of [`ParallelEngine::map`]: maps `f` over
@@ -336,12 +331,12 @@ impl ParallelEngine {
         }
         let chunks = band_rows(items.len(), self.workers);
         let f = &f;
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             let mut rest = out;
             for range in chunks {
                 let (chunk, tail) = rest.split_at_mut(range.len());
                 rest = tail;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let t = Instant::now();
                     for (o, i) in chunk.iter_mut().zip(range) {
                         *o = f(i, &items[i]);
@@ -349,8 +344,7 @@ impl ParallelEngine {
                     self.note(t.elapsed());
                 });
             }
-        })
-        .expect("map_into workers must not panic");
+        });
     }
 
     /// Maps `f` over `items` and returns the results **in input order**
@@ -373,11 +367,11 @@ impl ParallelEngine {
         }
         let chunks = band_rows(items.len(), self.workers);
         let f = &f;
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             let handles: Vec<_> = chunks
                 .into_iter()
                 .map(|r| {
-                    s.spawn(move |_| {
+                    s.spawn(move || {
                         let t = Instant::now();
                         let out: Vec<O> = r.map(|i| f(i, &items[i])).collect();
                         self.note(t.elapsed());
@@ -391,7 +385,6 @@ impl ParallelEngine {
             }
             out
         })
-        .expect("map workers must not panic")
     }
 }
 

@@ -215,37 +215,50 @@ fn render_band(
                     if (pi + pj) % 2 != 1 {
                         continue;
                     }
-                    let v = video.get(x, y);
-                    // Local adjustment: the full swing must fit in
-                    // [0, 255] on both frames of the pair.
-                    let amp = (delta * a).min(255.0 - v).min(v).max(0.0);
-                    if amp <= 0.0 {
-                        continue;
-                    }
-                    match complementation {
-                        Complementation::Code => {
-                            plus[row_off + x] = amp;
-                            minus[row_off + x] = amp;
-                        }
-                        Complementation::Luminance => {
-                            // Light-symmetric offsets: move ±λ in linear
-                            // light around L(v), where λ is half the light
-                            // swing of the code-symmetric pair — same
-                            // detectability, zero mean-light shift.
-                            let l_mid = color::code_to_linear(v);
-                            let l_hi = color::code_to_linear(v + amp);
-                            let l_lo = color::code_to_linear(v - amp);
-                            let lambda = ((l_hi - l_lo) / 2.0).min(l_mid).min(1.0 - l_mid);
-                            let code_hi = color::linear_to_code(l_mid + lambda);
-                            let code_lo = color::linear_to_code(l_mid - lambda);
-                            plus[row_off + x] = (code_hi - v).max(0.0);
-                            minus[row_off + x] = (v - code_lo).max(0.0);
-                        }
+                    if let Some((p, m)) = pixel_offsets(delta, complementation, a, video.get(x, y))
+                    {
+                        plus[row_off + x] = p;
+                        minus[row_off + x] = m;
                     }
                 }
             }
         }
     }
+}
+
+/// The chessboard offsets `(P⁺, P⁻)` of one odd-parity pixel with video
+/// code `v` in a Block at envelope amplitude `a`, or `None` where the
+/// pixel stays unperturbed (both offsets `0`).
+///
+/// Local adjustment: the full swing must fit in `[0, 255]` on both frames
+/// of the pair, so bright and dark pixels get a reduced amplitude. Under
+/// [`Complementation::Luminance`] the offsets move `±λ` in linear light
+/// around `L(v)`, where `λ` is half the light swing of the code-symmetric
+/// pair — same detectability, zero mean-light shift — at the cost of five
+/// sRGB transfer evaluations.
+#[inline]
+fn pixel_offsets(
+    delta: f32,
+    complementation: Complementation,
+    a: f32,
+    v: f32,
+) -> Option<(f32, f32)> {
+    let amp = (delta * a).min(255.0 - v).min(v).max(0.0);
+    if amp <= 0.0 {
+        return None;
+    }
+    Some(match complementation {
+        Complementation::Code => (amp, amp),
+        Complementation::Luminance => {
+            let l_mid = color::code_to_linear(v);
+            let l_hi = color::code_to_linear(v + amp);
+            let l_lo = color::code_to_linear(v - amp);
+            let lambda = ((l_hi - l_lo) / 2.0).min(l_mid).min(1.0 - l_mid);
+            let code_hi = color::linear_to_code(l_mid + lambda);
+            let code_lo = color::linear_to_code(l_mid - lambda);
+            ((code_hi - v).max(0.0), (v - code_lo).max(0.0))
+        }
+    })
 }
 
 /// Amplitude quantization steps of the [`ChessLut`] (envelope fractions
@@ -272,9 +285,9 @@ pub struct LutTable {
 /// Precomputed per-(amplitude step, video code) chessboard delta tables —
 /// the quantized render backend.
 ///
-/// The expensive part of [`render_band`] is [`Complementation::Luminance`]:
-/// five sRGB transfer evaluations (`powf`) per chessboard pixel, every
-/// pair. But the offsets depend only on `(amplitude, video code)`, the
+/// The expensive part of `pixel_offsets` is [`Complementation::Luminance`]:
+/// five sRGB transfer evaluations (`powf`) per chessboard pixel. But the
+/// offsets depend only on `(amplitude, video code)`, the
 /// envelope takes a handful of distinct amplitudes per configuration
 /// (stable 0/1 plus the τ/2 transition samples), and video codes are
 /// 8-bit — so the SRRC temporal envelope collapses to a table lookup and
@@ -318,23 +331,9 @@ impl ChessLut {
             minus_f32: [0.0; 256],
         });
         for code in 0..256usize {
-            let v = code as f32;
-            // Same local range adjustment as `render_band`.
-            let amp = (self.delta * a).min(255.0 - v).min(v).max(0.0);
-            if amp <= 0.0 {
+            let Some((p, m)) = pixel_offsets(self.delta, self.complementation, a, code as f32)
+            else {
                 continue;
-            }
-            let (p, m) = match self.complementation {
-                Complementation::Code => (amp, amp),
-                Complementation::Luminance => {
-                    let l_mid = color::code_to_linear(v);
-                    let l_hi = color::code_to_linear(v + amp);
-                    let l_lo = color::code_to_linear(v - amp);
-                    let lambda = ((l_hi - l_lo) / 2.0).min(l_mid).min(1.0 - l_mid);
-                    let code_hi = color::linear_to_code(l_mid + lambda);
-                    let code_lo = color::linear_to_code(l_mid - lambda);
-                    ((code_hi - v).max(0.0), (v - code_lo).max(0.0))
-                }
             };
             table.plus[code] = qplane::quantize(p);
             table.minus[code] = qplane::quantize(m);
@@ -353,6 +352,56 @@ impl ChessLut {
         self.tables[step as usize]
             .as_deref()
             .expect("ensure_step must precede table lookups")
+    }
+}
+
+/// Walks display row `y`'s chessboard geometry left to right and hands
+/// every sample to `span` exactly once: `span(xs, None)` for each span off
+/// the chessboard (margins, Blocks whose amplitude is not `active`,
+/// even-parity cells) and `span(xs, Some(a))` for each odd-parity cell of
+/// an active Block with amplitude `a`. `amps` is row-major over the Block
+/// grid; both fused renderers walk their rows through this one function.
+#[inline]
+fn for_each_row_span<A: Copy>(
+    layout: &DataLayout,
+    width: usize,
+    y: usize,
+    amps: &[A],
+    active: impl Fn(A) -> bool,
+    mut span: impl FnMut(Range<usize>, Option<A>),
+) {
+    let cell = layout.pixel_size;
+    let bp = layout.block_px();
+    let grid_y0 = layout.origin_y;
+    if y < grid_y0 || y >= grid_y0 + layout.blocks_y * bp {
+        span(0..width, None);
+        return;
+    }
+    let by = (y - grid_y0) / bp;
+    let pj = ((y - grid_y0) % bp) / cell;
+    let mut cursor = 0usize;
+    for (bx, &a) in amps[by * layout.blocks_x..(by + 1) * layout.blocks_x]
+        .iter()
+        .enumerate()
+    {
+        let xa = layout.origin_x + bx * bp;
+        if xa > cursor {
+            span(cursor..xa, None);
+        }
+        cursor = xa + bp;
+        if !active(a) {
+            span(xa..cursor, None);
+            continue;
+        }
+        for pi in 0..layout.block_size {
+            let x0 = xa + pi * cell;
+            // Paper: δ where Pixel (i+j) is odd, 0 otherwise.
+            let odd = (pi + pj) % 2 == 1;
+            span(x0..x0 + cell, odd.then_some(a));
+        }
+    }
+    if cursor < width {
+        span(cursor..width, None);
     }
 }
 
@@ -391,10 +440,6 @@ pub fn render_frame_lut(
         "one amplitude step per Block"
     );
     let width = video.width();
-    let cell = layout.pixel_size;
-    let bp = layout.block_px();
-    let grid_y0 = layout.origin_y;
-    let grid_y1 = grid_y0 + layout.blocks_y * bp;
     let level = simd::active_level();
     engine.for_each_band(out, |rows, band| {
         let vsrc = video.samples();
@@ -402,49 +447,166 @@ pub fn render_frame_lut(
             let row_off = (y - rows.start) * width;
             let dst = &mut band[row_off..row_off + width];
             let vrow = &vsrc[y * width..(y + 1) * width];
-            if y < grid_y0 || y >= grid_y1 {
-                dst.copy_from_slice(vrow);
-                continue;
-            }
-            let by = (y - grid_y0) / bp;
-            let pj = ((y - grid_y0) % bp) / cell;
-            let row_steps = &steps[by * layout.blocks_x..(by + 1) * layout.blocks_x];
-            let mut cursor = 0usize;
-            for (bx, &step) in row_steps.iter().enumerate() {
-                let xa = layout.origin_x + bx * bp;
-                if xa > cursor {
-                    dst[cursor..xa].copy_from_slice(&vrow[cursor..xa]);
-                }
-                cursor = xa + bp;
-                if step == 0 {
-                    dst[xa..cursor].copy_from_slice(&vrow[xa..cursor]);
-                    continue;
-                }
-                let table = lut.table(step);
-                let table = if plus_frame {
-                    &table.plus_f32
-                } else {
-                    &table.minus_f32
-                };
-                for pi in 0..layout.block_size {
-                    let x0 = xa + pi * cell;
-                    // Paper: δ where Pixel (i+j) is odd, 0 otherwise.
-                    if (pi + pj) % 2 == 1 {
-                        simd::lut_apply_span(
-                            level,
-                            &vrow[x0..x0 + cell],
-                            table,
-                            plus_frame,
-                            &mut dst[x0..x0 + cell],
-                        );
+            for_each_row_span(
+                layout,
+                width,
+                y,
+                steps,
+                |step| step != 0,
+                |xs, step| {
+                    let Some(step) = step else {
+                        dst[xs.clone()].copy_from_slice(&vrow[xs]);
+                        return;
+                    };
+                    let table = lut.table(step);
+                    let table = if plus_frame {
+                        &table.plus_f32
                     } else {
-                        dst[x0..x0 + cell].copy_from_slice(&vrow[x0..x0 + cell]);
+                        &table.minus_f32
+                    };
+                    simd::lut_apply_span(level, &vrow[xs.clone()], table, plus_frame, &mut dst[xs]);
+                },
+            );
+        }
+    });
+}
+
+/// The reference backend's plus frame `V + P⁺`, rendered straight into
+/// `out` from presampled Block amplitudes, that also saves the pair's
+/// `P⁻` into `minus_offsets` for [`render_minus_reference`]. Together the
+/// two are bit-identical to [`render_offsets_with_amps`] followed by a
+/// full-frame [`inframe_frame::arith`] add/sub.
+///
+/// Each band walks its rows once and writes every output pixel once.
+/// Pixels off the chessboard (margins, even-parity cells, silent Blocks)
+/// compute `v + 0.0`, exactly what the add over a zero offset plane
+/// computes, so signed zeros come out the same. Odd-parity pixels go
+/// through `pixel_offsets`, memoized on the last `(a, v)` bit pair: a run
+/// of equal codes pays the Luminance mode's five transfer evaluations
+/// once, and content without runs pays one compare per pixel. Only those
+/// odd-parity samples of `minus_offsets` are written. Output is
+/// **bit-identical for every worker count** (the memo is exact, so where
+/// a band starts cannot matter).
+///
+/// # Panics
+/// Panics if `out` or `minus_offsets` is not shaped like `video`, or
+/// `amps` does not cover the block grid.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn render_plus_reference(
+    layout: &DataLayout,
+    video: &Plane<f32>,
+    delta: f32,
+    complementation: Complementation,
+    amps: &[f32],
+    engine: &ParallelEngine,
+    out: &mut Plane<f32>,
+    minus_offsets: &mut Plane<f32>,
+) {
+    assert_eq!(out.shape(), video.shape(), "output must match video");
+    assert_eq!(
+        amps.len(),
+        layout.blocks_x * layout.blocks_y,
+        "one amplitude per Block"
+    );
+    let width = video.width();
+    engine.for_each_band_pair(out, minus_offsets, |rows, band, band_minus| {
+        let vsrc = video.samples();
+        // The last `(a, v)` bit pair and the offsets it selects.
+        let mut memo: Option<(u64, (f32, f32))> = None;
+        for y in rows.clone() {
+            let row_off = (y - rows.start) * width;
+            let dst = &mut band[row_off..row_off + width];
+            let saved = &mut band_minus[row_off..row_off + width];
+            let vrow = &vsrc[y * width..(y + 1) * width];
+            for_each_row_span(
+                layout,
+                width,
+                y,
+                amps,
+                |a| a > 0.0,
+                |xs, a| {
+                    let Some(a) = a else {
+                        for (d, &v) in dst[xs.clone()].iter_mut().zip(&vrow[xs]) {
+                            *d = v + 0.0;
+                        }
+                        return;
+                    };
+                    let a_key = u64::from(a.to_bits()) << 32;
+                    let pixels = dst[xs.clone()].iter_mut().zip(&mut saved[xs.clone()]);
+                    for ((d, m), &v) in pixels.zip(&vrow[xs]) {
+                        let key = a_key | u64::from(v.to_bits());
+                        let (p, minus) = match memo {
+                            Some((k, offsets)) if k == key => offsets,
+                            _ => {
+                                let offsets = pixel_offsets(delta, complementation, a, v)
+                                    .unwrap_or((0.0, 0.0));
+                                memo = Some((key, offsets));
+                                offsets
+                            }
+                        };
+                        *d = v + p;
+                        *m = minus;
                     }
-                }
-            }
-            if cursor < width {
-                dst[cursor..width].copy_from_slice(&vrow[cursor..width]);
-            }
+                },
+            );
+        }
+    });
+}
+
+/// The reference backend's minus frame `V − P⁻`, from the offsets that
+/// [`render_plus_reference`] saved for the same video and `amps`: pixels
+/// off the chessboard compute `v − 0.0`, odd-parity pixels `v −` their
+/// saved `P⁻`. Bit-identical for every worker count.
+///
+/// # Panics
+/// Panics if `out` or `minus_offsets` is not shaped like `video`, or
+/// `amps` does not cover the block grid.
+pub(crate) fn render_minus_reference(
+    layout: &DataLayout,
+    video: &Plane<f32>,
+    amps: &[f32],
+    minus_offsets: &Plane<f32>,
+    engine: &ParallelEngine,
+    out: &mut Plane<f32>,
+) {
+    assert_eq!(out.shape(), video.shape(), "output must match video");
+    assert_eq!(
+        minus_offsets.shape(),
+        video.shape(),
+        "offsets must match video"
+    );
+    assert_eq!(
+        amps.len(),
+        layout.blocks_x * layout.blocks_y,
+        "one amplitude per Block"
+    );
+    let width = video.width();
+    engine.for_each_band(out, |rows, band| {
+        let (vsrc, msrc) = (video.samples(), minus_offsets.samples());
+        for y in rows.clone() {
+            let row_off = (y - rows.start) * width;
+            let dst = &mut band[row_off..row_off + width];
+            let vrow = &vsrc[y * width..(y + 1) * width];
+            let mrow = &msrc[y * width..(y + 1) * width];
+            for_each_row_span(
+                layout,
+                width,
+                y,
+                amps,
+                |a| a > 0.0,
+                |xs, a| {
+                    let pixels = dst[xs.clone()].iter_mut().zip(&vrow[xs.clone()]);
+                    if a.is_some() {
+                        for ((d, &v), &m) in pixels.zip(&mrow[xs]) {
+                            *d = v - m;
+                        }
+                    } else {
+                        for (d, &v) in pixels {
+                            *d = v - 0.0;
+                        }
+                    }
+                },
+            );
         }
     });
 }
@@ -475,6 +637,7 @@ pub fn complementary_pair(
 mod tests {
     use super::*;
     use crate::config::{CodingMode, InFrameConfig};
+    use proptest::prelude::*;
 
     fn setup() -> (DataLayout, DataFrame) {
         let cfg = InFrameConfig::small_test();
@@ -796,6 +959,107 @@ mod tests {
     fn lut_table_lookup_requires_ensure() {
         let lut = ChessLut::new(20.0, Complementation::Code);
         let _ = lut.table(512);
+    }
+
+    /// SplitMix64: a tiny seeded generator for the oracle proptest.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// A uniform f32 in `[0, 1)`.
+    fn unit(state: &mut u64) -> f32 {
+        (splitmix(state) >> 40) as f32 / (1u64 << 24) as f32
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// The fused reference pair (plus frame saving `P⁻`, then the minus
+        /// frame from it) is bitwise `render_offsets_with_amps` followed by
+        /// a full-frame add/sub: on fractional video with
+        /// signed zeros, range ends and long equal-code runs, fractional
+        /// and zero amplitudes, margins on every side, both complementation
+        /// modes and 1–4 workers. The plane is large enough that every
+        /// worker count really splits it into bands, so memo runs restart
+        /// mid-frame.
+        #[test]
+        fn fused_reference_render_is_bitwise_the_offset_oracle(
+            seed in any::<u64>(),
+            workers in 1usize..=4,
+        ) {
+            let layout = DataLayout {
+                pixel_size: 3,
+                block_size: 4,
+                blocks_x: 48,
+                blocks_y: 36,
+                gob_size: 2,
+                origin_x: 31,
+                origin_y: 23,
+            };
+            let (w, h) = (640, 480);
+            let mut rng = seed;
+            let mut samples = Vec::with_capacity(w * h);
+            while samples.len() < w * h {
+                let v = match splitmix(&mut rng) % 8 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    2 => 255.0,
+                    3 => (splitmix(&mut rng) % 256) as f32,
+                    _ => unit(&mut rng) * 255.0,
+                };
+                let run = 1 + (splitmix(&mut rng) % 48) as usize;
+                samples.extend(std::iter::repeat_n(v, run.min(w * h - samples.len())));
+            }
+            let video = Plane::from_vec(w, h, samples).unwrap();
+            let amps: Vec<f32> = (0..layout.num_blocks())
+                .map(|_| match splitmix(&mut rng) % 4 {
+                    0 => 0.0,
+                    1 => 1.0,
+                    _ => unit(&mut rng),
+                })
+                .collect();
+            let engine = ParallelEngine::new(workers);
+            for mode in [Complementation::Code, Complementation::Luminance] {
+                let mut p_plus = Plane::filled(w, h, 0.0);
+                let mut p_minus = Plane::filled(w, h, 0.0);
+                render_offsets_with_amps(
+                    &layout,
+                    &video,
+                    20.0,
+                    mode,
+                    &amps,
+                    &ParallelEngine::sequential(),
+                    &mut p_plus,
+                    &mut p_minus,
+                );
+                // NaN everywhere the passes must not read or leave behind.
+                let mut fused = Plane::filled(w, h, f32::NAN);
+                let mut saved = Plane::filled(w, h, f32::NAN);
+                for plus_frame in [true, false] {
+                    let oracle = if plus_frame {
+                        render_plus_reference(
+                            &layout, &video, 20.0, mode, &amps, &engine, &mut fused, &mut saved,
+                        );
+                        inframe_frame::arith::add(&video, &p_plus).unwrap()
+                    } else {
+                        render_minus_reference(&layout, &video, &amps, &saved, &engine, &mut fused);
+                        inframe_frame::arith::sub(&video, &p_minus).unwrap()
+                    };
+                    for (i, (f, o)) in fused.samples().iter().zip(oracle.samples()).enumerate() {
+                        prop_assert_eq!(
+                            f.to_bits(),
+                            o.to_bits(),
+                            "{:?} plus={} workers={} pixel ({}, {}): {} vs {}",
+                            mode, plus_frame, workers, i % w, i / w, f, o
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

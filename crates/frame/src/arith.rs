@@ -23,54 +23,6 @@ pub fn sub(a: &Plane<f32>, b: &Plane<f32>) -> Result<Plane<f32>, FrameError> {
     zip_map(a, b, |x, y| x - y)
 }
 
-/// Writes `a + b` pixelwise into `out` without allocating.
-///
-/// # Errors
-/// Returns [`FrameError::ShapeMismatch`] when any shape differs.
-pub fn add_into(a: &Plane<f32>, b: &Plane<f32>, out: &mut Plane<f32>) -> Result<(), FrameError> {
-    zip_map_into(a, b, out, |x, y| x + y)
-}
-
-/// Writes `a − b` pixelwise into `out` without allocating.
-///
-/// # Errors
-/// Returns [`FrameError::ShapeMismatch`] when any shape differs.
-pub fn sub_into(a: &Plane<f32>, b: &Plane<f32>, out: &mut Plane<f32>) -> Result<(), FrameError> {
-    zip_map_into(a, b, out, |x, y| x - y)
-}
-
-/// Applies a binary function over two same-shaped planes into a third,
-/// allocation-free (results are bit-identical to [`zip_map`]).
-///
-/// # Errors
-/// Returns [`FrameError::ShapeMismatch`] when any shape differs.
-pub fn zip_map_into(
-    a: &Plane<f32>,
-    b: &Plane<f32>,
-    out: &mut Plane<f32>,
-    mut f: impl FnMut(f32, f32) -> f32,
-) -> Result<(), FrameError> {
-    if a.shape() != b.shape() || a.shape() != out.shape() {
-        return Err(FrameError::ShapeMismatch {
-            left: a.shape(),
-            right: if a.shape() != b.shape() {
-                b.shape()
-            } else {
-                out.shape()
-            },
-        });
-    }
-    for ((o, &x), &y) in out
-        .samples_mut()
-        .iter_mut()
-        .zip(a.samples())
-        .zip(b.samples())
-    {
-        *o = f(x, y);
-    }
-    Ok(())
-}
-
 /// Returns `a + s·b` pixelwise (fused multiply-add over planes).
 ///
 /// # Errors

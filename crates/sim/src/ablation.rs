@@ -60,10 +60,10 @@ impl Ablation {
 /// reports in input order.
 fn sweep(name: &str, scenario: Scenario, conditions: Vec<(String, SimulationConfig)>) -> Ablation {
     let results: Mutex<Vec<Option<AblationPoint>>> = Mutex::new(vec![None; conditions.len()]);
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for (i, (label, config)) in conditions.iter().enumerate() {
             let results = &results;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 let sim = Simulation::new(*config);
                 let out = sim.run(scenario.source(
                     config.inframe.display_w,
@@ -76,8 +76,7 @@ fn sweep(name: &str, scenario: Scenario, conditions: Vec<(String, SimulationConf
                 });
             });
         }
-    })
-    .expect("ablation worker panicked");
+    });
     Ablation {
         name: name.to_string(),
         points: results
