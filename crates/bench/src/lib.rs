@@ -18,6 +18,11 @@
 //! Each bench **prints the regenerated figure** before timing, so
 //! `cargo bench` doubles as the experiment reproduction run; the measured
 //! numbers land in `EXPERIMENTS.md`.
+//!
+//! No bench here gates performance. End-to-end speed is measured by the
+//! standalone `perfbench/` package (`python3 perfbench/run.py`, workloads
+//! declared in `BENCHMARK.json`), which reports run-to-run spread and
+//! fails on any corrupt delivery; functional floors live in tests.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

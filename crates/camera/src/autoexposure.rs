@@ -9,10 +9,9 @@
 //! reacts to scene changes (a bright scene cut) without breaking decoding.
 
 use inframe_frame::Plane;
-use serde::{Deserialize, Serialize};
 
 /// Auto-exposure controller state and tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AutoExposure {
     /// Target mean code value (18% gray ≈ 118 in sRGB code space).
     pub target_code: f32,

@@ -1,10 +1,9 @@
 //! Camera configuration and presets.
 
 use crate::isp::IspConfig;
-use serde::{Deserialize, Serialize};
 
 /// Shutter mechanism.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Shutter {
     /// All rows expose over the same interval.
     Global,
@@ -19,7 +18,7 @@ pub enum Shutter {
 }
 
 /// Parameters of a simulated camera.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CameraConfig {
     /// Captured frame width in pixels.
     pub width: usize,

@@ -9,10 +9,9 @@
 use inframe_frame::geometry::{warp_inverse, Homography};
 use inframe_frame::resample::downsample_area;
 use inframe_frame::Plane;
-use serde::{Deserialize, Serialize};
 
 /// How the display plane projects onto the sensor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CaptureGeometry {
     /// Fronto-parallel, screen exactly filling the sensor: a pure
     /// anisotropic scale (display resolution → sensor resolution).

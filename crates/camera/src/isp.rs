@@ -10,11 +10,10 @@
 
 use inframe_frame::filter::{box_blur, gaussian_blur};
 use inframe_frame::Plane;
-use serde::{Deserialize, Serialize};
 
 /// ISP processing applied to captured frames before the application sees
 /// them.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IspConfig {
     /// Denoise strength in `[0, 1]`: blend toward a 3×3 smoothed frame.
     /// 0 disables.

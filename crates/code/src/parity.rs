@@ -6,10 +6,8 @@
 //! *available* when all component Blocks are decoded; an available GOB that
 //! fails the parity check is *erroneous*.
 
-use serde::{Deserialize, Serialize};
-
 /// Decode outcome of one GOB after demultiplexing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GobStatus {
     /// All component Blocks decoded and parity holds: 3 payload bits usable.
     Ok,
@@ -62,7 +60,7 @@ pub fn gob_check(received: &[Option<bool>]) -> (GobStatus, Option<Vec<bool>>) {
 
 /// Aggregate statistics over many GOBs — exactly the quantities Figure 7
 /// reports (available GOB ratio and error rate).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct GobStats {
     /// GOBs whose Blocks all decoded.
     pub available: u64,

@@ -9,14 +9,12 @@
 //! standard in link testing) and a xoshiro256** word generator for bulk
 //! payloads.
 
-use serde::{Deserialize, Serialize};
-
 /// A Fibonacci LFSR producing a standard PRBS sequence.
 ///
 /// `PRBS-k` uses the characteristic polynomial of the ITU-T O.150 family;
 /// supported orders: 7 (x⁷+x⁶+1), 15 (x¹⁵+x¹⁴+1), 23 (x²³+x¹⁸+1),
 /// 31 (x³¹+x²⁸+1).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PrbsGenerator {
     state: u32,
     order: u32,
@@ -84,7 +82,7 @@ impl Iterator for PrbsGenerator {
 /// xoshiro256** — a small, fast, high-quality PRNG for bulk payload bytes.
 /// Deterministic across platforms; used wherever the reproduction needs
 /// repeatable randomness without pulling `rand` into a core crate.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Xoshiro256 {
     s: [u64; 4],
 }

@@ -10,7 +10,6 @@
 //! receiver naturally produces erasures (undecodable Blocks).
 
 use crate::gf256 as gf;
-use serde::{Deserialize, Serialize};
 
 /// Errors returned by the Reed–Solomon codec.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,7 +45,7 @@ impl std::error::Error for RsError {}
 ///
 /// Corrects up to `(n − k) / 2` symbol errors, or any mix satisfying
 /// `2·errors + erasures ≤ n − k`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReedSolomon {
     n: usize,
     k: usize,

@@ -2,10 +2,9 @@
 
 use crate::pattern::Complementation;
 use inframe_dsp::envelope::TransitionShape;
-use serde::{Deserialize, Serialize};
 
 /// GOB-level channel coding (paper §3.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CodingMode {
     /// The paper's prototype: within every m×m GOB the last Block is the
     /// XOR parity of the others.
@@ -34,7 +33,7 @@ pub enum CodingMode {
 /// SSE2/AVX2 paths via [`inframe_frame::simd`]; the `INFRAME_SIMD`
 /// environment variable (`off`/`sse2`/`avx2`) caps the level for
 /// testing, and every level decodes bit-identically.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelBackend {
     /// Scalar f32/f64 kernels — the bit-exact oracle.
     Reference,
@@ -64,7 +63,7 @@ impl KernelBackend {
 }
 
 /// Full InFrame configuration: geometry, amplitude, timing, detection.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InFrameConfig {
     /// Display frame width in pixels.
     pub display_w: usize,

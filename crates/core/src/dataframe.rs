@@ -10,10 +10,9 @@ use crate::config::CodingMode;
 use crate::layout::DataLayout;
 use inframe_code::parity::{gob_check, gob_encode, GobStats, GobStatus};
 use inframe_code::rs::ReedSolomon;
-use serde::{Deserialize, Serialize};
 
 /// One data frame: a bit per Block, in grid coordinates.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DataFrame {
     blocks_x: usize,
     blocks_y: usize,

@@ -33,7 +33,6 @@ use inframe_frame::qplane::{self, horizontal_window_sums_band, QPlane};
 use inframe_frame::simd;
 use inframe_frame::Plane;
 use inframe_obs::{names, Telemetry};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::sync::Mutex;
 use std::time::Instant;
@@ -44,7 +43,7 @@ use std::time::Instant;
 /// template carries no sensor pixels (degenerate projection) — or one
 /// never scored inside a cycle — is an explicit [`BlockScore::Unreadable`]
 /// instead of a magic float that could leak into comparisons.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BlockScore {
     /// Demodulated chessboard amplitude (≥ 0, code values).
     Readable(f32),
@@ -76,7 +75,7 @@ impl BlockScore {
 }
 
 /// One decoded data cycle.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DecodedDataFrame {
     /// Data cycle index.
     pub cycle: u64,

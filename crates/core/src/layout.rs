@@ -7,10 +7,9 @@
 //! 50×30-Block grid spans 1800×1080 of the 1920×1080 panel.
 
 use crate::config::InFrameConfig;
-use serde::{Deserialize, Serialize};
 
 /// A rectangle in display pixel coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PxRect {
     /// Left edge.
     pub x: usize,
@@ -23,7 +22,7 @@ pub struct PxRect {
 }
 
 /// Resolved geometry of the data grid.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DataLayout {
     /// Super-Pixel side in display pixels.
     pub pixel_size: usize,

@@ -8,11 +8,10 @@
 //! τ=10: `1125 · 12 · 0.952 · 0.985 ≈ 12.6 kbps`).
 
 use inframe_code::parity::GobStats;
-use serde::{Deserialize, Serialize};
 use std::time::Duration;
 
 /// Aggregated link performance over a run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThroughputReport {
     /// Payload bits per data frame.
     pub payload_bits: usize,

@@ -14,11 +14,10 @@ use crate::pattern;
 use crate::pattern::ChessLut;
 use inframe_dsp::envelope::Envelope;
 use inframe_frame::Plane;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Sign of the perturbation in a displayed frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameSign {
     /// `V + P`.
     Plus,
@@ -27,7 +26,7 @@ pub enum FrameSign {
 }
 
 /// Schedule metadata of one displayed frame.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrameSlot {
     /// Global displayed-frame index.
     pub display_index: u64,

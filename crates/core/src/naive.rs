@@ -10,10 +10,9 @@ use crate::dataframe::DataFrame;
 use crate::layout::DataLayout;
 use crate::pattern::{self, Complementation};
 use inframe_frame::Plane;
-use serde::{Deserialize, Serialize};
 
 /// The displayed-frame schedules of Figure 3.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NaiveScheme {
     /// Figure 3(b): plain video, every slot shows `V` (the control).
     VideoOnly,

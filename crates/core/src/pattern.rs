@@ -27,11 +27,10 @@ use inframe_frame::color;
 use inframe_frame::qplane;
 use inframe_frame::simd;
 use inframe_frame::Plane;
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// How complementary frame pairs are balanced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Complementation {
     /// Symmetric in code values (`(v+p) + (v−p) = 2v`), the paper's §3.2
     /// definition.

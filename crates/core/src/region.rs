@@ -15,10 +15,9 @@
 //! frame, so its payload bits have no per-GOB locality to tile.
 
 use crate::layout::DataLayout;
-use serde::{Deserialize, Serialize};
 
 /// A rectangular tiling of the GOB grid into independent sub-channels.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegionMap {
     tiles_x: usize,
     tiles_y: usize,

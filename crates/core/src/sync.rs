@@ -16,11 +16,10 @@
 
 use crate::config::InFrameConfig;
 use inframe_obs::{names, Telemetry};
-use serde::{Deserialize, Serialize};
 
 /// One observation for the estimator: a capture's time and a scalar
 /// "pattern crispness" (e.g. the mean of the top-quartile block scores).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SyncObservation {
     /// Capture midpoint in receiver time, seconds.
     pub t_mid: f64,
@@ -29,7 +28,7 @@ pub struct SyncObservation {
 }
 
 /// Result of a phase estimation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SyncEstimate {
     /// Estimated cycle origin in `[0, cycle_duration)` — subtract from
     /// capture times before cycle assignment.
@@ -217,7 +216,7 @@ impl CycleSynchronizer {
 }
 
 /// Lock state of a [`PhaseTracker`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LockState {
     /// No phase yet: observing captures for a first estimate.
     Acquiring,
@@ -231,7 +230,7 @@ pub enum LockState {
 }
 
 /// Tuning of the tracker's confidence scoring and re-acquisition.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrackerPolicy {
     /// Rolling observation window used for (re-)estimates.
     pub window: usize,

@@ -1,9 +1,7 @@
 //! Display configuration and presets.
 
-use serde::{Deserialize, Serialize};
-
 /// Backlight drive scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Backlight {
     /// Constant backlight: light follows the LC state at all times
     /// (ordinary sample-and-hold LCD).
@@ -24,7 +22,7 @@ pub enum Backlight {
 }
 
 /// Parameters of a simulated display panel.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DisplayConfig {
     /// Refresh rate in Hz (frames presented per second).
     pub refresh_hz: f64,

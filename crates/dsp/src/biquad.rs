@@ -6,11 +6,9 @@
 //! HVS temporal model also composes biquads to approximate the eye's
 //! flicker-fusion response.
 
-use serde::{Deserialize, Serialize};
-
 /// A direct-form-I second-order IIR filter:
 /// `y[n] = b0·x[n] + b1·x[n−1] + b2·x[n−2] − a1·y[n−1] − a2·y[n−2]`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Biquad {
     /// Feed-forward coefficients.
     pub b: [f64; 3],
@@ -107,7 +105,7 @@ impl BiquadState {
 /// A cascade of biquad sections applied in series — used to build
 /// higher-order low-pass models (e.g. a 4th-order eye response from two
 /// 2nd-order sections).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cascade {
     /// The sections, applied first-to-last.
     pub sections: Vec<Biquad>,

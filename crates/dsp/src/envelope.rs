@@ -8,10 +8,8 @@
 //! paper adopts "half of the square-root raised Cosine waveform, after
 //! comparing with linear and stair function forms".
 
-use serde::{Deserialize, Serialize};
-
 /// The transition function family used when a data Pixel flips bit value.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransitionShape {
     /// Half square-root raised cosine — the shape InFrame adopts.
     SrrCosine,
@@ -73,7 +71,7 @@ impl TransitionShape {
 /// this cycle boundary. Per the paper, a flip plays out over the **last τ/2
 /// iterations** of the cycle ("when it switches … at the τ/2-th iteration,
 /// the amplitude envelope follows Ω within the remaining τ/2 iterations").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Envelope {
     /// Data-frame cycle length in iterations (τ ≥ 2).
     pub tau: u32,

@@ -5,11 +5,10 @@
 //! model's frequency-domain sanity tests. Implemented from scratch —
 //! iterative Cooley–Tukey with bit-reversal permutation.
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, Mul, Neg, Sub};
 
 /// A complex number over `f64`.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Complex {
     /// Real part.
     pub re: f64,

@@ -8,10 +8,9 @@
 
 use crate::plane::Plane;
 use crate::FrameError;
-use serde::{Deserialize, Serialize};
 
 /// A 3×3 projective transform acting on 2-D points (row-major).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Homography {
     /// Row-major 3×3 matrix entries.
     pub m: [[f64; 3]; 3],

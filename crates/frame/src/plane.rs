@@ -6,7 +6,6 @@
 //! stacks of planes).
 
 use crate::FrameError;
-use serde::{Deserialize, Serialize};
 
 /// Sample types that can live inside a [`Plane`].
 ///
@@ -76,7 +75,7 @@ impl Sample for f64 {
 /// assert_eq!(p.width(), 4);
 /// assert_eq!(p.height(), 3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Plane<T: Sample> {
     width: usize,
     height: usize,

@@ -3,7 +3,6 @@
 use crate::color;
 use crate::plane::Plane;
 use crate::FrameError;
-use serde::{Deserialize, Serialize};
 
 /// A planar RGB frame of `f32` code values in `[0, 255]`.
 ///
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// system is defined over color video, and the chessboard perturbation is
 /// applied to all three channels identically. Keeping the planes separate
 /// lets the luma-only receiver path avoid touching chroma.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RgbFrame {
     /// Red plane.
     pub r: Plane<f32>,

@@ -7,10 +7,9 @@
 use crate::csf::component_visibility;
 use crate::phantom::PhantomModel;
 use inframe_dsp::spectrum::Spectrum;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of the flicker assessment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlickerMeter {
     /// Display peak luminance, cd/m² (converts normalized light to nits).
     pub peak_nits: f64,
@@ -42,7 +41,7 @@ impl Default for FlickerMeter {
 }
 
 /// The meter's verdict on one waveform.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlickerAssessment {
     /// Mean luminance of the waveform, cd/m².
     pub mean_nits: f64,

@@ -10,10 +10,9 @@
 use crate::flicker::{FlickerAssessment, FlickerMeter};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One simulated study participant.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Observer {
     /// Multiplicative sensitivity on visibility (1.0 = average viewer;
     /// the paper's "designer and video expert" would sit near the top).
@@ -50,7 +49,7 @@ pub struct ObserverPanel {
 
 /// Mean and standard deviation of one rated condition — one point of
 /// Figure 6.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StudyResult {
     /// Mean rating across the panel.
     pub mean: f64,

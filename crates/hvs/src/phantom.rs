@@ -13,10 +13,8 @@
 //! transitions re-excite the effect; the paper's Figure 5 smoothing exists
 //! to suppress exactly this).
 
-use serde::{Deserialize, Serialize};
-
 /// Parameters of the phantom-array model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhantomModel {
     /// Overall gain mapping high-frequency contrast to visibility.
     pub gain: f64,

@@ -9,10 +9,8 @@
 //! comparison — so the claim is checked by a test instead of taken on
 //! faith.
 
-use serde::{Deserialize, Serialize};
-
 /// A flat screen watched from a distance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ViewingGeometry {
     /// Horizontal resolution, pixels.
     pub res_x: usize,

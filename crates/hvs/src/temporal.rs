@@ -11,10 +11,9 @@
 
 use crate::cff::cff;
 use inframe_dsp::biquad::{Biquad, Cascade};
-use serde::{Deserialize, Serialize};
 
 /// A luminance-adapted eye filter.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EyeFilter {
     /// The IIR cascade (two 2nd-order sections → 4th order).
     cascade: Cascade,

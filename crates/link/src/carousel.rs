@@ -22,7 +22,6 @@ use inframe_core::dataframe::payload_bits_rs;
 use inframe_core::layout::DataLayout;
 use inframe_core::sender::PayloadSource;
 use inframe_core::CodingMode;
-use serde::{Deserialize, Serialize};
 
 /// Largest symbol data size the geometry will choose, bytes. Keeps the
 /// per-symbol loss quantum small on roomy channels while bounding the
@@ -41,7 +40,7 @@ pub fn cycle_payload_bits(layout: &DataLayout, coding: CodingMode) -> usize {
 }
 
 /// How framed symbols tile the per-cycle payload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GeometryMode {
     /// A whole number of framed symbols per cycle; the remaining bits of
     /// the cycle are zero padding.
@@ -56,7 +55,7 @@ pub enum GeometryMode {
 }
 
 /// The resolved symbol geometry of a channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SymbolGeometry {
     /// Payload bits per data-frame cycle.
     pub payload_bits_per_cycle: usize,

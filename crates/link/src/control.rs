@@ -14,10 +14,9 @@ use inframe_code::parity::GobStats;
 use inframe_core::InFrameConfig;
 use inframe_hvs::flicker::FlickerMeter;
 use inframe_obs::{names, CommandCause, Counter, Event, Gauge, Telemetry};
-use serde::{Deserialize, Serialize};
 
 /// The controller's tuning policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ControllerPolicy {
     /// Availability the controller steers toward (paper channels sit near
     /// 0.95 when healthy).
@@ -64,7 +63,7 @@ impl ControllerPolicy {
 }
 
 /// One modulation command for the sender.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModulationCommand {
     /// Chessboard amplitude δ, code values.
     pub delta: f32,
@@ -75,7 +74,7 @@ pub struct ModulationCommand {
 /// Receiver-side channel health, as reported by the session's phase
 /// tracker (`inframe_core::sync::LockState` collapsed to what the
 /// controller cares about).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChannelHealth {
     /// Cycle lock held and trusted.
     Locked,

@@ -40,11 +40,10 @@ use inframe_core::{
 use inframe_frame::geometry::Homography;
 use inframe_frame::Plane;
 use inframe_obs::{names, Counter, Event, Histogram, Telemetry};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// How the session learns the sender's cycle phase.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SyncMode {
     /// Phase known out of band (shared clock / receiver started with the
     /// sender). The session begins in [`SessionState::Synced`].
@@ -73,7 +72,7 @@ impl SyncMode {
 }
 
 /// When the session declares itself done.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CompletionTarget {
     /// All of the listed object ids recovered.
     AllOf(Vec<u16>),
@@ -84,7 +83,7 @@ pub enum CompletionTarget {
 }
 
 /// The receiver session's lifecycle state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SessionState {
     /// Observing captures to recover the cycle phase.
     Acquire,
@@ -168,7 +167,7 @@ impl SymbolScanner {
 }
 
 /// What one absorbed cycle produced.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CycleReport {
     /// Cycle index (receiver-relative).
     pub cycle: u64,

@@ -14,7 +14,6 @@
 //! symbol costs exactly the same channel bytes as a source symbol.
 
 use inframe_code::framing;
-use serde::{Deserialize, Serialize};
 
 /// Header bytes inside the frame payload: id (2) + length (4) + seq (4).
 pub const HEADER_BYTES: usize = 10;
@@ -35,7 +34,7 @@ pub fn object_hint(object_id: u16) -> u8 {
 }
 
 /// The self-describing part of a symbol.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SymbolHeader {
     /// Carousel-unique object identifier.
     pub object_id: u16,
@@ -60,7 +59,7 @@ impl SymbolHeader {
 }
 
 /// One transport symbol: header plus `symbol_bytes` of data.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Symbol {
     /// The self-describing header.
     pub header: SymbolHeader,

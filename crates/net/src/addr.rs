@@ -10,10 +10,8 @@
 //! screens on hints, the MAC filter re-checks the exact address, so hint
 //! collisions cost a little decode work and never correctness.
 
-use serde::{Deserialize, Serialize};
-
 /// A 16-bit MAC address (nonzero).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MacAddr(pub u16);
 
 /// Most group slots a filter can join.
@@ -61,7 +59,7 @@ impl MacAddr {
 }
 
 /// Which destinations a receiver accepts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AddressFilter {
     own: MacAddr,
     groups: [u16; MAX_GROUPS],

@@ -14,12 +14,11 @@
 
 use crate::addr::MacAddr;
 use crate::mac::{self, FLAG_LAST};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// Delivery-urgency class of a stream, boosting its carousel share and
 /// driving the receiver's stale-object eviction policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeadlineClass {
     /// Elastic background transfer.
     Bulk,
@@ -41,7 +40,7 @@ impl DeadlineClass {
 }
 
 /// Per-stream quality of service.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamQos {
     /// Strict importance tier (multiplies into the carousel share).
     pub priority: u8,

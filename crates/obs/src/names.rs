@@ -66,9 +66,9 @@ pub mod demux {
 /// Both histograms record **milli-nanoseconds per pixel** (ns/px ×
 /// 1000): at 1080p the hot kernels run at ~1–3 ns/px, below the
 /// resolution of an integer ns histogram. Divide by 1000 to read
-/// ns/px. Bench runs and live sessions record through the same
-/// instruments, so BENCH_kernels.json and telemetry snapshots are
-/// directly comparable.
+/// ns/px. Every instrumented sender and demultiplexer records through
+/// these two instruments, so telemetry snapshots from different runs
+/// are directly comparable.
 pub mod kern {
     /// Histogram (milli-ns per pixel): sender render chain, per frame.
     pub const RENDER_NS_PER_PX: &str = "kern.render.ns_per_px";

@@ -14,11 +14,9 @@ use inframe_core::metrics::ThroughputReport;
 use inframe_core::CodingMode;
 use inframe_display::DisplayConfig;
 use inframe_dsp::envelope::TransitionShape;
-use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
 /// One swept condition.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AblationPoint {
     /// Human-readable condition label (e.g. "p = 4").
     pub label: String,
@@ -27,7 +25,7 @@ pub struct AblationPoint {
 }
 
 /// A completed sweep.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Ablation {
     /// Sweep name.
     pub name: String,
@@ -59,31 +57,32 @@ impl Ablation {
 /// Runs a set of labelled simulation configs in parallel and collects the
 /// reports in input order.
 fn sweep(name: &str, scenario: Scenario, conditions: Vec<(String, SimulationConfig)>) -> Ablation {
-    let results: Mutex<Vec<Option<AblationPoint>>> = Mutex::new(vec![None; conditions.len()]);
-    std::thread::scope(|scope| {
-        for (i, (label, config)) in conditions.iter().enumerate() {
-            let results = &results;
-            scope.spawn(move || {
-                let sim = Simulation::new(*config);
-                let out = sim.run(scenario.source(
-                    config.inframe.display_w,
-                    config.inframe.display_h,
-                    config.seed,
-                ));
-                results.lock()[i] = Some(AblationPoint {
-                    label: label.clone(),
-                    report: out.report(),
-                });
-            });
-        }
+    let points = std::thread::scope(|scope| {
+        let handles: Vec<_> = conditions
+            .into_iter()
+            .map(|(label, config)| {
+                scope.spawn(move || {
+                    let sim = Simulation::new(config);
+                    let out = sim.run(scenario.source(
+                        config.inframe.display_w,
+                        config.inframe.display_h,
+                        config.seed,
+                    ));
+                    AblationPoint {
+                        label,
+                        report: out.report(),
+                    }
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("ablation condition panicked"))
+            .collect()
     });
     Ablation {
         name: name.to_string(),
-        points: results
-            .into_inner()
-            .into_iter()
-            .map(|p| p.expect("every condition completes"))
-            .collect(),
+        points,
     }
 }
 

@@ -21,10 +21,9 @@
 
 use inframe_code::prbs::Xoshiro256;
 use inframe_link::feedback::{FeedbackReport, MAX_REPORT_BYTES};
-use serde::{Deserialize, Serialize};
 
 /// One class of back-channel fault.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FeedbackFaultKind {
     /// Reports are lost with probability `rate` (1.0 = blackout).
     Loss {
@@ -54,7 +53,7 @@ pub enum FeedbackFaultKind {
 }
 
 /// A fault active over `[from_cycle, until_cycle)` in sender cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FeedbackFaultWindow {
     /// The fault class and parameters.
     pub kind: FeedbackFaultKind,
@@ -72,7 +71,7 @@ impl FeedbackFaultWindow {
 }
 
 /// Back-channel shape: base delay, loss and jitter.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BackchannelConfig {
     /// Propagation delay, sender cycles.
     pub delay_cycles: u64,

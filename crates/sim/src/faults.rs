@@ -33,11 +33,10 @@ use inframe_link::control::{ChannelHealth, ControllerPolicy, ModulationControlle
 use inframe_link::session::CompletionTarget;
 use inframe_link::ModulationCommand;
 use inframe_obs::{names, Counter, Event, FaultClass, Telemetry};
-use serde::{Deserialize, Serialize};
 use std::ops::ControlFlow;
 
 /// One class of capture fault.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// Each capture is lost with probability `rate` (driver stalls,
     /// pipeline back-pressure).
@@ -122,7 +121,7 @@ impl FaultKind {
 
 /// A fault active over `[from_cycle, until_cycle)` in true display
 /// cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultWindow {
     /// The fault class and parameters.
     pub kind: FaultKind,
@@ -492,7 +491,7 @@ impl FaultScenarioConfig {
 }
 
 /// What one fault-recovery run measured.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultOutcome {
     /// Whether the completion target was met.
     pub completed: bool,

@@ -16,10 +16,9 @@ use inframe_display::analysis::per_frame_means;
 use inframe_display::{DisplayConfig, DisplayStream};
 use inframe_frame::Plane;
 use inframe_hvs::{FlickerMeter, ObserverPanel, StudyResult};
-use serde::{Deserialize, Serialize};
 
 /// Rating of one naive scheme.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig3Row {
     /// Scheme label.
     pub label: String,
@@ -32,7 +31,7 @@ pub struct Fig3Row {
 }
 
 /// The figure: one row per scheme.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig3 {
     /// Rows in [`NaiveScheme::all`] order.
     pub rows: Vec<Fig3Row>,

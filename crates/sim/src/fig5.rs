@@ -12,10 +12,9 @@ use crate::report::Series;
 use inframe_dsp::biquad::{Biquad, Cascade};
 use inframe_dsp::envelope::{Envelope, TransitionShape};
 use inframe_dsp::spectrum::Spectrum;
-use serde::{Deserialize, Serialize};
 
 /// The two curves of Figure 5 plus summary statistics.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig5 {
     /// Sample rate of the waveforms (the display refresh rate), Hz.
     pub fs: f64,

@@ -25,10 +25,9 @@ use inframe_display::{DisplayConfig, DisplayStream};
 use inframe_frame::color;
 use inframe_frame::Plane;
 use inframe_hvs::{FlickerMeter, ObserverPanel, StudyResult};
-use serde::{Deserialize, Serialize};
 
 /// One rated condition.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Fig6Point {
     /// Solid-video brightness (code value).
     pub brightness: f32,
@@ -42,7 +41,7 @@ pub struct Fig6Point {
 
 /// The full figure: the brightness sweep (left panel) and the δ×τ sweep
 /// (right panel).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig6 {
     /// Left panel: flicker vs brightness for δ ∈ {20, 50}, τ = 12.
     pub left: Vec<Fig6Point>,

@@ -5,13 +5,12 @@ use crate::pipeline::{Simulation, SimulationConfig};
 use crate::report::Table;
 use crate::scenarios::{Scale, Scenario};
 use inframe_core::metrics::ThroughputReport;
-use serde::{Deserialize, Serialize};
 
 /// The paper's four parameter settings, in Figure 7's legend order.
 pub const SETTINGS: [(f32, u32); 4] = [(20.0, 10), (20.0, 12), (20.0, 14), (30.0, 12)];
 
 /// One bar of Figure 7.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig7Bar {
     /// Input video.
     pub scenario: Scenario,
@@ -24,7 +23,7 @@ pub struct Fig7Bar {
 }
 
 /// The complete figure: one bar per (input, setting).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Fig7 {
     /// All bars, grouped by input then setting.
     pub bars: Vec<Fig7Bar>,

@@ -43,7 +43,6 @@ use inframe_frame::perturb::{CaptureTransform, OcclusionRect};
 use inframe_frame::qplane;
 use inframe_link::{absorb_cycle_bulk, Carousel, CompletionTarget, ReceiverSession};
 use inframe_obs::{names, HistogramSnapshot, Telemetry};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::ops::ControlFlow;
 use std::sync::Arc;
@@ -287,7 +286,7 @@ fn draw_population(cfg: &FleetConfig, sensor_w: usize, sensor_h: usize) -> Popul
 }
 
 /// Result of one fleet run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FleetReport {
     /// Population size.
     pub receivers: usize,

@@ -24,12 +24,11 @@ use inframe_link::carousel::Carousel;
 use inframe_link::control::{ControllerPolicy, ModulationCommand, ModulationController};
 use inframe_link::feedback::{FeedbackReport, RegionQuality};
 use inframe_link::session::{CompletionTarget, ReceiverSession, SessionState};
-use serde::{Deserialize, Serialize};
 
 /// Scene-cut burst process: every `period` cycles the video cuts, and for
 /// `len` cycles the channel erases GOBs at `erasure` instead of its base
 /// rate (texture transients swamp the chessboard).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BurstModel {
     /// Cycles between scene cuts.
     pub period: u64,
@@ -151,7 +150,7 @@ impl GobChannel {
 
 /// A window during which one spatial region is fully occluded (a hand,
 /// a passer-by, a sticker on the display) for this receiver.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RegionOcclusion {
     /// Region index in the channel's [`RegionMap`].
     pub region: usize,
@@ -270,7 +269,7 @@ impl RegionChannel {
 }
 
 /// One object riding the scenario's carousel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ScenarioObject {
     /// Transport object id.
     pub id: u16,
@@ -334,7 +333,7 @@ impl LinkScenarioConfig {
 }
 
 /// What a scenario run measured.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct LinkScenarioOutcome {
     /// Whether every object was recovered (and byte-identical).
     pub completed: bool,

@@ -26,7 +26,6 @@ use inframe_net::{
     StreamQos,
 };
 use inframe_obs::{names, Telemetry};
-use serde::{Deserialize, Serialize};
 
 /// One logical stream opened on the sender and on every receiver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,7 +39,7 @@ pub struct NetStreamSpec {
 }
 
 /// One datagram queued before the run starts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetDatagramSpec {
     /// Stream carrying it.
     pub stream: u8,
@@ -51,7 +50,7 @@ pub struct NetDatagramSpec {
 }
 
 /// One receiver and its private channel conditions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NetReceiverSpec {
     /// Own unicast address.
     pub addr: u16,
@@ -180,7 +179,7 @@ impl NetScenarioConfig {
 
 /// What one receiver saw on one flow — a (stream, destination) pair,
 /// matching the stack's per-destination reassembly lanes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowDelivery {
     /// Stream id.
     pub stream: u8,
@@ -210,7 +209,7 @@ impl FlowDelivery {
 }
 
 /// What one receiver saw overall.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ReceiverOutcome {
     /// The receiver's address.
     pub addr: u16,
@@ -234,7 +233,7 @@ impl ReceiverOutcome {
 }
 
 /// What the closed loop did during a run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct LoopStats {
     /// Feedback reports offered to the back-channels.
     pub reports_sent: u64,
@@ -255,7 +254,7 @@ pub struct LoopStats {
 }
 
 /// The scenario result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NetScenarioOutcome {
     /// Cycles actually run.
     pub cycles_run: u64,

@@ -10,7 +10,6 @@ use inframe_display::DisplayConfig;
 use inframe_frame::geometry::Homography;
 use inframe_obs::{names, ChannelSummary, Telemetry};
 use inframe_video::VideoSource;
-use serde::{Deserialize, Serialize};
 use std::ops::ControlFlow;
 
 /// Everything needed to run one end-to-end experiment.
@@ -59,7 +58,7 @@ impl SimulationConfig {
 }
 
 /// Result of one simulation run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimOutcome {
     /// Aggregate GOB statistics across all decoded cycles.
     pub stats: GobStats,

@@ -5,10 +5,9 @@ use inframe_core::InFrameConfig;
 use inframe_display::DisplayConfig;
 use inframe_video::synth::{MovingBarsClip, SolidClip, SunriseClip};
 use inframe_video::{FrameRate, VideoSource};
-use serde::{Deserialize, Serialize};
 
 /// The evaluation inputs of §4 (plus a stress clip for ablations).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scenario {
     /// Pure gray RGB(127,127,127).
     Gray,
@@ -51,7 +50,7 @@ impl Scenario {
 /// Simulation scale: full paper geometry or a fast reduced geometry with
 /// the same super-Pixel size (so the channel physics per Block is
 /// unchanged).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// 1920×1080 display → 1280×720 capture, 50×30 Blocks (the paper).
     Paper,

@@ -15,9 +15,8 @@
 //! ```
 
 use crate::source::{FrameList, FrameRate};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use inframe_frame::{FrameError, Plane};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::Path;
 
 /// Magic bytes identifying an IFV stream.
@@ -62,58 +61,61 @@ impl IfvClip {
     }
 
     /// Serializes the clip to bytes.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(32 + self.frames.len() * self.width * self.height);
-        buf.put_slice(MAGIC);
-        buf.put_u32_le(self.width as u32);
-        buf.put_u32_le(self.height as u32);
-        buf.put_u32_le(self.frames.len() as u32);
-        buf.put_u64_le((self.rate.0 * 1_000_000.0).round() as u64);
-        buf.put_u64_le(0); // reserved
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(32 + self.frames.len() * self.width * self.height);
+        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&(self.width as u32).to_le_bytes());
+        buf.extend_from_slice(&(self.height as u32).to_le_bytes());
+        buf.extend_from_slice(&(self.frames.len() as u32).to_le_bytes());
+        buf.extend_from_slice(&((self.rate.0 * 1_000_000.0).round() as u64).to_le_bytes());
+        buf.extend_from_slice(&0u64.to_le_bytes()); // reserved
         for f in &self.frames {
-            buf.put_slice(f.samples());
+            buf.extend_from_slice(f.samples());
         }
-        buf.freeze()
+        buf
     }
 
     /// Parses a clip from bytes.
     ///
     /// # Errors
-    /// Returns [`FrameError::Parse`] on bad magic, truncated data or
-    /// invalid dimensions.
-    pub fn decode(mut data: Bytes) -> Result<Self, FrameError> {
-        if data.len() < 32 {
+    /// Returns [`FrameError::Parse`] on bad magic, truncated data,
+    /// invalid dimensions or a header whose payload size overflows.
+    pub fn decode(data: &[u8]) -> Result<Self, FrameError> {
+        let Some((header, payload)) = data.split_first_chunk::<32>() else {
             return Err(FrameError::Parse("IFV header truncated".into()));
-        }
-        let mut magic = [0u8; 4];
-        data.copy_to_slice(&mut magic);
-        if &magic != MAGIC {
+        };
+        let magic = &header[..4];
+        if magic != MAGIC {
             return Err(FrameError::Parse(format!(
                 "bad IFV magic {magic:02X?}, expected {MAGIC:02X?}"
             )));
         }
-        let width = data.get_u32_le() as usize;
-        let height = data.get_u32_le() as usize;
-        let count = data.get_u32_le() as usize;
-        let rate_micro = data.get_u64_le();
-        let _reserved = data.get_u64_le();
+        let u32_at = |at: usize| {
+            u32::from_le_bytes(header[at..at + 4].try_into().expect("4-byte field")) as usize
+        };
+        let (width, height, count) = (u32_at(4), u32_at(8), u32_at(12));
+        let rate_micro = u64::from_le_bytes(header[16..24].try_into().expect("8-byte field"));
         if width == 0 || height == 0 {
             return Err(FrameError::Parse("IFV frame dimensions are zero".into()));
         }
-        let frame_bytes = width * height;
-        if data.remaining() != count * frame_bytes {
+        // The header is untrusted: its u32 fields can multiply past usize.
+        let frame_bytes = width.checked_mul(height);
+        let total = frame_bytes.and_then(|f| f.checked_mul(count));
+        let (Some(frame_bytes), Some(total)) = (frame_bytes, total) else {
             return Err(FrameError::Parse(format!(
-                "IFV payload has {} bytes, expected {}",
-                data.remaining(),
-                count * frame_bytes
+                "IFV payload size {width}x{height}x{count} overflows"
+            )));
+        };
+        if payload.len() != total {
+            return Err(FrameError::Parse(format!(
+                "IFV payload has {} bytes, expected {total}",
+                payload.len()
             )));
         }
-        let mut frames = Vec::with_capacity(count);
-        for _ in 0..count {
-            let mut raw = vec![0u8; frame_bytes];
-            data.copy_to_slice(&mut raw);
-            frames.push(Plane::from_vec(width, height, raw)?);
-        }
+        let frames = payload
+            .chunks_exact(frame_bytes)
+            .map(|raw| Plane::from_vec(width, height, raw.to_vec()))
+            .collect::<Result<_, _>>()?;
         Ok(Self {
             width,
             height,
@@ -137,10 +139,7 @@ impl IfvClip {
     /// # Errors
     /// Propagates I/O failures and parse errors.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, FrameError> {
-        let mut f = std::fs::File::open(path)?;
-        let mut data = Vec::new();
-        f.read_to_end(&mut data)?;
-        Self::decode(Bytes::from(data))
+        Self::decode(&std::fs::read(path)?)
     }
 }
 
@@ -159,28 +158,57 @@ mod tests {
     #[test]
     fn encode_decode_roundtrip() {
         let clip = sample_clip();
-        let rt = IfvClip::decode(clip.encode()).unwrap();
+        let rt = IfvClip::decode(&clip.encode()).unwrap();
         assert_eq!(clip, rt);
         assert!((rt.rate.0 - 30.0).abs() < 1e-6);
     }
 
     #[test]
     fn bad_magic_rejected() {
-        let mut bytes = sample_clip().encode().to_vec();
+        let mut bytes = sample_clip().encode();
         bytes[0] = b'X';
-        assert!(IfvClip::decode(Bytes::from(bytes)).is_err());
+        assert!(IfvClip::decode(&bytes).is_err());
     }
 
     #[test]
     fn truncated_payload_rejected() {
         let bytes = sample_clip().encode();
-        let cut = bytes.slice(0..bytes.len() - 5);
-        assert!(IfvClip::decode(cut).is_err());
+        assert!(IfvClip::decode(&bytes[..bytes.len() - 5]).is_err());
     }
 
     #[test]
     fn tiny_header_rejected() {
-        assert!(IfvClip::decode(Bytes::from_static(b"IFV1")).is_err());
+        assert!(IfvClip::decode(b"IFV1").is_err());
+    }
+
+    #[test]
+    fn overflowing_header_rejected() {
+        // width 2^31 × height 4 × count 2^31 = 2^64: the payload size
+        // wraps to 0, which an empty body would otherwise match.
+        let mut header = Vec::from(*MAGIC);
+        for field in [1u32 << 31, 4, 1 << 31] {
+            header.extend_from_slice(&field.to_le_bytes());
+        }
+        header.extend_from_slice(&[0; 16]);
+        assert!(matches!(
+            IfvClip::decode(&header),
+            Err(FrameError::Parse(_))
+        ));
+    }
+
+    #[test]
+    fn damaged_clips_never_panic() {
+        let bytes = sample_clip().encode();
+        for len in 0..bytes.len() {
+            assert!(IfvClip::decode(&bytes[..len]).is_err(), "prefix {len}");
+        }
+        for at in 0..32 {
+            for flip in 1..=u8::MAX {
+                let mut damaged = bytes.clone();
+                damaged[at] ^= flip;
+                let _ = IfvClip::decode(&damaged);
+            }
+        }
     }
 
     #[test]

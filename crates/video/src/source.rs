@@ -7,10 +7,9 @@
 //! duplication.
 
 use inframe_frame::Plane;
-use serde::{Deserialize, Serialize};
 
 /// A frame rate in frames per second.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrameRate(pub f64);
 
 impl FrameRate {

@@ -28,7 +28,7 @@ fn ifv_clip_replays_into_identical_outcome() {
     let frames = live.take_frames(60);
     let clip = IfvClip::from_f32_frames(&frames, FrameRate::VIDEO_30);
     let bytes = clip.encode();
-    let reloaded = IfvClip::decode(bytes).expect("container roundtrip");
+    let reloaded = IfvClip::decode(&bytes).expect("container roundtrip");
     assert_eq!(clip, reloaded);
 
     let out_a = Simulation::new(config).run(Looped::from_source(reloaded.to_source()));
