@@ -3,12 +3,14 @@
 //! worker count, and the steady-state sender performs zero heap
 //! allocations once its frame pool is warm.
 
+use inframe::camera::{Camera, CameraConfig, CaptureGeometry};
 use inframe::core::dataframe::DataFrame;
 use inframe::core::demux::{Demultiplexer, RegionCache};
 use inframe::core::parallel::ParallelEngine;
 use inframe::core::pattern::{self, Complementation};
 use inframe::core::sender::{PrbsPayload, Sender};
 use inframe::core::{DataLayout, InFrameConfig};
+use inframe::display::{DisplayConfig, DisplayStream, FrameEmission};
 use inframe::frame::geometry::Homography;
 use inframe::frame::Plane;
 use inframe::video::synth::MovingBarsClip;
@@ -157,6 +159,88 @@ fn pool_grows_to_high_water_mark_then_reuses() {
         "high-water pool must satisfy steady state"
     );
     assert_eq!(stats.returned, 9);
+}
+
+/// Incremental 64-bit FNV-1a over the f32 bits of whole planes.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn plane(&mut self, p: &Plane<f32>) {
+        for b in p.samples().iter().flat_map(|v| v.to_bits().to_le_bytes()) {
+            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+}
+
+/// Display code frame `i` at 1920×1080: a flat ±20 chessboard third (long
+/// runs of equal codes), a drifting fractional ramp and a pseudo-random
+/// texture, so every band of the present sees a different mix.
+fn paper_code_frame(i: usize) -> Plane<f32> {
+    let (w, h) = (1920, 1080);
+    Plane::from_fn(w, h, |x, y| {
+        if y < h / 3 {
+            let sign = if (x / 8 + y / 8 + i).is_multiple_of(2) {
+                1.0
+            } else {
+                -1.0
+            };
+            127.0 + sign * 20.0
+        } else if y < 2 * h / 3 {
+            (x as f32 * 0.1328125 + i as f32 * 3.5) % 256.0
+        } else {
+            ((x * 31 + y * 17 + i * 13) % 256) as f32 * 0.75 + 10.0
+        }
+    })
+}
+
+/// Presents 8 frames on the strobed 120 Hz panel at 1920×1080 and captures
+/// the 2 frames they cover with the 24-band Lumia camera at 1280×720,
+/// noise on, hashing every emission plane and every capture plane.
+fn paper_scale_digest(mut display: DisplayStream, mut camera: Camera) -> u64 {
+    let mut h = Fnv::new();
+    let mut window: Vec<FrameEmission> = Vec::new();
+    for i in 0..8 {
+        let e = display.present(&paper_code_frame(i));
+        h.plane(&e.target);
+        h.plane(&e.initial);
+        let end = e.t_start + e.duration;
+        window.push(e);
+        while camera.required_window().1 <= end {
+            let need_start = camera.required_window().0;
+            window.retain(|e| e.t_start + e.duration > need_start + 1e-12);
+            let cap = camera.capture(&window).expect("window is covered");
+            h.plane(&cap.plane);
+        }
+    }
+    assert_eq!(camera.next_index(), 2, "8 frames cover 2 captures");
+    h.0
+}
+
+/// The paper-scale camera: Lumia 1020 at 1280×720, 24 shutter bands.
+fn paper_camera() -> CameraConfig {
+    CameraConfig {
+        shutter_bands: 24,
+        ..CameraConfig::lumia_1020()
+    }
+}
+
+/// Recorded before the display and camera ran on the engine.
+const PAPER_SCALE_DIGEST: u64 = 0x0ad4_f67d_81a2_9cea;
+
+/// Paper-scale frames are the only ones whose bands reach the engine's
+/// spawn threshold, so this is the test that runs the display and camera
+/// through their parallel paths.
+#[test]
+fn paper_scale_display_and_camera_bit_identical() {
+    let got = paper_scale_digest(
+        DisplayStream::new(DisplayConfig::eizo_fg2421()),
+        Camera::new(paper_camera(), CaptureGeometry::Fronto, 2),
+    );
+    assert_eq!(got, PAPER_SCALE_DIGEST, "got {got:#018x}");
 }
 
 proptest! {
