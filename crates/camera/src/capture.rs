@@ -1,14 +1,23 @@
 //! The capture pipeline: exposure integration, rolling shutter, optics,
 //! noise and encoding.
+//!
+//! Every stage runs in row bands on the camera's [`ParallelEngine`] and
+//! gives the same bits at any worker count: the rolling-shutter bands
+//! write disjoint sensor rows, the separable blur and the noise work per
+//! row, and the noise stream is addressed by pixel index.
+
+use std::sync::Arc;
 
 use crate::config::{CameraConfig, Shutter};
 use crate::gamma;
 use crate::geometry::CaptureGeometry;
 use crate::noise::NoiseSource;
 use inframe_display::FrameEmission;
-use inframe_frame::filter::gaussian_blur;
-use inframe_frame::resample::{downsample_area_with, AreaTaps};
-use inframe_frame::Plane;
+use inframe_frame::filter::{
+    convolve_cols_replicate_into, convolve_rows_replicate_into, gaussian_kernel,
+};
+use inframe_frame::resample::{downsample_area_into, AreaTaps};
+use inframe_frame::{ParallelEngine, Plane};
 
 /// Errors raised during capture.
 #[derive(Debug, Clone, PartialEq)]
@@ -58,8 +67,25 @@ pub struct Camera {
     geometry: CaptureGeometry,
     noise: NoiseSource,
     frame_index: u64,
+    engine: Arc<ParallelEngine>,
+    /// The optics blur's Gaussian taps (empty without blur).
+    psf: Vec<f32>,
     /// Fronto area-average tap tables for the last display shape seen.
     fronto_taps: Option<FrontoTaps>,
+    /// Integrated light on the sensor after the blur's horizontal pass
+    /// (without blur, just the integrated light), kept across captures.
+    sensor: Vec<f32>,
+    /// One set of band buffers per worker.
+    band_scratch: Vec<BandScratch>,
+}
+
+/// A worker's buffers for one rolling-shutter band at a time.
+#[derive(Debug, Default)]
+struct BandScratch {
+    /// The band's display rows, integrated over its exposure.
+    display: Vec<f32>,
+    /// The band's sensor rows, before the blur.
+    sensor: Vec<f32>,
 }
 
 /// The fronto display→sensor area-average taps of every rolling-shutter
@@ -77,16 +103,39 @@ struct FrontoTaps {
 
 impl Camera {
     /// Creates a camera with the given configuration, geometry and noise
-    /// seed.
+    /// seed, capturing on [`ParallelEngine::from_env`] workers.
     pub fn new(config: CameraConfig, geometry: CaptureGeometry, seed: u64) -> Self {
+        Self::with_engine(config, geometry, seed, Arc::new(ParallelEngine::from_env()))
+    }
+
+    /// [`Camera::new`] capturing on an explicit engine. Captures are
+    /// bit-identical at every worker count.
+    pub fn with_engine(
+        config: CameraConfig,
+        geometry: CaptureGeometry,
+        seed: u64,
+        engine: Arc<ParallelEngine>,
+    ) -> Self {
         config.validate();
         let noise = NoiseSource::new(seed, config.read_noise_sigma, config.shot_noise_scale);
+        let sigma = config.psf_sigma_px as f32;
+        let psf = if sigma > 0.0 {
+            gaussian_kernel(sigma)
+        } else {
+            Vec::new()
+        };
         Self {
             config,
             geometry,
             noise,
             frame_index: 0,
+            band_scratch: (0..engine.workers())
+                .map(|_| BandScratch::default())
+                .collect(),
+            engine,
+            psf,
             fronto_taps: None,
+            sensor: Vec::new(),
         }
     }
 
@@ -152,15 +201,15 @@ impl Camera {
             Shutter::Global => 1,
             Shutter::Rolling { .. } => self.config.shutter_bands.min(sensor_h),
         };
-        let band_rows = |b: usize| {
-            let sr0 = b * sensor_h / bands;
-            let sr1 = ((b + 1) * sensor_h / bands).max(sr0 + 1);
-            // Display rows feeding this sensor band (fronto mapping; the
-            // projective path integrates the full display height because
-            // rows mix under perspective).
-            let dy0 = sr0 * display_h / sensor_h;
-            let dy1 = (sr1 * display_h / sensor_h).max(dy0 + 1);
-            (sr0..sr1, dy0..dy1)
+        // Band `b` covers sensor rows `sensor_row(b)..sensor_row(b + 1)`:
+        // at least one row each, since `bands ≤ sensor_h`.
+        let sensor_row = |b: usize| b * sensor_h / bands;
+        // Display rows feeding sensor rows `rows` (fronto mapping; the
+        // projective path integrates the full display height because rows
+        // mix under perspective).
+        let display_rows = |rows: &std::ops::Range<usize>| {
+            let dy0 = rows.start * display_h / sensor_h;
+            dy0..(rows.end * display_h / sensor_h).max(dy0 + 1)
         };
         // Only fronto captures have tap tables; geometry is fixed per camera.
         if self.geometry.is_fronto()
@@ -174,52 +223,79 @@ impl Camera {
                 columns: AreaTaps::new(display_w, sensor_w),
                 rows: (0..bands)
                     .map(|b| {
-                        let (sensor, display) = band_rows(b);
-                        AreaTaps::new(display.len(), sensor.len())
+                        let sensor = sensor_row(b)..sensor_row(b + 1);
+                        AreaTaps::new(display_rows(&sensor).len(), sensor.len())
                     })
                     .collect(),
             });
         }
 
         // 1. Exposure integration per rolling-shutter band, in display
-        //    space, then geometric projection to sensor space.
-        let mut linear = Plane::<f32>::filled(sensor_w, sensor_h, 0.0);
-        for b in 0..bands {
-            let (sensor, display) = band_rows(b);
-            let (t0, t1) = self.band_exposure(t_frame, b, bands);
-            let band_sensor = match &self.fronto_taps {
-                Some(taps) => downsample_area_with(
-                    &integrate_display_rows(emissions, display.start, display.end, t0, t1),
-                    &taps.columns,
-                    &taps.rows[b],
-                ),
-                None => self.geometry.project(
-                    &integrate_display_rows(emissions, 0, display_h, t0, t1),
-                    sensor_w,
-                    sensor.len(),
-                ),
-            };
-            linear
-                .blit(&band_sensor, 0, sensor.start)
-                .expect("band geometry is in range by construction");
-        }
+        //    space, then geometric projection to sensor space and the
+        //    optics blur's horizontal pass, in linear light. Bands write
+        //    disjoint sensor rows, one chunk of bands per worker.
+        let pixels = sensor_w * sensor_h;
+        self.sensor.resize(pixels, 0.0);
+        let (config, geometry, taps, psf) =
+            (&self.config, &self.geometry, &self.fronto_taps, &self.psf);
+        self.engine.for_each_item_rows(
+            bands,
+            sensor_row,
+            sensor_w,
+            &mut self.sensor,
+            &mut self.band_scratch,
+            |chunk, out, scratch| {
+                let first_row = sensor_row(chunk.start);
+                for b in chunk {
+                    let sensor = sensor_row(b)..sensor_row(b + 1);
+                    let out = &mut out[(sensor.start - first_row) * sensor_w..]
+                        [..sensor.len() * sensor_w];
+                    // Without blur the band lands in `out` directly.
+                    let light = if psf.is_empty() {
+                        &mut *out
+                    } else {
+                        scratch.sensor.resize(out.len(), 0.0);
+                        &mut scratch.sensor[..]
+                    };
+                    let (t0, t1) = band_exposure(config, t_frame, b, bands);
+                    match taps {
+                        Some(taps) => {
+                            let display = display_rows(&sensor);
+                            let acc = &mut scratch.display;
+                            integrate_rows_into(emissions, display.start, display.end, t0, t1, acc);
+                            downsample_area_into(acc, &taps.columns, &taps.rows[b], light);
+                        }
+                        None => {
+                            let display = integrate_display_rows(emissions, 0, display_h, t0, t1);
+                            let projected = geometry.project(&display, sensor_w, sensor.len());
+                            light.copy_from_slice(projected.samples());
+                        }
+                    }
+                    if !psf.is_empty() {
+                        convolve_rows_replicate_into(&scratch.sensor, sensor_w, psf, out);
+                    }
+                }
+            },
+        );
 
-        // 2. Optics blur in linear light.
-        let blurred = if self.config.psf_sigma_px > 0.0 {
-            gaussian_blur(&linear, self.config.psf_sigma_px as f32)
-        } else {
-            linear
-        };
-
-        // 3. Sensor noise in linear light.
-        let mut code = blurred;
-        self.noise.apply(&mut code);
-
-        // 4. Gain, gamma encoding, 8-bit quantization (an exact threshold
-        //    table instead of a per-pixel `powf`).
+        // 2. The blur's vertical pass, 3. sensor noise in linear light, and
+        //    4. gain, gamma encoding and 8-bit quantization (an exact
+        //    threshold table instead of a per-pixel `powf`), one row band
+        //    at a time.
+        let mut code = Plane::filled(sensor_w, sensor_h, 0.0);
+        let noise = self.noise.block(pixels);
         let gain = self.config.gain as f32;
         let gamma = gamma::table();
-        code.map_in_place(|l| gamma.encode((l * gain).clamp(0.0, 1.0)));
+        let encode = |l: f32| gamma.encode((l * gain).clamp(0.0, 1.0));
+        let (sensor, psf) = (&self.sensor, &self.psf);
+        self.engine.for_each_band(&mut code, |rows, out| {
+            if psf.is_empty() {
+                out.copy_from_slice(&sensor[rows.start * sensor_w..rows.end * sensor_w]);
+            } else {
+                convolve_cols_replicate_into(sensor, sensor_w, psf, rows.clone(), out);
+            }
+            noise.apply(rows.start * sensor_w, out, encode);
+        });
 
         // 5. In-camera processing (denoise/sharpen), then re-quantize.
         if !self.config.isp.is_passthrough() {
@@ -235,20 +311,20 @@ impl Camera {
         self.frame_index += 1;
         Ok(frame)
     }
+}
 
-    /// Exposure interval of band `b` of `bands` for the frame starting at
-    /// `t_frame`.
-    fn band_exposure(&self, t_frame: f64, b: usize, bands: usize) -> (f64, f64) {
-        let offset = match self.config.shutter {
-            Shutter::Global => 0.0,
-            Shutter::Rolling { readout_s } => {
-                // Band centre's position in the readout sweep.
-                readout_s * (b as f64 + 0.5) / bands as f64
-            }
-        };
-        let t0 = t_frame + offset;
-        (t0, t0 + self.config.exposure_s)
-    }
+/// Exposure interval of band `b` of `bands` for the frame starting at
+/// `t_frame`.
+fn band_exposure(config: &CameraConfig, t_frame: f64, b: usize, bands: usize) -> (f64, f64) {
+    let offset = match config.shutter {
+        Shutter::Global => 0.0,
+        Shutter::Rolling { readout_s } => {
+            // Band centre's position in the readout sweep.
+            readout_s * (b as f64 + 0.5) / bands as f64
+        }
+    };
+    let t0 = t_frame + offset;
+    (t0, t0 + config.exposure_s)
 }
 
 /// Mean emitted light of display rows `[y0, y1)` over the window
@@ -270,12 +346,29 @@ pub fn integrate_display_rows(
     t0: f64,
     t1: f64,
 ) -> Plane<f32> {
+    let mut acc = Vec::new();
+    integrate_rows_into(emissions, y0, y1, t0, t1, &mut acc);
+    let w = emissions[0].target.width();
+    Plane::from_vec(w, y1 - y0, acc).expect("nonempty row range")
+}
+
+/// [`integrate_display_rows`] into a reused buffer, which it resizes to
+/// the rows' sample count.
+fn integrate_rows_into(
+    emissions: &[FrameEmission],
+    y0: usize,
+    y1: usize,
+    t0: f64,
+    t1: f64,
+    acc: &mut Vec<f32>,
+) {
     assert!(y1 > y0, "empty row range");
     let (w, h) = emissions[0].target.shape();
     assert!(y1 <= h, "row range out of bounds");
     assert!(t1 > t0, "empty time window");
     let rows = y0 * w..y1 * w;
-    let mut acc = vec![0.0f32; rows.len()];
+    acc.clear();
+    acc.resize(rows.len(), 0.0);
     let total = t1 - t0;
     let mut covered = 0.0f64;
     for e in emissions {
@@ -303,7 +396,6 @@ pub fn integrate_display_rows(
         (covered - total).abs() < total * 1e-6 + 1e-9,
         "emissions cover only {covered:.6}s of a {total:.6}s window"
     );
-    Plane::from_vec(w, y1 - y0, acc).expect("nonempty row range")
 }
 
 #[cfg(test)]

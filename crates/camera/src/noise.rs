@@ -4,15 +4,41 @@
 //! read noise is additive Gaussian. Both act in linear light, before gamma
 //! encoding — which is why dark regions of a capture look noisier after
 //! encoding, a behaviour the decoder's threshold must tolerate.
+//!
+//! The uniform draws come from a SplitMix64 stream. Its draw `n` is a
+//! pure function of the key and `n`, so a pixel's two draws are addressed
+//! by its index (draws `first + 2i` and `first + 2i + 1` of the call), and
+//! a row band jumps straight to its first draw. That lets the noise run
+//! band-parallel and still reproduce, bit for bit, the realisation of one
+//! sequential stream seeded like `StdRng::seed_from_u64(seed)`.
 
-use inframe_frame::Plane;
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use inframe_frame::{ParallelEngine, Plane};
+
+/// SplitMix64's state increment; the seed is also masked with it.
+const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// SplitMix64's output function of a state.
+#[inline]
+fn mix(state: u64) -> u64 {
+    let mut z = state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// A uniform `f64` in `[0, 1)` from 64 random bits (the top 53).
+#[inline]
+fn unit(bits: u64) -> f64 {
+    (bits >> 11) as f64 / (1u64 << 53) as f64
+}
 
 /// Deterministic per-camera noise source.
 #[derive(Debug)]
 pub struct NoiseSource {
-    rng: StdRng,
+    /// Stream key: the state before draw 0.
+    key: u64,
+    /// Index of the next unused draw.
+    next_draw: u64,
     /// Read noise σ (linear light units).
     pub read_sigma: f64,
     /// Shot noise scale `k`: variance = `k · light`.
@@ -24,32 +50,78 @@ impl NoiseSource {
     pub fn new(seed: u64, read_sigma: f64, shot_scale: f64) -> Self {
         assert!(read_sigma >= 0.0 && shot_scale >= 0.0, "noise must be >= 0");
         Self {
-            rng: StdRng::seed_from_u64(seed),
+            key: seed ^ GOLDEN,
+            next_draw: 0,
             read_sigma,
             shot_scale,
         }
     }
 
-    /// One standard normal deviate (Box–Muller; one branch kept).
-    fn gaussian(&mut self) -> f64 {
-        let u1: f64 = self.rng.random::<f64>().max(1e-300);
-        let u2: f64 = self.rng.random::<f64>();
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+    /// Reserves the draws for `samples` pixels and returns their noise.
+    /// A noiseless source reserves nothing.
+    pub(crate) fn block(&mut self, samples: usize) -> NoiseBlock {
+        let enabled = self.read_sigma != 0.0 || self.shot_scale != 0.0;
+        let first = self.next_draw;
+        if enabled {
+            self.next_draw = first.wrapping_add(2 * samples as u64);
+        }
+        NoiseBlock {
+            key: self.key,
+            first,
+            read: self.read_sigma,
+            shot: self.shot_scale,
+            enabled,
+        }
     }
 
     /// Applies shot + read noise to a linear-light plane in place, clamping
-    /// the result to non-negative light.
-    pub fn apply(&mut self, light: &mut Plane<f32>) {
-        if self.read_sigma == 0.0 && self.shot_scale == 0.0 {
+    /// the result to non-negative light. Rows run in bands on `engine`;
+    /// the result is the same at every worker count.
+    pub fn apply(&mut self, engine: &ParallelEngine, light: &mut Plane<f32>) {
+        let block = self.block(light.len());
+        let width = light.width();
+        engine.for_each_band(light, |rows, band| {
+            block.apply(rows.start * width, band, |v| v)
+        });
+    }
+}
+
+/// The noise of one [`NoiseSource`] call over a run of samples, addressable
+/// by sample index so that bands of the run can be noised independently.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct NoiseBlock {
+    key: u64,
+    first: u64,
+    read: f64,
+    shot: f64,
+    enabled: bool,
+}
+
+impl NoiseBlock {
+    /// Noises samples `offset..offset + samples.len()` of the run in place
+    /// (Box–Muller over the pixel's two draws, one branch kept), clamping
+    /// to non-negative light, then maps each result through `then`. A
+    /// noiseless block only applies `then`.
+    pub(crate) fn apply(&self, offset: usize, samples: &mut [f32], then: impl Fn(f32) -> f32) {
+        if !self.enabled {
+            for v in samples {
+                *v = then(*v);
+            }
             return;
         }
-        let read = self.read_sigma;
-        let shot = self.shot_scale;
-        for v in light.samples_mut() {
+        let (read, shot) = (self.read, self.shot);
+        let first = self.first.wrapping_add(2 * offset as u64);
+        let mut state = self.key.wrapping_add(first.wrapping_mul(GOLDEN));
+        for v in samples {
+            state = state.wrapping_add(GOLDEN);
+            let u1 = unit(mix(state)).max(1e-300);
+            state = state.wrapping_add(GOLDEN);
+            let u2 = unit(mix(state));
+            let gaussian = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
             let l = (*v as f64).max(0.0);
             let sigma = (read * read + shot * l).sqrt();
-            let noisy = l + sigma * self.gaussian();
-            *v = noisy.max(0.0) as f32;
+            let noisy = l + sigma * gaussian;
+            *v = then(noisy.max(0.0) as f32);
         }
     }
 }
@@ -57,13 +129,87 @@ impl NoiseSource {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+
+    /// The sequential noise loop the counter-addressed stream replaces:
+    /// one `StdRng` drawn in pixel order.
+    struct Oracle {
+        rng: StdRng,
+        read: f64,
+        shot: f64,
+    }
+
+    impl Oracle {
+        fn gaussian(&mut self) -> f64 {
+            let u1: f64 = self.rng.random::<f64>().max(1e-300);
+            let u2: f64 = self.rng.random::<f64>();
+            (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+        }
+
+        fn apply(&mut self, light: &mut Plane<f32>) {
+            if self.read == 0.0 && self.shot == 0.0 {
+                return;
+            }
+            let (read, shot) = (self.read, self.shot);
+            for v in light.samples_mut() {
+                let l = (*v as f64).max(0.0);
+                let sigma = (read * read + shot * l).sqrt();
+                let noisy = l + sigma * self.gaussian();
+                *v = noisy.max(0.0) as f32;
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Property: over random plane sizes, call counts, σ (either may
+        /// be zero) and worker counts 1–5, band-parallel noise is
+        /// bit-identical to the sequential `StdRng` loop. The engine
+        /// spawns for any band size, so the jump-ahead really runs.
+        #[test]
+        fn banded_noise_matches_the_sequential_stream(
+            seed in any::<u64>(),
+            width in 1usize..40,
+            height in 1usize..40,
+            calls in 1usize..4,
+            read in 0.0f64..0.05,
+            read_off in any::<bool>(),
+            shot in 0.0f64..0.002,
+            shot_off in any::<bool>(),
+            workers in 1usize..6,
+        ) {
+            let read = if read_off { 0.0 } else { read };
+            let shot = if shot_off { 0.0 } else { shot };
+            let engine = ParallelEngine::new(workers).with_spawn_grain(1);
+            let mut source = NoiseSource::new(seed, read, shot);
+            let mut oracle = Oracle { rng: StdRng::seed_from_u64(seed), read, shot };
+            for call in 0..calls {
+                // Light from below zero to above one, varying per call.
+                let light = Plane::from_fn(width, height, |x, y| {
+                    ((x * 7 + y * 13 + call * 5) % 23) as f32 / 18.0 - 0.1
+                });
+                let (mut got, mut want) = (light.clone(), light);
+                source.apply(&engine, &mut got);
+                oracle.apply(&mut want);
+                let same = got
+                    .samples()
+                    .iter()
+                    .zip(want.samples())
+                    .all(|(g, w)| g.to_bits() == w.to_bits());
+                prop_assert!(same, "call {} differs at {} workers", call, workers);
+            }
+        }
+    }
 
     #[test]
     fn zero_noise_is_identity() {
         let mut src = NoiseSource::new(1, 0.0, 0.0);
         let mut p = Plane::filled(8, 8, 0.5);
         let orig = p.clone();
-        src.apply(&mut p);
+        src.apply(&ParallelEngine::sequential(), &mut p);
         assert_eq!(p, orig);
     }
 
@@ -73,8 +219,8 @@ mod tests {
         let mut b = NoiseSource::new(42, 0.01, 0.0);
         let mut pa = Plane::filled(16, 16, 0.5);
         let mut pb = Plane::filled(16, 16, 0.5);
-        a.apply(&mut pa);
-        b.apply(&mut pb);
+        a.apply(&ParallelEngine::sequential(), &mut pa);
+        b.apply(&ParallelEngine::sequential(), &mut pb);
         assert_eq!(pa, pb);
     }
 
@@ -82,7 +228,7 @@ mod tests {
     fn read_noise_statistics_match_sigma() {
         let mut src = NoiseSource::new(7, 0.02, 0.0);
         let mut p = Plane::filled(128, 128, 0.5);
-        src.apply(&mut p);
+        src.apply(&ParallelEngine::sequential(), &mut p);
         let mean = p.mean();
         let std = p.variance().sqrt();
         assert!((mean - 0.5).abs() < 0.002, "mean {mean}");
@@ -94,9 +240,9 @@ mod tests {
         let mut src = NoiseSource::new(9, 0.0, 0.01);
         let mut dark = Plane::filled(128, 128, 0.05);
         let mut bright = Plane::filled(128, 128, 0.8);
-        src.apply(&mut dark);
+        src.apply(&ParallelEngine::sequential(), &mut dark);
         let mut src2 = NoiseSource::new(9, 0.0, 0.01);
-        src2.apply(&mut bright);
+        src2.apply(&ParallelEngine::sequential(), &mut bright);
         assert!(bright.variance() > dark.variance() * 4.0);
     }
 
@@ -104,7 +250,7 @@ mod tests {
     fn light_never_goes_negative() {
         let mut src = NoiseSource::new(3, 0.5, 0.0); // absurdly noisy
         let mut p = Plane::filled(64, 64, 0.01);
-        src.apply(&mut p);
+        src.apply(&ParallelEngine::sequential(), &mut p);
         assert!(p.min_sample() >= 0.0);
     }
 

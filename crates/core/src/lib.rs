@@ -28,7 +28,8 @@
 //! the paper's Figure 3 strawmen for comparison.
 //!
 //! Both hot paths — chessboard rendering and per-Block scoring — run on a
-//! band-sliced worker pool ([`parallel`]) over pooled frame buffers
+//! band-sliced worker pool ([`parallel`], re-exported from
+//! [`inframe_frame::parallel`]) over pooled frame buffers
 //! ([`inframe_frame::pool`]), with output guaranteed bit-identical at any
 //! worker count; [`metrics::ThroughputMeter`] reports the achieved
 //! frames/s and worker utilization.
@@ -44,7 +45,6 @@ pub mod layout;
 pub mod metrics;
 pub mod multiplex;
 pub mod naive;
-pub mod parallel;
 pub mod pattern;
 pub mod region;
 pub mod rgbmux;
@@ -55,6 +55,7 @@ pub use batch::{BatchScorer, ScoreClass};
 pub use config::{CodingMode, InFrameConfig, KernelBackend};
 pub use dataframe::DataFrame;
 pub use demux::{BlockScore, DecodedDataFrame, Demultiplexer};
+pub use inframe_frame::parallel;
 pub use layout::DataLayout;
 pub use metrics::{ThroughputMeter, ThroughputReport};
 pub use parallel::ParallelEngine;

@@ -24,9 +24,12 @@
 //! `EmissionWindow` per (emission, exposure window), which is what keeps
 //! it exact and fast; [`FrameEmission::attained`] likewise computes its
 //! decay factor `e^(−Δ/τ)` once per frame.
+//!
+//! An emission's planes are [`PooledPlane`]s: the display stream checks
+//! them out of its frame pool, and dropping the emission returns them.
 
 use inframe_frame::arith::zip_map;
-use inframe_frame::Plane;
+use inframe_frame::{Plane, PooledPlane};
 
 /// The emitted light of one displayed frame over its refresh interval.
 ///
@@ -35,9 +38,9 @@ use inframe_frame::Plane;
 #[derive(Debug, Clone, PartialEq)]
 pub struct FrameEmission {
     /// Steady-state LC target per pixel.
-    pub target: Plane<f32>,
+    pub target: PooledPlane,
     /// LC level per pixel at the start of the interval.
-    pub initial: Plane<f32>,
+    pub initial: PooledPlane,
     /// Refresh interval length in seconds.
     pub duration: f64,
     /// LC response time constant in seconds (0 = instant).
@@ -95,14 +98,14 @@ impl FrameEmission {
 
     /// LC decay factor `e^(−t/τ)` at in-interval time `t`, or `None` for
     /// an instant panel (the LC sits at its target).
-    fn lc_decay(&self, t: f64) -> Option<f64> {
+    pub(crate) fn lc_decay(&self, t: f64) -> Option<f64> {
         (self.tau > 0.0).then(|| (-t.max(0.0) / self.tau).exp())
     }
 
     /// LC state of a pixel with levels `target`, `initial` under the
     /// decay factor from [`FrameEmission::lc_decay`].
     #[inline]
-    fn lc(target: f32, initial: f32, decay: Option<f64>) -> f64 {
+    pub(crate) fn lc(target: f32, initial: f32, decay: Option<f64>) -> f64 {
         let tv = target as f64;
         match decay {
             None => tv,
@@ -215,8 +218,8 @@ mod tests {
 
     fn emission(tau: f64) -> FrameEmission {
         FrameEmission {
-            target: Plane::filled(2, 2, 1.0),
-            initial: Plane::filled(2, 2, 0.0),
+            target: PooledPlane::detached(Plane::filled(2, 2, 1.0)),
+            initial: PooledPlane::detached(Plane::filled(2, 2, 0.0)),
             duration: 1.0 / 120.0,
             tau,
             t_start: 0.0,
@@ -336,8 +339,8 @@ mod tests {
         let e1 = emission(0.002);
         let attained = e1.attained();
         let e2 = FrameEmission {
-            target: Plane::filled(2, 2, 0.0),
-            initial: attained.clone(),
+            target: PooledPlane::detached(Plane::filled(2, 2, 0.0)),
+            initial: PooledPlane::detached(attained.clone()),
             duration: e1.duration,
             tau: e1.tau,
             t_start: e1.duration,
@@ -365,8 +368,8 @@ mod tests {
     #[test]
     fn mixed_plane_values() {
         let e = FrameEmission {
-            target: Plane::from_vec(2, 1, vec![1.0f32, 0.2]).unwrap(),
-            initial: Plane::from_vec(2, 1, vec![0.0f32, 0.8]).unwrap(),
+            target: PooledPlane::detached(Plane::from_vec(2, 1, vec![1.0f32, 0.2]).unwrap()),
+            initial: PooledPlane::detached(Plane::from_vec(2, 1, vec![0.0f32, 0.8]).unwrap()),
             duration: 0.01,
             tau: 0.002,
             t_start: 0.0,

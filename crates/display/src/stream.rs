@@ -3,29 +3,45 @@
 //! [`DisplayStream`] consumes code-value frames (what the InFrame sender
 //! produces) and yields one [`FrameEmission`] per refresh interval,
 //! threading the pixel response state from frame to frame. Memory stays
-//! bounded: only the current attained plane is retained.
+//! bounded: only the current attained plane is retained, and emission
+//! planes come from a frame pool the stream owns, so a dropped emission
+//! hands its buffers to the next frame.
+
+use std::sync::Arc;
 
 use crate::config::DisplayConfig;
 use crate::emission::FrameEmission;
-use inframe_frame::Plane;
+use inframe_frame::{FramePool, ParallelEngine, Plane, PooledPlane};
 
 /// Presents a sequence of frames on a [`DisplayConfig`]-described panel.
 #[derive(Debug)]
 pub struct DisplayStream {
     config: DisplayConfig,
+    engine: Arc<ParallelEngine>,
+    /// Emission planes, shaped by the first presented frame.
+    pool: Option<FramePool>,
     /// Current pixel light level (start state for the next frame).
-    attained: Option<Plane<f32>>,
+    attained: Option<PooledPlane>,
     /// Index of the next frame to present.
     frame_index: u64,
 }
 
 impl DisplayStream {
-    /// Creates a stream for the given panel. The panel starts dark
+    /// Creates a stream for the given panel, presenting on
+    /// [`ParallelEngine::from_env`] workers. The panel starts dark
     /// (all-zero light), as after power-on.
     pub fn new(config: DisplayConfig) -> Self {
+        Self::with_engine(config, Arc::new(ParallelEngine::from_env()))
+    }
+
+    /// [`DisplayStream::new`] presenting on an explicit engine. The
+    /// emissions are bit-identical at every worker count.
+    pub fn with_engine(config: DisplayConfig, engine: Arc<ParallelEngine>) -> Self {
         config.validate();
         Self {
             config,
+            engine,
+            pool: None,
             attained: None,
             frame_index: 0,
         }
@@ -43,41 +59,69 @@ impl DisplayStream {
 
     /// Presents one frame of code values (0–255) and returns its emission.
     ///
+    /// One band-parallel pass converts codes to the LC target and, from
+    /// the target and the previous frame's attained level (which moves
+    /// into the emission's `initial`), the level this frame attains.
+    ///
     /// # Panics
     /// Panics if the frame shape differs from previously presented frames.
     pub fn present(&mut self, code_frame: &Plane<f32>) -> FrameEmission {
-        // Frames are mostly runs of equal codes, and equal bits convert to
-        // equal light, so a run costs one transfer-function evaluation.
-        let mut run: Option<(u32, f32)> = None;
-        let target = code_frame.map(|c| match run {
-            Some((bits, light)) if bits == c.to_bits() => light,
-            _ => {
-                let light = self.config.code_to_light(c);
-                run = Some((c.to_bits(), light));
-                light
-            }
-        });
-        let initial = match &self.attained {
+        let (width, height) = code_frame.shape();
+        let t_start = self.next_frame_time();
+        let pool = self
+            .pool
+            .get_or_insert_with(|| FramePool::new(width, height));
+        let initial = match self.attained.take() {
             Some(prev) => {
                 assert_eq!(
                     prev.shape(),
-                    target.shape(),
+                    code_frame.shape(),
                     "frame shape changed mid-stream"
                 );
-                prev.clone()
+                prev
             }
             // Power-on: dark panel.
-            None => Plane::filled(target.width(), target.height(), 0.0),
+            None => pool.checkout(),
         };
-        let emission = FrameEmission {
-            t_start: self.next_frame_time(),
+        let mut emission = FrameEmission {
+            t_start,
             duration: self.config.frame_duration(),
             tau: self.config.response_tau_s(),
             strobe: self.config.strobe_window(),
-            target,
+            target: pool.checkout_for_overwrite(),
             initial,
         };
-        self.attained = Some(emission.attained());
+        let mut attained = pool.checkout_for_overwrite();
+        let decay = emission.lc_decay(emission.duration);
+        let config = &self.config;
+        let initial = &emission.initial;
+        self.engine.for_each_band_pair(
+            &mut emission.target,
+            &mut attained,
+            |rows, target, next| {
+                let span = rows.start * width..rows.end * width;
+                let codes = &code_frame.samples()[span.clone()];
+                let initial = &initial.samples()[span];
+                // Frames are mostly runs of equal codes, and equal bits
+                // convert to equal light, so a run costs one
+                // transfer-function evaluation. The memo is only a cache,
+                // so restarting it per band changes no output.
+                let mut run: Option<(u32, f32)> = None;
+                for (((t, a), &c), &i) in target.iter_mut().zip(next).zip(codes).zip(initial) {
+                    let light = match run {
+                        Some((bits, light)) if bits == c.to_bits() => light,
+                        _ => {
+                            let light = config.code_to_light(c);
+                            run = Some((c.to_bits(), light));
+                            light
+                        }
+                    };
+                    *t = light;
+                    *a = FrameEmission::lc(light, i, decay) as f32;
+                }
+            },
+        );
+        self.attained = Some(attained);
         self.frame_index += 1;
         emission
     }
@@ -171,6 +215,42 @@ mod tests {
         let mut s = DisplayStream::new(DisplayConfig::default());
         s.present(&Plane::filled(4, 4, 0.0));
         s.present(&Plane::filled(3, 3, 0.0));
+    }
+
+    /// A frame mixing long runs of equal codes with per-pixel texture.
+    fn textured(i: usize) -> Plane<f32> {
+        Plane::from_fn(9, 13, |x, y| {
+            if y < 5 {
+                127.0
+                    + if (x + i).is_multiple_of(2) {
+                        20.0
+                    } else {
+                        -20.0
+                    }
+            } else {
+                ((x * 31 + y * 17 + i * 13) % 256) as f32 * 0.75
+            }
+        })
+    }
+
+    #[test]
+    fn present_is_bit_identical_on_any_worker_count() {
+        let run = |engine: ParallelEngine| {
+            let mut s = DisplayStream::with_engine(DisplayConfig::eizo_fg2421(), Arc::new(engine));
+            (0..5).map(|i| s.present(&textured(i))).collect::<Vec<_>>()
+        };
+        let want = run(ParallelEngine::sequential());
+        for workers in [2usize, 3, 5] {
+            let got = run(ParallelEngine::new(workers).with_spawn_grain(1));
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!(g.target.samples(), w.target.samples(), "{workers} workers");
+                assert_eq!(
+                    g.initial.samples(),
+                    w.initial.samples(),
+                    "{workers} workers"
+                );
+            }
+        }
     }
 
     #[test]

@@ -69,18 +69,35 @@ fn convolve_axis(src: &Plane<f32>, k: &[f32], horizontal: bool, border: Border) 
 }
 
 /// Horizontal replicate-border convolution, one row slice at a time.
-/// Every output sample sums `kv · v` from 0.0 in tap order. Interior
-/// samples read a contiguous window and are accumulated one tap at a time
-/// across the whole interior; the `r` samples at each edge clamp their
-/// source index.
 fn convolve_rows_replicate(src: &Plane<f32>, k: &[f32]) -> Plane<f32> {
     let (w, h) = src.shape();
+    let mut out = vec![0.0f32; w * h];
+    convolve_rows_replicate_into(src.samples(), w, k, &mut out);
+    Plane::from_vec(w, h, out).expect("shape of the source plane")
+}
+
+/// The horizontal pass of a replicate-border separable convolution over
+/// whole rows of width `w`: `dst` receives the rows of `src`, each
+/// convolved with `k`. Every output sample sums `kv · v` from 0.0 in tap
+/// order. Interior samples read a contiguous window and are accumulated
+/// one tap at a time across the whole interior; the `r` samples at each
+/// edge clamp their source index. Rows are independent, so any row band
+/// of a plane gives the same samples as the whole plane.
+///
+/// # Panics
+/// Panics unless `src` and `dst` have the same length, a whole number of
+/// rows.
+pub fn convolve_rows_replicate_into(src: &[f32], w: usize, k: &[f32], dst: &mut [f32]) {
+    assert!(
+        src.len() == dst.len() && src.len().is_multiple_of(w),
+        "src and dst must hold the same whole rows"
+    );
     let r = k.len() / 2;
     // Interior samples `r..w − r`; empty when the kernel is wider than
     // the row.
     let interior = r.min(w)..w.saturating_sub(r).max(r.min(w));
-    let mut out = vec![0.0f32; w * h];
-    for (row, dst) in src.samples().chunks_exact(w).zip(out.chunks_exact_mut(w)) {
+    for (row, dst) in src.chunks_exact(w).zip(dst.chunks_exact_mut(w)) {
+        dst.fill(0.0);
         for x in (0..interior.start).chain(interior.end..w) {
             for (i, &kv) in k.iter().enumerate() {
                 dst[x] += kv * row[(x + i).saturating_sub(r).min(w - 1)];
@@ -98,25 +115,48 @@ fn convolve_rows_replicate(src: &Plane<f32>, k: &[f32]) -> Plane<f32> {
             }
         }
     }
+}
+
+/// Vertical replicate-border convolution.
+fn convolve_cols_replicate(src: &Plane<f32>, k: &[f32]) -> Plane<f32> {
+    let (w, h) = src.shape();
+    let mut out = vec![0.0f32; w * h];
+    convolve_cols_replicate_into(src.samples(), w, k, 0..h, &mut out);
     Plane::from_vec(w, h, out).expect("shape of the source plane")
 }
 
-/// Vertical replicate-border convolution: each output row accumulates
+/// The vertical pass of a replicate-border separable convolution:
+/// `dst` receives output rows `rows` of the row-major plane `src` (width
+/// `w`) convolved down its columns with `k`. Each output row accumulates
 /// whole (clamped) source rows in tap order, so every sample sums
-/// `kv · v` from 0.0 in the same order as a per-pixel loop.
-fn convolve_cols_replicate(src: &Plane<f32>, k: &[f32]) -> Plane<f32> {
-    let (w, h) = src.shape();
+/// `kv · v` from 0.0 in the same order as a per-pixel loop, whatever
+/// band of rows is asked for.
+///
+/// # Panics
+/// Panics unless `src` holds whole rows, `rows` lies inside them and
+/// `dst` holds exactly `rows`.
+pub fn convolve_cols_replicate_into(
+    src: &[f32],
+    w: usize,
+    k: &[f32],
+    rows: std::ops::Range<usize>,
+    dst: &mut [f32],
+) {
+    let h = src.len() / w;
+    assert!(
+        src.len().is_multiple_of(w) && rows.end <= h && dst.len() == rows.len() * w,
+        "dst must hold rows {rows:?} of a {w}-wide source"
+    );
     let r = k.len() / 2;
-    let mut out = vec![0.0f32; w * h];
-    for (y, dst) in out.chunks_exact_mut(w).enumerate() {
+    for (y, dst) in rows.zip(dst.chunks_exact_mut(w)) {
+        dst.fill(0.0);
         for (i, &kv) in k.iter().enumerate() {
-            let row = src.row((y + i).saturating_sub(r).min(h - 1));
-            for (acc, &v) in dst.iter_mut().zip(row) {
+            let sy = (y + i).saturating_sub(r).min(h - 1);
+            for (acc, &v) in dst.iter_mut().zip(&src[sy * w..(sy + 1) * w]) {
                 *acc += kv * v;
             }
         }
     }
-    Plane::from_vec(w, h, out).expect("shape of the source plane")
 }
 
 /// Box-blurs a plane with a `(2r+1) × (2r+1)` window.

@@ -22,6 +22,9 @@
 //! * [`pool`] — a fixed-geometry frame arena ([`FramePool`]) whose
 //!   checkout/return handles give the streaming pipeline zero steady-state
 //!   heap allocations.
+//! * [`parallel`] — the band-sliced worker engine ([`ParallelEngine`])
+//!   every pixel stage runs its rows on, bit-identical at any worker
+//!   count.
 //! * [`qplane`] — Q8.7 fixed-point planes and the O(1) sliding-window
 //!   blur behind the quantized kernel backend; [`integral`] adds the
 //!   paired integer summed-area tables it scores Blocks with.
@@ -54,6 +57,7 @@ pub mod geometry;
 pub mod integral;
 pub mod io;
 pub mod metrics;
+pub mod parallel;
 pub mod perturb;
 pub mod plane;
 pub mod pool;
@@ -63,6 +67,7 @@ pub mod rgb;
 pub mod simd;
 
 pub use error::FrameError;
+pub use parallel::ParallelEngine;
 pub use plane::Plane;
 pub use pool::{FramePool, PooledPlane};
 pub use rgb::RgbFrame;

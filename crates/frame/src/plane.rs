@@ -403,22 +403,17 @@ impl<T: Sample> Plane<T> {
 /// contiguous ranges. The first `height % bands` bands are one row taller;
 /// empty bands (when `bands > height`) are omitted. Deterministic in its
 /// inputs — banded renderers depend on this to merge worker output in a
-/// fixed order.
-pub fn band_rows(height: usize, bands: usize) -> Vec<std::ops::Range<usize>> {
+/// fixed order. The ranges are computed on the fly, so walking them
+/// allocates nothing.
+pub fn band_rows(
+    height: usize,
+    bands: usize,
+) -> impl ExactSizeIterator<Item = std::ops::Range<usize>> + Clone {
     assert!(bands >= 1, "at least one band required");
     let base = height / bands;
     let extra = height % bands;
-    let mut out = Vec::with_capacity(bands.min(height));
-    let mut y = 0;
-    for i in 0..bands {
-        let h = base + usize::from(i < extra);
-        if h == 0 {
-            break;
-        }
-        out.push(y..y + h);
-        y += h;
-    }
-    out
+    let start = move |i: usize| i * base + i.min(extra);
+    (0..bands.min(height)).map(move |i| start(i)..start(i + 1))
 }
 
 impl Plane<f32> {
@@ -538,7 +533,7 @@ mod tests {
     #[test]
     fn band_rows_partition_is_exact_and_balanced() {
         for (h, n) in [(10usize, 3usize), (7, 7), (5, 8), (1080, 4), (2, 1)] {
-            let bands = band_rows(h, n);
+            let bands: Vec<_> = band_rows(h, n).collect();
             assert!(bands.len() <= n);
             assert_eq!(bands.first().map(|r| r.start), Some(0));
             assert_eq!(bands.last().map(|r| r.end), Some(h));

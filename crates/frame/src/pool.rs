@@ -89,6 +89,15 @@ impl FramePool {
     /// Checks out a zero-filled plane, reusing a returned buffer when one
     /// is available.
     pub fn checkout(&self) -> PooledPlane {
+        let mut plane = self.checkout_for_overwrite();
+        plane.samples_mut().fill(0.0);
+        plane
+    }
+
+    /// Checks out a plane whose samples are unspecified: a reused buffer
+    /// keeps whatever its last holder wrote. For callers that overwrite
+    /// every sample, this skips [`FramePool::checkout`]'s zero fill.
+    pub fn checkout_for_overwrite(&self) -> PooledPlane {
         let recycled = self
             .inner
             .free
@@ -96,9 +105,8 @@ impl FramePool {
             .unwrap_or_else(|e| e.into_inner())
             .pop();
         let plane = match recycled {
-            Some(mut p) => {
+            Some(p) => {
                 self.inner.reused.fetch_add(1, Ordering::Relaxed);
-                p.samples_mut().fill(0.0);
                 p
             }
             None => {
@@ -282,6 +290,23 @@ mod tests {
         drop(a);
         let b = pool.checkout();
         assert_eq!(b.get(2, 2), 0.0);
+    }
+
+    #[test]
+    fn overwrite_checkout_skips_the_zero_fill() {
+        let pool = FramePool::new(4, 4);
+        assert_eq!(
+            pool.checkout_for_overwrite().get(1, 1),
+            0.0,
+            "fresh is zeroed"
+        );
+        let mut a = pool.checkout();
+        a.put(1, 1, 9.0);
+        drop(a);
+        let b = pool.checkout_for_overwrite();
+        assert_eq!(b.get(1, 1), 9.0);
+        assert_eq!(pool.stats().allocated, 1);
+        assert_eq!(pool.stats().reused, 2);
     }
 
     #[test]

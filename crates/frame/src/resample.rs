@@ -31,26 +31,31 @@ pub fn downsample_area(src: &Plane<f32>, dst_w: usize, dst_h: usize) -> Plane<f3
         dst_w <= src.width() && dst_h <= src.height(),
         "downsample_area requires dst <= src in both axes"
     );
-    downsample_area_with(
-        src,
-        &AreaTaps::new(src.width(), dst_w),
-        &AreaTaps::new(src.height(), dst_h),
-    )
+    let (x, y) = (
+        AreaTaps::new(src.width(), dst_w),
+        AreaTaps::new(src.height(), dst_h),
+    );
+    let mut out = vec![0.0f32; dst_w * dst_h];
+    downsample_area_into(src.samples(), &x, &y, &mut out);
+    Plane::from_vec(dst_w, dst_h, out).expect("nonzero destination")
 }
 
-/// [`downsample_area`] through prebuilt tap tables, so a caller that
-/// resamples many planes of one shape builds the tables once.
+/// [`downsample_area`] of raw row-major samples through prebuilt tap
+/// tables, writing into `dst`: a caller that resamples many planes (or
+/// row bands) of one shape builds the tables once and allocates nothing.
 ///
 /// # Panics
-/// Panics if the tables' source lengths differ from `src`'s shape.
-pub fn downsample_area_with(src: &Plane<f32>, x: &AreaTaps, y: &AreaTaps) -> Plane<f32> {
+/// Panics unless `src` holds `x`'s × `y`'s source lengths and `dst` their
+/// destination lengths.
+pub fn downsample_area_into(src: &[f32], x: &AreaTaps, y: &AreaTaps, dst: &mut [f32]) {
+    let w = x.src_len;
+    assert_eq!(src.len(), w * y.src_len, "tap tables must match the source");
     assert_eq!(
-        (x.src_len, y.src_len),
-        src.shape(),
-        "tap tables must match the source plane"
+        dst.len(),
+        x.dst_len() * y.dst_len(),
+        "tap tables must match the destination"
     );
-    let (w, samples) = (src.width(), src.samples());
-    let mut out = Vec::with_capacity(x.dst_len() * y.dst_len());
+    let mut out = dst.iter_mut();
     for dy in 0..y.dst_len() {
         let (rows, wys) = y.taps(dy);
         for dx in 0..x.dst_len() {
@@ -58,17 +63,16 @@ pub fn downsample_area_with(src: &Plane<f32>, x: &AreaTaps, y: &AreaTaps) -> Pla
             let mut acc = 0.0f64;
             let mut wsum = 0.0f64;
             for (&yi, &wy) in rows.iter().zip(wys) {
-                let row = &samples[yi * w..(yi + 1) * w];
+                let row = &src[yi * w..(yi + 1) * w];
                 for (&xi, &wx) in cols.iter().zip(wxs) {
                     let w = wx * wy;
                     acc += w * row[xi] as f64;
                     wsum += w;
                 }
             }
-            out.push(if wsum > 0.0 { (acc / wsum) as f32 } else { 0.0 });
+            *out.next().expect("sized above") = if wsum > 0.0 { (acc / wsum) as f32 } else { 0.0 };
         }
     }
-    Plane::from_vec(x.dst_len(), y.dst_len(), out).expect("nonzero tap table lengths")
 }
 
 /// The area-average taps of one axis: for each destination index `d`,
@@ -283,14 +287,21 @@ mod tests {
     fn prebuilt_taps_match_one_shot_downsample() {
         let p = noisy_plane(30, 21, 9);
         let (x, y) = (AreaTaps::new(30, 20), AreaTaps::new(21, 7));
-        assert_eq!(downsample_area_with(&p, &x, &y), downsample_area(&p, 20, 7));
+        let mut out = vec![f32::NAN; 20 * 7];
+        downsample_area_into(p.samples(), &x, &y, &mut out);
+        assert_eq!(out, downsample_area(&p, 20, 7).samples());
     }
 
     #[test]
     #[should_panic(expected = "tap tables must match")]
     fn mismatched_taps_rejected() {
-        let p = Plane::filled(6, 6, 1.0);
-        let _ = downsample_area_with(&p, &AreaTaps::new(6, 4), &AreaTaps::new(5, 4));
+        let mut out = [0.0f32; 16];
+        downsample_area_into(
+            &[1.0; 36],
+            &AreaTaps::new(6, 4),
+            &AreaTaps::new(5, 4),
+            &mut out,
+        );
     }
 
     proptest! {

@@ -20,7 +20,15 @@
 //! * the live-ops event path — flight-recorder push plus binary wire
 //!   encode into the file-backed ring, including the frame commits that
 //!   publish to an out-of-process tailer — performs **0 heap
-//!   allocations** once the writer's frame buffers are sized.
+//!   allocations** once the writer's frame buffers are sized, and
+//! * presenting a display frame performs **0 heap allocations** once
+//!   the stream's frame pool is warm, and capturing a camera frame
+//!   performs exactly **1** — the returned plane.
+//!
+//! The display and camera are checked on a one-worker engine: spawning
+//! scoped worker threads allocates (a few small blocks per spawn), so a
+//! count at two workers would measure the thread library, not the
+//! pixel chain.
 //!
 //! Both paths are proven twice: with the disabled no-op telemetry handle
 //! and with a live spine attached — instrumentation resolves its
@@ -32,6 +40,7 @@
 //! this integration test is its own crate root, and the `unsafe` below
 //! is confined to the allocator shim.
 
+use inframe::camera::{Camera, CameraConfig, CaptureGeometry};
 use inframe::core::batch::{BatchScorer, ScoreClass, SKIP, UNREADABLE};
 use inframe::core::config::KernelBackend;
 use inframe::core::dataframe::DataFrame;
@@ -40,6 +49,7 @@ use inframe::core::parallel::ParallelEngine;
 use inframe::core::pattern::{self, Complementation};
 use inframe::core::sender::{PrbsPayload, Sender};
 use inframe::core::{DataLayout, InFrameConfig};
+use inframe::display::{DisplayConfig, DisplayStream, FrameEmission};
 use inframe::frame::geometry::Homography;
 use inframe::frame::perturb::{CaptureTransform, OcclusionRect};
 use inframe::frame::simd;
@@ -531,6 +541,56 @@ fn obs_ring_writer_steady_state_is_allocation_free() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+fn display_and_camera_steady_state_allocations() {
+    // Quick geometry: a 240×168 panel and the 12-band Lumia-like camera
+    // at 160×112, noise and optics blur on.
+    let engine = Arc::new(ParallelEngine::new(1));
+    let mut display = DisplayStream::with_engine(DisplayConfig::eizo_fg2421(), Arc::clone(&engine));
+    let camera_config = CameraConfig {
+        width: 160,
+        height: 112,
+        shutter_bands: 12,
+        ..CameraConfig::lumia_1020()
+    };
+    let mut camera = Camera::with_engine(camera_config, CaptureGeometry::Fronto, 7, engine);
+    let frames: Vec<Plane<f32>> = (0..2)
+        .map(|i| Plane::from_fn(240, 168, |x, y| ((x * 7 + y * 3 + i * 40) % 200) as f32))
+        .collect();
+    // The capture pump's window, with room reserved so holding
+    // emissions never allocates.
+    let mut window: Vec<FrameEmission> = Vec::with_capacity(16);
+    let mut captures = 0u32;
+    for i in 0..40usize {
+        let before = allocation_count();
+        let emission = display.present(&frames[i % 2]);
+        let delta = allocation_count() - before;
+        // Warm-up: the pool reaches its high-water mark once the window
+        // holds a full exposure's emissions and drops the oldest.
+        if i >= 8 {
+            assert_eq!(delta, 0, "present {i} allocated {delta} times");
+        }
+        let end = emission.t_start + emission.duration;
+        window.push(emission);
+        while camera.required_window().1 <= end {
+            let need_start = camera.required_window().0;
+            window.retain(|e| e.t_start + e.duration > need_start + 1e-12);
+            let before = allocation_count();
+            let capture = camera.capture(&window).expect("window is covered");
+            let delta = allocation_count() - before;
+            // The first capture builds the tap tables and band buffers.
+            if captures > 0 {
+                assert_eq!(
+                    delta, 1,
+                    "capture {captures} allocated {delta} times (want only its plane)"
+                );
+            }
+            drop(capture);
+            captures += 1;
+        }
+    }
+    assert!(captures >= 8, "too few captures checked: {captures}");
+}
+
 #[test]
 fn steady_state_hot_paths_allocate_nothing() {
     // Every supported SIMD dispatch tier must preserve the guarantee —
@@ -557,4 +617,6 @@ fn steady_state_hot_paths_allocate_nothing() {
     // Likewise for the live-ops event path — pure byte processing over
     // preallocated buffers.
     obs_ring_writer_steady_state_is_allocation_free();
+    // The pixel chain between sender and demultiplexer.
+    display_and_camera_steady_state_allocations();
 }

@@ -169,10 +169,17 @@ impl Fnv {
         Fnv(0xcbf2_9ce4_8422_2325)
     }
 
+    /// Hashes each sample's four little-endian bytes in order.
     fn plane(&mut self, p: &Plane<f32>) {
-        for b in p.samples().iter().flat_map(|v| v.to_bits().to_le_bytes()) {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        let mut h = self.0;
+        for v in p.samples() {
+            let bits = v.to_bits();
+            h = (h ^ (bits & 0xff) as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            h = (h ^ (bits >> 8 & 0xff) as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            h = (h ^ (bits >> 16 & 0xff) as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            h = (h ^ (bits >> 24) as u64).wrapping_mul(0x0000_0100_0000_01b3);
         }
+        self.0 = h;
     }
 }
 
@@ -200,11 +207,15 @@ fn paper_code_frame(i: usize) -> Plane<f32> {
 /// Presents 8 frames on the strobed 120 Hz panel at 1920×1080 and captures
 /// the 2 frames they cover with the 24-band Lumia camera at 1280×720,
 /// noise on, hashing every emission plane and every capture plane.
-fn paper_scale_digest(mut display: DisplayStream, mut camera: Camera) -> u64 {
+fn paper_scale_digest(
+    frames: &[Plane<f32>],
+    mut display: DisplayStream,
+    mut camera: Camera,
+) -> u64 {
     let mut h = Fnv::new();
     let mut window: Vec<FrameEmission> = Vec::new();
-    for i in 0..8 {
-        let e = display.present(&paper_code_frame(i));
+    for frame in frames {
+        let e = display.present(frame);
         h.plane(&e.target);
         h.plane(&e.initial);
         let end = e.t_start + e.duration;
@@ -232,15 +243,31 @@ fn paper_camera() -> CameraConfig {
 const PAPER_SCALE_DIGEST: u64 = 0x0ad4_f67d_81a2_9cea;
 
 /// Paper-scale frames are the only ones whose bands reach the engine's
-/// spawn threshold, so this is the test that runs the display and camera
-/// through their parallel paths.
+/// default spawn threshold, so this is the test that runs the display and
+/// camera through their parallel paths as shipped: the default engine,
+/// then pinned worker counts 1, 2, 3 and 5, all to the digest recorded
+/// from the single-threaded display and camera.
 #[test]
 fn paper_scale_display_and_camera_bit_identical() {
+    let frames: Vec<Plane<f32>> = (0..8).map(paper_code_frame).collect();
     let got = paper_scale_digest(
+        &frames,
         DisplayStream::new(DisplayConfig::eizo_fg2421()),
         Camera::new(paper_camera(), CaptureGeometry::Fronto, 2),
     );
-    assert_eq!(got, PAPER_SCALE_DIGEST, "got {got:#018x}");
+    assert_eq!(got, PAPER_SCALE_DIGEST, "default engine: got {got:#018x}");
+    for workers in [1usize, 2, 3, 5] {
+        let engine = Arc::new(ParallelEngine::new(workers));
+        let got = paper_scale_digest(
+            &frames,
+            DisplayStream::with_engine(DisplayConfig::eizo_fg2421(), Arc::clone(&engine)),
+            Camera::with_engine(paper_camera(), CaptureGeometry::Fronto, 2, engine),
+        );
+        assert_eq!(
+            got, PAPER_SCALE_DIGEST,
+            "{workers} workers: got {got:#018x}"
+        );
+    }
 }
 
 proptest! {
