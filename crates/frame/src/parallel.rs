@@ -295,8 +295,9 @@ impl ParallelEngine {
     /// `scratch[0]`.
     ///
     /// # Panics
-    /// Panics if `buf.len()` is not `row_of(items) * stride`, if `scratch`
-    /// is empty or shorter than the number of chunks, or a worker panics.
+    /// Panics if `row_of(0)` is not 0, `buf.len()` is not
+    /// `row_of(items) * stride`, `scratch` is empty or shorter than the
+    /// number of chunks, or a worker panics.
     pub fn for_each_item_rows<T, S, F>(
         &self,
         items: usize,
@@ -311,6 +312,7 @@ impl ParallelEngine {
         F: Fn(Range<usize>, &mut [T], &mut S) + Sync,
     {
         let height = row_of(items);
+        assert_eq!(row_of(0), 0, "item 0 must start at row 0");
         assert_eq!(buf.len(), height * stride, "buffer must be h × stride");
         assert!(!scratch.is_empty(), "need scratch for at least one worker");
         if items <= 1 || !self.spawn_bands(height, stride) {
