@@ -12,8 +12,6 @@
 //! band-parallel and still reproduce, bit for bit, the realisation of one
 //! sequential stream seeded like `StdRng::seed_from_u64(seed)`.
 
-use inframe_frame::{ParallelEngine, Plane};
-
 /// SplitMix64's state increment; the seed is also masked with it.
 const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 
@@ -57,8 +55,9 @@ impl NoiseSource {
         }
     }
 
-    /// Reserves the draws for `samples` pixels and returns their noise.
-    /// A noiseless source reserves nothing.
+    /// Reserves the draws for `samples` pixels and returns their noise,
+    /// which [`NoiseBlock::apply`] adds to any band of those pixels. A
+    /// noiseless source reserves nothing.
     pub(crate) fn block(&mut self, samples: usize) -> NoiseBlock {
         let enabled = self.read_sigma != 0.0 || self.shot_scale != 0.0;
         let first = self.next_draw;
@@ -72,17 +71,6 @@ impl NoiseSource {
             shot: self.shot_scale,
             enabled,
         }
-    }
-
-    /// Applies shot + read noise to a linear-light plane in place, clamping
-    /// the result to non-negative light. Rows run in bands on `engine`;
-    /// the result is the same at every worker count.
-    pub fn apply(&mut self, engine: &ParallelEngine, light: &mut Plane<f32>) {
-        let block = self.block(light.len());
-        let width = light.width();
-        engine.for_each_band(light, |rows, band| {
-            block.apply(rows.start * width, band, |v| v)
-        });
     }
 }
 
@@ -129,6 +117,8 @@ impl NoiseBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use inframe_frame::plane::band_rows;
+    use inframe_frame::{ParallelEngine, Plane};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
@@ -162,13 +152,37 @@ mod tests {
         }
     }
 
+    /// Noises a plane the way `Camera::capture` does: one block for the
+    /// whole plane, applied in row bands on `engine`.
+    fn noise_plane(source: &mut NoiseSource, engine: &ParallelEngine, light: &mut Plane<f32>) {
+        let block = source.block(light.len());
+        let width = light.width();
+        engine.for_each_band(light, |rows, band| {
+            block.apply(rows.start * width, band, |v| v)
+        });
+    }
+
+    /// Light from below zero to above one, varying per call.
+    fn test_light(width: usize, height: usize, call: usize) -> Plane<f32> {
+        Plane::from_fn(width, height, |x, y| {
+            ((x * 7 + y * 13 + call * 5) % 23) as f32 / 18.0 - 0.1
+        })
+    }
+
+    fn same_bits(a: &Plane<f32>, b: &Plane<f32>) -> bool {
+        a.samples()
+            .iter()
+            .zip(b.samples())
+            .all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// Property: over random plane sizes, call counts, σ (either may
-        /// be zero) and worker counts 1–5, band-parallel noise is
-        /// bit-identical to the sequential `StdRng` loop. The engine
-        /// spawns for any band size, so the jump-ahead really runs.
+        /// be zero) and partitions into 1–5 row bands, noise applied band
+        /// by band, last band first, is bit-identical to the sequential
+        /// `StdRng` loop: each band jumps to its own draws.
         #[test]
         fn banded_noise_matches_the_sequential_stream(
             seed in any::<u64>(),
@@ -179,27 +193,49 @@ mod tests {
             read_off in any::<bool>(),
             shot in 0.0f64..0.002,
             shot_off in any::<bool>(),
-            workers in 1usize..6,
+            bands in 1usize..6,
         ) {
             let read = if read_off { 0.0 } else { read };
             let shot = if shot_off { 0.0 } else { shot };
-            let engine = ParallelEngine::new(workers).with_spawn_grain(1);
             let mut source = NoiseSource::new(seed, read, shot);
             let mut oracle = Oracle { rng: StdRng::seed_from_u64(seed), read, shot };
             for call in 0..calls {
-                // Light from below zero to above one, varying per call.
-                let light = Plane::from_fn(width, height, |x, y| {
-                    ((x * 7 + y * 13 + call * 5) % 23) as f32 / 18.0 - 0.1
-                });
-                let (mut got, mut want) = (light.clone(), light);
-                source.apply(&engine, &mut got);
+                let (mut got, mut want) = (test_light(width, height, call), test_light(width, height, call));
+                let block = source.block(got.len());
+                let samples = got.samples_mut();
+                for rows in band_rows(height, bands).collect::<Vec<_>>().into_iter().rev() {
+                    let band = &mut samples[rows.start * width..rows.end * width];
+                    block.apply(rows.start * width, band, |v| v);
+                }
                 oracle.apply(&mut want);
-                let same = got
-                    .samples()
-                    .iter()
-                    .zip(want.samples())
-                    .all(|(g, w)| g.to_bits() == w.to_bits());
-                prop_assert!(same, "call {} differs at {} workers", call, workers);
+                prop_assert!(same_bits(&got, &want), "call {} differs in {} bands", call, bands);
+            }
+        }
+    }
+
+    /// The engine path `Camera::capture` takes, at a size where every one
+    /// of up to five bands (33 rows of 2048 samples) reaches the engine's
+    /// spawn grain of 64 Ki elements, so worker threads really run the
+    /// jump-ahead.
+    #[test]
+    fn spawned_bands_match_the_sequential_stream() {
+        for workers in 1..=5 {
+            let engine = ParallelEngine::new(workers);
+            let mut source = NoiseSource::new(77, 0.02, 0.001);
+            let mut oracle = Oracle {
+                rng: StdRng::seed_from_u64(77),
+                read: 0.02,
+                shot: 0.001,
+            };
+            for call in 0..2 {
+                let (mut got, mut want) =
+                    (test_light(2048, 161, call), test_light(2048, 161, call));
+                noise_plane(&mut source, &engine, &mut got);
+                oracle.apply(&mut want);
+                assert!(
+                    same_bits(&got, &want),
+                    "call {call} differs at {workers} workers"
+                );
             }
         }
     }
@@ -209,7 +245,7 @@ mod tests {
         let mut src = NoiseSource::new(1, 0.0, 0.0);
         let mut p = Plane::filled(8, 8, 0.5);
         let orig = p.clone();
-        src.apply(&ParallelEngine::sequential(), &mut p);
+        noise_plane(&mut src, &ParallelEngine::sequential(), &mut p);
         assert_eq!(p, orig);
     }
 
@@ -219,8 +255,8 @@ mod tests {
         let mut b = NoiseSource::new(42, 0.01, 0.0);
         let mut pa = Plane::filled(16, 16, 0.5);
         let mut pb = Plane::filled(16, 16, 0.5);
-        a.apply(&ParallelEngine::sequential(), &mut pa);
-        b.apply(&ParallelEngine::sequential(), &mut pb);
+        noise_plane(&mut a, &ParallelEngine::sequential(), &mut pa);
+        noise_plane(&mut b, &ParallelEngine::sequential(), &mut pb);
         assert_eq!(pa, pb);
     }
 
@@ -228,7 +264,7 @@ mod tests {
     fn read_noise_statistics_match_sigma() {
         let mut src = NoiseSource::new(7, 0.02, 0.0);
         let mut p = Plane::filled(128, 128, 0.5);
-        src.apply(&ParallelEngine::sequential(), &mut p);
+        noise_plane(&mut src, &ParallelEngine::sequential(), &mut p);
         let mean = p.mean();
         let std = p.variance().sqrt();
         assert!((mean - 0.5).abs() < 0.002, "mean {mean}");
@@ -240,9 +276,9 @@ mod tests {
         let mut src = NoiseSource::new(9, 0.0, 0.01);
         let mut dark = Plane::filled(128, 128, 0.05);
         let mut bright = Plane::filled(128, 128, 0.8);
-        src.apply(&ParallelEngine::sequential(), &mut dark);
+        noise_plane(&mut src, &ParallelEngine::sequential(), &mut dark);
         let mut src2 = NoiseSource::new(9, 0.0, 0.01);
-        src2.apply(&ParallelEngine::sequential(), &mut bright);
+        noise_plane(&mut src2, &ParallelEngine::sequential(), &mut bright);
         assert!(bright.variance() > dark.variance() * 4.0);
     }
 
@@ -250,7 +286,7 @@ mod tests {
     fn light_never_goes_negative() {
         let mut src = NoiseSource::new(3, 0.5, 0.0); // absurdly noisy
         let mut p = Plane::filled(64, 64, 0.01);
-        src.apply(&ParallelEngine::sequential(), &mut p);
+        noise_plane(&mut src, &ParallelEngine::sequential(), &mut p);
         assert!(p.min_sample() >= 0.0);
     }
 

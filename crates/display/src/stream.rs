@@ -217,10 +217,13 @@ mod tests {
         s.present(&Plane::filled(3, 3, 0.0));
     }
 
-    /// A frame mixing long runs of equal codes with per-pixel texture.
+    /// A frame mixing long runs of equal codes with per-pixel texture,
+    /// large enough that each of up to five bands of the present pass
+    /// (two planes of 1024 samples a row) reaches the engine's spawn grain
+    /// of 64 Ki elements.
     fn textured(i: usize) -> Plane<f32> {
-        Plane::from_fn(9, 13, |x, y| {
-            if y < 5 {
+        Plane::from_fn(1024, 161, |x, y| {
+            if y < 60 {
                 127.0
                     + if (x + i).is_multiple_of(2) {
                         20.0
@@ -241,7 +244,7 @@ mod tests {
         };
         let want = run(ParallelEngine::sequential());
         for workers in [2usize, 3, 5] {
-            let got = run(ParallelEngine::new(workers).with_spawn_grain(1));
+            let got = run(ParallelEngine::new(workers));
             for (g, w) in got.iter().zip(&want) {
                 assert_eq!(g.target.samples(), w.target.samples(), "{workers} workers");
                 assert_eq!(

@@ -44,7 +44,7 @@ fn machine_cores() -> usize {
     })
 }
 
-/// Default minimum per-band element count that amortizes a scoped thread
+/// Minimum per-band element count that amortizes a scoped thread
 /// spawn. A spawn+join costs tens of µs; at the ~1 ns/element the band
 /// kernels run at, bands below this are faster inline (the measured
 /// 4-worker quantized render regression at 1080p came from exactly this).
@@ -73,7 +73,6 @@ fn split_rows<T>(
 #[derive(Debug)]
 pub struct ParallelEngine {
     workers: usize,
-    spawn_grain: usize,
     busy_nanos: AtomicU64,
 }
 
@@ -82,7 +81,6 @@ impl ParallelEngine {
     pub fn new(workers: usize) -> Self {
         Self {
             workers: workers.max(1),
-            spawn_grain: SPAWN_GRAIN,
             busy_nanos: AtomicU64::new(0),
         }
     }
@@ -108,15 +106,6 @@ impl ParallelEngine {
                 .min(8)
         });
         Self::new(workers)
-    }
-
-    /// Sets the minimum per-band element count at which the band methods
-    /// spawn workers (default 64 Ki elements). Tests lower it to 1 to
-    /// drive the spawned path with frames small enough to check against
-    /// an oracle.
-    pub fn with_spawn_grain(mut self, elements: usize) -> Self {
-        self.spawn_grain = elements;
-        self
     }
 
     /// The worker count.
@@ -159,7 +148,8 @@ impl ParallelEngine {
     }
 
     /// Whether `height` rows of `per_row_elems` elements each, split into
-    /// one band per worker, justify spawning worker threads. Where banding is semantically visible (the indexed
+    /// one band per worker, justify spawning worker threads. Where banding
+    /// is semantically visible (the indexed
     /// [`ParallelEngine::for_each_row_band2`], whose callers key per-band
     /// scratch off the band index), the non-spawn path still applies the
     /// exact same band partition sequentially. The other band methods'
@@ -171,7 +161,7 @@ impl ParallelEngine {
         self.workers > 1
             && height > 1
             && machine_cores() > 1
-            && height.div_ceil(self.workers) * per_row_elems >= self.spawn_grain
+            && height.div_ceil(self.workers) * per_row_elems >= SPAWN_GRAIN
     }
 
     /// Runs `f` over matching horizontal bands of two same-shaped planes
@@ -377,9 +367,11 @@ mod tests {
     use std::sync::Mutex;
     use std::thread::ThreadId;
 
-    /// An engine that spawns for any band size.
-    fn eager(workers: usize) -> ParallelEngine {
-        ParallelEngine::new(workers).with_spawn_grain(1)
+    /// A row width at which `height` rows split into `workers` bands reach
+    /// the spawn grain, so the band methods really spawn (fewer workers
+    /// make taller bands, which spawn too).
+    fn spawning_width(height: usize, workers: usize) -> usize {
+        SPAWN_GRAIN.div_ceil(height.div_ceil(workers))
     }
 
     #[test]
@@ -424,12 +416,13 @@ mod tests {
 
     #[test]
     fn single_band_writes_are_identical_across_worker_counts() {
+        let width = spawning_width(19, 6);
         let render = |engine: ParallelEngine| {
-            let mut p = Plane::filled(5, 19, 0.0);
+            let mut p = Plane::filled(width, 19, 0.0);
             engine.for_each_band(&mut p, |rows, slice| {
                 for (i, v) in slice.iter_mut().enumerate() {
-                    let y = rows.start + i / 5;
-                    let x = i % 5;
+                    let y = rows.start + i / width;
+                    let x = i % width;
                     *v = (y * 13 + x * 7) as f32;
                 }
             });
@@ -437,19 +430,21 @@ mod tests {
         };
         let reference = render(ParallelEngine::new(1));
         for workers in [2usize, 3, 6] {
-            assert_eq!(render(eager(workers)), reference, "workers = {workers}");
+            let got = render(ParallelEngine::new(workers));
+            assert!(got == reference, "workers = {workers}");
         }
     }
 
     #[test]
     fn band_pair_writes_are_identical_across_worker_counts() {
+        let width = spawning_width(23, 5);
         let render = |engine: ParallelEngine| {
-            let mut a = Plane::filled(7, 23, 0.0);
-            let mut b = Plane::filled(7, 23, 0.0);
+            let mut a = Plane::filled(width, 23, 0.0);
+            let mut b = Plane::filled(width, 23, 0.0);
             engine.for_each_band_pair(&mut a, &mut b, |rows, sa, sb| {
                 for (i, (va, vb)) in sa.iter_mut().zip(sb.iter_mut()).enumerate() {
-                    let y = rows.start + i / 7;
-                    let x = i % 7;
+                    let y = rows.start + i / width;
+                    let x = i % width;
                     *va = (y * 31 + x) as f32;
                     *vb = (y * 7 + x * 3) as f32;
                 }
@@ -458,64 +453,76 @@ mod tests {
         };
         let (a1, b1) = render(ParallelEngine::new(1));
         for workers in [2usize, 3, 5] {
-            let (a, b) = render(eager(workers));
-            assert_eq!(a, a1, "plus plane, workers = {workers}");
-            assert_eq!(b, b1, "minus plane, workers = {workers}");
+            let (a, b) = render(ParallelEngine::new(workers));
+            assert!(a == a1, "plus plane, workers = {workers}");
+            assert!(b == b1, "minus plane, workers = {workers}");
         }
     }
 
     #[test]
     fn row_band_writes_are_identical_across_worker_counts() {
+        let stride = spawning_width(29, 7);
         let run = |engine: ParallelEngine| {
-            let mut buf = vec![0u64; 29 * 3];
-            engine.for_each_row_band(29, 3, &mut buf, |rows, band| {
+            let mut buf = vec![0u32; 29 * stride];
+            engine.for_each_row_band(29, stride, &mut buf, |rows, band| {
                 for (i, v) in band.iter_mut().enumerate() {
-                    let row = rows.start + i / 3;
-                    *v = (row * 100 + i % 3) as u64;
+                    let row = rows.start + i / stride;
+                    *v = (row * 100_000 + i % stride) as u32;
                 }
             });
             buf
         };
         let reference = run(ParallelEngine::new(1));
         for workers in [2usize, 4, 7] {
-            assert_eq!(run(eager(workers)), reference, "workers = {workers}");
+            let got = run(ParallelEngine::new(workers));
+            assert!(got == reference, "workers = {workers}");
         }
     }
 
     #[test]
     fn indexed_row_bands_see_the_same_partition_spawned_or_not() {
-        let run = |engine: ParallelEngine| {
-            let mut a = vec![0usize; 11 * 2];
+        // Each band fills its rows with its index and first row; a narrow
+        // buffer runs the bands inline, a wide one spawns them.
+        let want: Vec<usize> = band_rows(11, 3)
+            .enumerate()
+            .flat_map(|(band, rows)| rows.clone().map(move |_| band * 100 + rows.start))
+            .collect();
+        let engine = ParallelEngine::new(3);
+        for stride in [2, spawning_width(11, 3)] {
+            let mut a = vec![0usize; 11 * stride];
             let mut b = vec![0usize; 11];
-            engine.for_each_row_band2(11, 2, &mut a, 1, &mut b, |band, rows, sa, sb| {
+            engine.for_each_row_band2(11, stride, &mut a, 1, &mut b, |band, rows, sa, sb| {
                 sa.fill(band * 100 + rows.start);
-                sb.fill(rows.len());
+                sb.fill(band * 100 + rows.start);
             });
-            (a, b)
-        };
-        assert_eq!(run(ParallelEngine::new(3)), run(eager(3)));
+            assert_eq!(b, want, "stride {stride}");
+            let rows: Vec<usize> = a.chunks(stride).map(|row| row[0]).collect();
+            assert_eq!(rows, want, "stride {stride}");
+            assert!(a.chunks(stride).all(|row| row.iter().all(|&v| v == row[0])));
+        }
     }
 
     #[test]
     fn item_rows_give_each_chunk_its_rows_and_scratch() {
         // Item i owns i % 3 rows (some own none).
         let row_of = |i: usize| (0..i).map(|j| j % 3).sum::<usize>();
+        let items = 10;
+        let stride = spawning_width(row_of(items), 4);
         let run = |engine: ParallelEngine| {
-            let items = 10;
-            let mut buf = vec![0usize; row_of(items) * 2];
+            let mut buf = vec![0u8; row_of(items) * stride];
             let mut scratch = vec![Vec::new(); engine.workers()];
             engine.for_each_item_rows(
                 items,
                 row_of,
-                2,
+                stride,
                 &mut buf,
                 &mut scratch,
                 |chunk, band, s| {
                     let mut rest = band;
                     for i in chunk {
                         s.push(i);
-                        let (own, tail) = std::mem::take(&mut rest).split_at_mut((i % 3) * 2);
-                        own.fill(i);
+                        let (own, tail) = std::mem::take(&mut rest).split_at_mut((i % 3) * stride);
+                        own.fill(i as u8);
                         rest = tail;
                     }
                     assert!(rest.is_empty(), "band holds exactly its items' rows");
@@ -526,8 +533,8 @@ mod tests {
         let (want, order) = run(ParallelEngine::new(1));
         assert_eq!(order, (0..10).collect::<Vec<_>>());
         for workers in [2usize, 3, 4] {
-            let (got, order) = run(eager(workers));
-            assert_eq!(got, want, "workers = {workers}");
+            let (got, order) = run(ParallelEngine::new(workers));
+            assert!(got == want, "workers = {workers}");
             assert_eq!(order, (0..10).collect::<Vec<_>>(), "one chunk per scratch");
         }
     }
@@ -537,10 +544,11 @@ mod tests {
         if machine_cores() < 2 {
             return; // the engine never spawns on one core
         }
-        let engine = eager(3);
+        let engine = ParallelEngine::new(3);
         let seen = Mutex::new(Vec::<(usize, ThreadId)>::new());
-        let mut buf = vec![0u8; 9];
-        engine.for_each_row_band(9, 1, &mut buf, |rows, _| {
+        let stride = spawning_width(9, 3);
+        let mut buf = vec![0u8; 9 * stride];
+        engine.for_each_row_band(9, stride, &mut buf, |rows, _| {
             let me = std::thread::current().id();
             seen.lock().unwrap().push((rows.start, me));
         });
