@@ -267,7 +267,8 @@ impl Camera {
                         }
                         None => {
                             let display = integrate_display_rows(emissions, 0, display_h, t0, t1);
-                            let projected = geometry.project(&display, sensor_w, sensor.len());
+                            let projected =
+                                geometry.project_rows(&display, sensor_w, sensor_h, sensor);
                             light.copy_from_slice(projected.samples());
                         }
                     }
@@ -583,6 +584,33 @@ mod tests {
             bottom > top + 50.0,
             "rolling shutter gradient: top {top} bottom {bottom}"
         );
+    }
+
+    /// Each rolling-shutter band warps its own sensor rows: a static
+    /// vertical gradient reads non-decreasing down a column inside the
+    /// screen's quad under a keystone pose, as it does fronto.
+    #[test]
+    fn projective_bands_capture_their_own_rows() {
+        let frames = vec![Plane::from_fn(64, 64, |_, y| (y * 4) as f32); 4];
+        let em = emit(&frames);
+        let cfg = CameraConfig {
+            shutter: Shutter::Rolling { readout_s: 0.002 },
+            shutter_bands: 8,
+            ..CameraConfig::ideal(64, 64, 30.0, 1.0 / 240.0)
+        };
+        for (geometry, rows) in [
+            (CaptureGeometry::Fronto, 0..64),
+            // The quad spans about rows 2.6–61.4 of column 32.
+            (CaptureGeometry::handheld(64, 64, 64, 64, 0.0), 4..60),
+        ] {
+            let cap = Camera::new(cfg, geometry, 1).capture(&em).unwrap();
+            let column: Vec<f32> = rows.map(|y| cap.plane.get(32, y)).collect();
+            assert!(
+                column.windows(2).all(|p| p[1] >= p[0]),
+                "{geometry:?}: column 32 reads {column:?}"
+            );
+            assert!(column[column.len() - 1] > column[0] + 100.0, "{column:?}");
+        }
     }
 
     #[test]
