@@ -160,7 +160,7 @@ fn handheld_projective_capture_digest() {
         lumia(),
         CaptureGeometry::handheld(DISPLAY_W, DISPLAY_H, SENSOR_W, SENSOR_H, 0.05),
     );
-    check("handheld", got, 0x5545b3340c45b273);
+    check("handheld", got, 0x93dd31293345eb72);
 }
 
 #[test]
