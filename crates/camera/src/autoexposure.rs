@@ -73,14 +73,6 @@ impl AutoExposure {
         self.gain = (self.gain * correction.powf(self.damping)).clamp(self.min_gain, self.max_gain);
         self.gain
     }
-
-    /// Whether the controller has effectively converged for a frame of the
-    /// given mean code value (within ±10% of target in linear light).
-    pub fn is_settled(&self, mean_code: f32) -> bool {
-        let m = inframe_frame::color::code_to_linear(mean_code) as f64;
-        let t = inframe_frame::color::code_to_linear(self.target_code) as f64;
-        (m / t - 1.0).abs() < 0.1
-    }
 }
 
 #[cfg(test)]
@@ -95,6 +87,14 @@ mod tests {
         Plane::filled(8, 8, code)
     }
 
+    /// Converged: the frame's mean is within ±10 % of the target in
+    /// linear light.
+    fn is_settled(ae: &AutoExposure, mean_code: f32) -> bool {
+        let m = inframe_frame::color::code_to_linear(mean_code) as f64;
+        let t = inframe_frame::color::code_to_linear(ae.target_code) as f64;
+        (m / t - 1.0).abs() < 0.1
+    }
+
     #[test]
     fn converges_on_a_dim_scene() {
         let mut ae = AutoExposure::phone_default();
@@ -105,7 +105,7 @@ mod tests {
             mean = frame.mean() as f32;
             ae.observe(&frame);
         }
-        assert!(ae.is_settled(mean), "mean {mean}, gain {}", ae.gain);
+        assert!(is_settled(&ae, mean), "mean {mean}, gain {}", ae.gain);
         assert!(ae.gain > 1.0, "dim scene needs gain > 1, got {}", ae.gain);
     }
 
@@ -119,7 +119,7 @@ mod tests {
             mean = frame.mean() as f32;
             ae.observe(&frame);
         }
-        assert!(ae.is_settled(mean), "mean {mean}, gain {}", ae.gain);
+        assert!(is_settled(&ae, mean), "mean {mean}, gain {}", ae.gain);
         assert!(
             ae.gain < 1.0,
             "bright scene needs gain < 1, got {}",

@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use crate::config::{CameraConfig, Shutter};
 use crate::gamma;
-use crate::geometry::CaptureGeometry;
+use crate::geometry::{sampled_display_rows, warp_rows_into, CaptureGeometry};
 use crate::noise::NoiseSource;
 use inframe_display::FrameEmission;
 use inframe_frame::filter::{
@@ -205,8 +205,7 @@ impl Camera {
         // at least one row each, since `bands ≤ sensor_h`.
         let sensor_row = |b: usize| b * sensor_h / bands;
         // Display rows feeding sensor rows `rows` (fronto mapping; the
-        // projective path integrates the full display height because rows
-        // mix under perspective).
+        // projective path integrates the rows its warp samples).
         let display_rows = |rows: &std::ops::Range<usize>| {
             let dy0 = rows.start * display_h / sensor_h;
             dy0..(rows.end * display_h / sensor_h).max(dy0 + 1)
@@ -266,10 +265,16 @@ impl Camera {
                             downsample_area_into(acc, &taps.columns, &taps.rows[b], light);
                         }
                         None => {
-                            let display = integrate_display_rows(emissions, 0, display_h, t0, t1);
-                            let projected =
-                                geometry.project_rows(&display, sensor_w, sensor_h, sensor);
-                            light.copy_from_slice(projected.samples());
+                            let inv = geometry
+                                .band_to_display(sensor.start)
+                                .expect("only fronto captures have tap tables");
+                            let span =
+                                sampled_display_rows(&inv, sensor_w, sensor.len(), display_h);
+                            let acc = &mut scratch.display;
+                            integrate_rows_into(emissions, span.start, span.end, t0, t1, acc);
+                            warp_rows_into(
+                                acc, display_w, span.start, display_h, &inv, sensor_w, light,
+                            );
                         }
                     }
                     if !psf.is_empty() {
@@ -610,6 +615,126 @@ mod tests {
                 "{geometry:?}: column 32 reads {column:?}"
             );
             assert!(column[column.len() - 1] > column[0] + 100.0, "{column:?}");
+        }
+    }
+
+    /// The projective arm before it integrated only the sampled rows: the
+    /// whole display over the band's exposure, then a whole-plane inverse
+    /// warp (dark fill, bilinear with replicate border).
+    fn reference_band(
+        emissions: &[FrameEmission],
+        geometry: &CaptureGeometry,
+        sensor_w: usize,
+        rows: std::ops::Range<usize>,
+        (t0, t1): (f64, f64),
+    ) -> Plane<f32> {
+        let (dw, dh) = emissions[0].target.shape();
+        let display = integrate_display_rows(emissions, 0, dh, t0, t1);
+        let inv = geometry.band_to_display(rows.start).unwrap();
+        Plane::from_fn(sensor_w, rows.len(), |x, y| {
+            match inv.apply(x as f64 + 0.5, y as f64 + 0.5) {
+                Some((sx, sy)) => {
+                    let (sx, sy) = (sx - 0.5, sy - 0.5);
+                    if sx < -1.0 || sy < -1.0 || sx > dw as f64 || sy > dh as f64 {
+                        return 0.0;
+                    }
+                    let (x0, y0) = (sx.floor(), sy.floor());
+                    let (fx, fy) = ((sx - x0) as f32, (sy - y0) as f32);
+                    let (xi, yi) = (x0 as isize, y0 as isize);
+                    let v00 = display.get_clamped(xi, yi);
+                    let v10 = display.get_clamped(xi + 1, yi);
+                    let v01 = display.get_clamped(xi, yi + 1);
+                    let v11 = display.get_clamped(xi + 1, yi + 1);
+                    let top = v00 + fx * (v10 - v00);
+                    let bot = v01 + fx * (v11 - v01);
+                    top + fy * (bot - top)
+                }
+                None => 0.0,
+            }
+        })
+    }
+
+    fn bits(samples: &[f32]) -> Vec<u32> {
+        samples.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Poses from the screen filling most of the sensor to the screen
+    /// overfilling it (`wobble < 0`: sensor rows sample only an inner
+    /// part of the display).
+    fn poses(dw: usize, dh: usize, sw: usize, sh: usize) -> Vec<CaptureGeometry> {
+        [-0.1, 0.0, 0.05, 0.1]
+            .map(|wobble| CaptureGeometry::handheld(dw, dh, sw, sh, wobble))
+            .to_vec()
+    }
+
+    fn textured_emissions(dw: usize, dh: usize, n: usize) -> Vec<FrameEmission> {
+        let mut s = DisplayStream::new(DisplayConfig::eizo_fg2421());
+        (0..n)
+            .map(|i| {
+                s.present(&Plane::from_fn(dw, dh, |x, y| {
+                    ((x * 37 + y * 11 + i * 53) % 251) as f32
+                }))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn projective_band_from_sampled_rows_matches_the_whole_display() {
+        let (dw, dh, sw, sh) = (96, 64, 72, 48);
+        let em = textured_emissions(dw, dh, 4);
+        let window = (0.003, 0.003 + 1.0 / 120.0);
+        let mut acc = Vec::new();
+        let mut narrowest = dh;
+        for geometry in poses(dw, dh, sw, sh) {
+            for bands in [1, 7, 48] {
+                for b in 0..bands {
+                    let rows = b * sh / bands..(b + 1) * sh / bands;
+                    let inv = geometry.band_to_display(rows.start).unwrap();
+                    let span = sampled_display_rows(&inv, sw, rows.len(), dh);
+                    narrowest = narrowest.min(span.len());
+                    integrate_rows_into(&em, span.start, span.end, window.0, window.1, &mut acc);
+                    let mut got = vec![f32::NAN; sw * rows.len()];
+                    warp_rows_into(&acc, dw, span.start, dh, &inv, sw, &mut got);
+                    let want = reference_band(&em, &geometry, sw, rows.clone(), window);
+                    assert_eq!(
+                        bits(&got),
+                        bits(want.samples()),
+                        "{geometry:?}, band {b} of {bands}, display rows {span:?}"
+                    );
+                }
+            }
+        }
+        assert!(
+            narrowest < dh / 4,
+            "one-row bands must integrate few rows: {narrowest}"
+        );
+    }
+
+    #[test]
+    fn noiseless_projective_capture_matches_the_whole_display_arm() {
+        let (dw, dh) = (96, 64);
+        let em = textured_emissions(dw, dh, 12);
+        let cfg = CameraConfig {
+            width: 72,
+            height: 48,
+            shutter_bands: 12,
+            read_noise_sigma: 0.0,
+            shot_noise_scale: 0.0,
+            psf_sigma_px: 0.0,
+            ..CameraConfig::lumia_1020()
+        };
+        for geometry in poses(dw, dh, cfg.width, cfg.height) {
+            let cap = Camera::new(cfg, geometry, 1).capture(&em).unwrap();
+            let encode = |l: f32| gamma::table().encode((l * cfg.gain as f32).clamp(0.0, 1.0));
+            let mut want = Vec::new();
+            for b in 0..cfg.shutter_bands {
+                let rows =
+                    b * cfg.height / cfg.shutter_bands..(b + 1) * cfg.height / cfg.shutter_bands;
+                let window = band_exposure(&cfg, cfg.frame_start(0), b, cfg.shutter_bands);
+                let light = reference_band(&em, &geometry, cfg.width, rows, window);
+                want.extend(light.samples().iter().map(|&l| encode(l)));
+            }
+            assert_eq!(bits(cap.plane.samples()), bits(&want), "{geometry:?}");
         }
     }
 

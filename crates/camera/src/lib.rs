@@ -42,4 +42,4 @@ pub use capture::{Camera, CapturedFrame};
 pub use config::{CameraConfig, Shutter};
 pub use geometry::CaptureGeometry;
 pub use isp::IspConfig;
-pub use tap::{CaptureTap, NullTap, TappedCapture};
+pub use tap::{CaptureTap, TappedCapture};

@@ -1,20 +1,8 @@
-//! Per-receiver photometric perturbation as a capture tap.
-//!
-//! Re-exports the integer-domain [`CaptureTransform`] algebra from
-//! `inframe-frame` and wraps it as a [`CaptureTap`], so a single
-//! receiver in the streaming pipeline can be given exactly the
-//! photometric profile the fleet simulator models in batch: the tap
-//! materializes every capture through the quantized bridge
-//! (`quantize → integer transform → dequantize`), which is the same
-//! lossless mapping the batched scorer's per-class transforms assume —
-//! a sequential receiver behind this tap and a batched receiver with
-//! the same transform decode bit-identically.
+//! Per-receiver photometric perturbation: the auto-exposure gain ladder
+//! the fleet simulator assigns receivers, in the integer-domain Q4.12
+//! gain of [`inframe_frame::perturb::CaptureTransform`].
 
-use crate::tap::{CaptureTap, TappedCapture};
-pub use inframe_frame::perturb::{
-    materialize_in_place, materialized, CaptureTransform, OcclusionRect, GAIN_ONE_Q12,
-};
-use inframe_frame::qplane::QPlane;
+use inframe_frame::perturb::GAIN_ONE_Q12;
 
 /// Discrete auto-exposure gain ladder: step `k` is the Q4.12 gain
 /// `(1 + step/4096)^k`, rounded — receivers whose AE settled a few
@@ -25,40 +13,9 @@ pub fn ae_gain_q12(step_q12: i32, k: i32) -> i32 {
     (GAIN_ONE_Q12 as f64 * ratio.powi(k)).round().max(0.0) as i32
 }
 
-/// Applies one fixed [`CaptureTransform`] to every capture flowing
-/// through the tap.
-#[derive(Debug)]
-pub struct TransformTap {
-    transform: CaptureTransform,
-    qscratch: QPlane,
-}
-
-impl TransformTap {
-    /// Creates a tap applying `transform` to every capture.
-    pub fn new(transform: CaptureTransform) -> Self {
-        Self {
-            transform,
-            qscratch: QPlane::new(0, 0),
-        }
-    }
-
-    /// The transform this tap applies.
-    pub fn transform(&self) -> &CaptureTransform {
-        &self.transform
-    }
-}
-
-impl CaptureTap for TransformTap {
-    fn tap(&mut self, mut cap: TappedCapture) -> Vec<TappedCapture> {
-        materialize_in_place(&mut cap.plane, &self.transform, &mut self.qscratch);
-        vec![cap]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use inframe_frame::Plane;
 
     #[test]
     fn ae_ladder_is_monotone_and_snaps_to_unity() {
@@ -70,22 +27,5 @@ mod tests {
             assert!(g > prev, "ladder must be strictly increasing");
             prev = g;
         }
-    }
-
-    #[test]
-    fn tap_materializes_the_transform() {
-        let t = CaptureTransform {
-            awb_raw: 128, // +1 code value
-            ..CaptureTransform::IDENTITY
-        };
-        let mut tap = TransformTap::new(t);
-        let cap = TappedCapture {
-            plane: Plane::filled(8, 6, 100.0),
-            t_mid: 0.25,
-        };
-        let out = tap.tap(cap);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].t_mid, 0.25);
-        assert!(out[0].plane.samples().iter().all(|&v| v == 101.0));
     }
 }

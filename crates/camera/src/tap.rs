@@ -3,11 +3,9 @@
 //! A tap sits where a real deployment's capture driver sits — after the
 //! sensor produced a frame, before the receiver consumes it. Fault
 //! injectors (frame drops, duplicates, clock perturbations, photometric
-//! drift) implement [`CaptureTap`] and rewrite the stream; the identity
-//! [`NullTap`] is the clean channel.
+//! drift) implement [`CaptureTap`] and rewrite the stream.
 
 use inframe_frame::Plane;
-use inframe_obs::{names, Counter, Telemetry};
 
 /// One capture as the receiver will see it: the encoded luma plane plus
 /// the timestamp the *receiver's clock* assigns to its exposure midpoint.
@@ -28,112 +26,4 @@ pub struct TappedCapture {
 pub trait CaptureTap {
     /// Rewrites one capture into the frames actually delivered.
     fn tap(&mut self, cap: TappedCapture) -> Vec<TappedCapture>;
-}
-
-/// The identity tap: every capture passes through untouched.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullTap;
-
-impl CaptureTap for NullTap {
-    fn tap(&mut self, cap: TappedCapture) -> Vec<TappedCapture> {
-        vec![cap]
-    }
-}
-
-/// A telemetry shim around any [`CaptureTap`]: counts captures entering
-/// from the sensor, captures delivered downstream, and captures the
-/// inner tap swallowed entirely — the boundary numbers a post-mortem
-/// needs to tell "the channel went dark" from "the receiver went deaf".
-#[derive(Debug, Clone)]
-pub struct InstrumentedTap<T> {
-    inner: T,
-    captures_in: Counter,
-    captures_out: Counter,
-    swallowed: Counter,
-}
-
-impl<T: CaptureTap> InstrumentedTap<T> {
-    /// Wraps `inner`, reporting to `telemetry`.
-    pub fn new(inner: T, telemetry: &Telemetry) -> Self {
-        Self {
-            inner,
-            captures_in: telemetry.counter(names::tap::CAPTURES_IN),
-            captures_out: telemetry.counter(names::tap::CAPTURES_OUT),
-            swallowed: telemetry.counter(names::tap::SWALLOWED),
-        }
-    }
-
-    /// The wrapped tap.
-    pub fn inner(&self) -> &T {
-        &self.inner
-    }
-
-    /// The wrapped tap, mutably.
-    pub fn inner_mut(&mut self) -> &mut T {
-        &mut self.inner
-    }
-
-    /// Unwraps, returning the inner tap.
-    pub fn into_inner(self) -> T {
-        self.inner
-    }
-}
-
-impl<T: CaptureTap> CaptureTap for InstrumentedTap<T> {
-    fn tap(&mut self, cap: TappedCapture) -> Vec<TappedCapture> {
-        self.captures_in.incr();
-        let out = self.inner.tap(cap);
-        if out.is_empty() {
-            self.swallowed.incr();
-        }
-        self.captures_out.add(out.len() as u64);
-        out
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn null_tap_is_identity() {
-        let cap = TappedCapture {
-            plane: Plane::filled(4, 4, 9.0f32),
-            t_mid: 0.25,
-        };
-        let out = NullTap.tap(cap.clone());
-        assert_eq!(out, vec![cap]);
-    }
-
-    /// Swallows every other capture, duplicates the rest.
-    struct Flicker(u64);
-
-    impl CaptureTap for Flicker {
-        fn tap(&mut self, cap: TappedCapture) -> Vec<TappedCapture> {
-            self.0 += 1;
-            if self.0.is_multiple_of(2) {
-                Vec::new()
-            } else {
-                vec![cap.clone(), cap]
-            }
-        }
-    }
-
-    #[test]
-    fn instrumented_tap_counts_boundary_traffic() {
-        let tele = Telemetry::new();
-        let mut tap = InstrumentedTap::new(Flicker(0), &tele);
-        let cap = TappedCapture {
-            plane: Plane::filled(2, 2, 1.0f32),
-            t_mid: 0.0,
-        };
-        for _ in 0..4 {
-            let _ = tap.tap(cap.clone());
-        }
-        let s = tele.summary();
-        assert_eq!(s.counter(names::tap::CAPTURES_IN), 4);
-        assert_eq!(s.counter(names::tap::CAPTURES_OUT), 4); // 2 × duplicated
-        assert_eq!(s.counter(names::tap::SWALLOWED), 2);
-        assert_eq!(tap.inner().0, 4);
-    }
 }

@@ -60,14 +60,6 @@ impl PackedBits {
         out
     }
 
-    /// Wraps whole bytes (bit length `8 * bytes.len()`).
-    pub fn from_bytes(bytes: &[u8]) -> Self {
-        Self {
-            words: bytes.to_vec(),
-            bit_len: bytes.len() * 8,
-        }
-    }
-
     /// Number of bits held.
     pub fn bit_len(&self) -> usize {
         self.bit_len
@@ -145,11 +137,6 @@ impl PackedBits {
             self.bit_len -= rem;
             self.words.truncate(self.bit_len.div_ceil(8));
         }
-    }
-
-    /// Unpacks to a bool vector (diagnostics / compatibility).
-    pub fn to_bools(&self) -> Vec<bool> {
-        (0..self.bit_len).map(|i| self.bit(i)).collect()
     }
 }
 
@@ -291,6 +278,10 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    fn unpack(p: &PackedBits) -> Vec<bool> {
+        (0..p.bit_len()).map(|i| p.bit(i)).collect()
+    }
+
     #[test]
     fn roundtrip_single_frame() {
         let bits = encode_frame(b"hello inframe");
@@ -406,8 +397,7 @@ mod tests {
         for off in 0..bits.len() {
             assert_eq!(packed.byte_at(off), byte_at(&bits, off), "offset {off}");
         }
-        assert_eq!(PackedBits::from_bytes(&bytes), packed);
-        assert_eq!(packed.to_bools(), bits);
+        assert_eq!(unpack(&packed), bits);
     }
 
     #[test]
@@ -419,7 +409,7 @@ mod tests {
             packed.discard_front(cut);
             let cut = cut.min(bits.len());
             assert_eq!(packed.bit_len(), bits.len() - cut, "cut {cut}");
-            assert_eq!(packed.to_bools(), &bits[cut..], "cut {cut}");
+            assert_eq!(unpack(&packed), &bits[cut..], "cut {cut}");
         }
     }
 

@@ -88,23 +88,6 @@ pub fn pow_alpha(p: i32) -> u8 {
     t.exp[p]
 }
 
-/// `a^n` by repeated squaring in the field.
-pub fn pow(a: u8, mut n: u32) -> u8 {
-    if a == 0 {
-        return if n == 0 { 1 } else { 0 };
-    }
-    let mut base = a;
-    let mut acc = 1u8;
-    while n > 0 {
-        if n & 1 == 1 {
-            acc = mul(acc, base);
-        }
-        base = mul(base, base);
-        n >>= 1;
-    }
-    acc
-}
-
 /// Evaluates the polynomial `poly` (coefficients high-to-low degree) at `x`
 /// by Horner's rule.
 pub fn poly_eval(poly: &[u8], x: u8) -> u8 {
@@ -186,17 +169,6 @@ mod tests {
         assert_eq!(pow_alpha(0), 1);
         assert_eq!(pow_alpha(255), 1);
         assert_eq!(pow_alpha(-1), pow_alpha(254));
-    }
-
-    #[test]
-    fn pow_matches_repeated_mul() {
-        let mut acc = 1u8;
-        for n in 0..20u32 {
-            assert_eq!(pow(3, n), acc);
-            acc = mul(acc, 3);
-        }
-        assert_eq!(pow(0, 0), 1);
-        assert_eq!(pow(0, 5), 0);
     }
 
     #[test]

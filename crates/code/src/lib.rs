@@ -15,7 +15,7 @@
 //!   algorithm), used by the coding ablation bench.
 //! * [`gf256`] — the underlying finite-field arithmetic.
 //! * [`prbs`] — the "pseudo-random data generator with a pre-set seed" the
-//!   paper uses to produce data frames (§4), plus a fast xoshiro-based bit
+//!   paper uses to produce data frames (§4): a fast xoshiro-based bit
 //!   source.
 //! * [`scramble`] — additive payload whitening so real (non-random)
 //!   payloads still produce balanced, synchronizable data frames.
@@ -32,5 +32,4 @@ pub mod rs;
 pub mod scramble;
 
 pub use parity::{gob_check, gob_encode, GobStatus};
-pub use prbs::PrbsGenerator;
 pub use rs::ReedSolomon;

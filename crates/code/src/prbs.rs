@@ -5,79 +5,7 @@
 //! that requires a deterministic, seedable bit generator shared by sender
 //! and receiver so the receiver can score bit errors against ground truth.
 //!
-//! Two generators are provided: a classical LFSR PRBS (PRBS-15/23 style,
-//! standard in link testing) and a xoshiro256** word generator for bulk
-//! payloads.
-
-/// A Fibonacci LFSR producing a standard PRBS sequence.
-///
-/// `PRBS-k` uses the characteristic polynomial of the ITU-T O.150 family;
-/// supported orders: 7 (x⁷+x⁶+1), 15 (x¹⁵+x¹⁴+1), 23 (x²³+x¹⁸+1),
-/// 31 (x³¹+x²⁸+1).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PrbsGenerator {
-    state: u32,
-    order: u32,
-    taps: (u32, u32),
-}
-
-impl PrbsGenerator {
-    /// Creates a PRBS generator of the given order with a nonzero seed.
-    ///
-    /// # Panics
-    /// Panics for unsupported orders. A zero seed is replaced by 1 (the
-    /// all-zero LFSR state is absorbing).
-    pub fn new(order: u32, seed: u32) -> Self {
-        let taps = match order {
-            7 => (7, 6),
-            15 => (15, 14),
-            23 => (23, 18),
-            31 => (31, 28),
-            _ => panic!("unsupported PRBS order {order} (use 7, 15, 23 or 31)"),
-        };
-        let mask = if order == 31 {
-            u32::MAX >> 1
-        } else {
-            (1u32 << order) - 1
-        };
-        let state = seed & mask;
-        Self {
-            state: if state == 0 { 1 } else { state },
-            order,
-            taps,
-        }
-    }
-
-    /// PRBS order (sequence period is `2^order − 1`).
-    pub fn order(&self) -> u32 {
-        self.order
-    }
-
-    /// Produces the next bit.
-    pub fn next_bit(&mut self) -> bool {
-        let (a, b) = self.taps;
-        let new = ((self.state >> (a - 1)) ^ (self.state >> (b - 1))) & 1;
-        let mask = if self.order == 31 {
-            u32::MAX >> 1
-        } else {
-            (1u32 << self.order) - 1
-        };
-        self.state = ((self.state << 1) | new) & mask;
-        new == 1
-    }
-
-    /// Fills a `Vec` with the next `n` bits.
-    pub fn bits(&mut self, n: usize) -> Vec<bool> {
-        (0..n).map(|_| self.next_bit()).collect()
-    }
-}
-
-impl Iterator for PrbsGenerator {
-    type Item = bool;
-    fn next(&mut self) -> Option<bool> {
-        Some(self.next_bit())
-    }
-}
+//! The generator is xoshiro256**, a word generator for bulk payloads.
 
 /// xoshiro256** — a small, fast, high-quality PRNG for bulk payload bytes.
 /// Deterministic across platforms; used wherever the reproduction needs
@@ -134,13 +62,6 @@ impl Xoshiro256 {
         (self.next_u64() >> 56) as u8
     }
 
-    /// Fills a buffer with payload bytes.
-    pub fn fill_bytes(&mut self, buf: &mut [u8]) {
-        for b in buf {
-            *b = self.next_byte();
-        }
-    }
-
     /// Next bit (topmost bit of the next word).
     pub fn next_bit(&mut self) -> bool {
         self.next_u64() >> 63 == 1
@@ -150,54 +71,6 @@ impl Xoshiro256 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn prbs_is_deterministic_per_seed() {
-        let a: Vec<bool> = PrbsGenerator::new(15, 0x1234).bits(256);
-        let b: Vec<bool> = PrbsGenerator::new(15, 0x1234).bits(256);
-        let c: Vec<bool> = PrbsGenerator::new(15, 0x9999).bits(256);
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-    }
-
-    #[test]
-    fn prbs7_has_full_period() {
-        let mut g = PrbsGenerator::new(7, 1);
-        // Period of PRBS-7 is 127: the state must return to the seed after
-        // exactly 127 steps and not before.
-        let initial = g.clone();
-        let mut period = 0;
-        for i in 1..=127 {
-            g.next_bit();
-            if g == initial {
-                period = i;
-                break;
-            }
-        }
-        assert_eq!(period, 127);
-    }
-
-    #[test]
-    fn prbs_is_balanced() {
-        let bits = PrbsGenerator::new(15, 42).bits(1 << 15);
-        let ones = bits.iter().filter(|&&b| b).count();
-        let ratio = ones as f64 / bits.len() as f64;
-        assert!((ratio - 0.5).abs() < 0.01, "ones ratio {ratio}");
-    }
-
-    #[test]
-    fn zero_seed_is_fixed_up() {
-        let mut g = PrbsGenerator::new(15, 0);
-        // Must not get stuck emitting zeros forever.
-        let bits = g.bits(64);
-        assert!(bits.iter().any(|&b| b));
-    }
-
-    #[test]
-    #[should_panic(expected = "unsupported PRBS order")]
-    fn bad_order_panics() {
-        let _ = PrbsGenerator::new(9, 1);
-    }
 
     #[test]
     fn xoshiro_is_deterministic_and_seed_sensitive() {
@@ -229,18 +102,5 @@ mod tests {
         let var = samples.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n as f64;
         assert!(mean.abs() < 0.03, "mean {mean}");
         assert!((var - 1.0).abs() < 0.05, "var {var}");
-    }
-
-    #[test]
-    fn fill_bytes_covers_range() {
-        let mut g = Xoshiro256::seed_from_u64(1);
-        let mut buf = [0u8; 4096];
-        g.fill_bytes(&mut buf);
-        let mut seen = [false; 256];
-        for &b in &buf {
-            seen[b as usize] = true;
-        }
-        let coverage = seen.iter().filter(|&&s| s).count();
-        assert!(coverage > 240, "byte coverage {coverage}");
     }
 }

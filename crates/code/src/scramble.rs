@@ -33,13 +33,6 @@ impl Scrambler {
             Xoshiro256::seed_from_u64(self.seed ^ frame_index.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         bits.iter().map(|&b| b ^ rng.next_bit()).collect()
     }
-
-    /// Fraction of ones after scrambling an all-zero payload of length
-    /// `n` — a self-test that the keystream is balanced.
-    pub fn keystream_balance(&self, n: usize, frame_index: u64) -> f64 {
-        let out = self.apply(&vec![false; n], frame_index);
-        out.iter().filter(|&&b| b).count() as f64 / n as f64
-    }
 }
 
 #[cfg(test)]
@@ -67,7 +60,9 @@ mod tests {
     #[test]
     fn all_zero_payload_becomes_balanced() {
         let s = Scrambler::new(42);
-        let balance = s.keystream_balance(1 << 14, 0);
+        let n = 1 << 14;
+        let out = s.apply(&vec![false; n], 0);
+        let balance = out.iter().filter(|&&b| b).count() as f64 / n as f64;
         assert!((balance - 0.5).abs() < 0.02, "balance {balance}");
     }
 

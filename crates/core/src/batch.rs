@@ -58,16 +58,6 @@ pub fn encode_score(s: BlockScore) -> f32 {
     s.value().unwrap_or(UNREADABLE)
 }
 
-/// Decodes the flat representation back into a [`BlockScore`].
-#[inline]
-pub fn decode_score(enc: f32) -> BlockScore {
-    if enc == UNREADABLE {
-        BlockScore::Unreadable
-    } else {
-        BlockScore::Readable(enc)
-    }
-}
-
 /// One scoring class: a photometric variant plus a sensor-noise power.
 /// Many receivers share a class; scoring cost scales with distinct
 /// classes, not with receivers.

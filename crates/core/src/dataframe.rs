@@ -21,8 +21,7 @@ pub struct DataFrame {
 }
 
 impl DataFrame {
-    /// An all-zero data frame (no pattern anywhere) — what the sender emits
-    /// when paused or idle.
+    /// An all-zero data frame (no pattern anywhere).
     pub fn zero(layout: &DataLayout) -> Self {
         Self {
             blocks_x: layout.blocks_x,
@@ -119,11 +118,6 @@ impl DataFrame {
     /// Grid height in Blocks.
     pub fn blocks_y(&self) -> usize {
         self.blocks_y
-    }
-
-    /// Fraction of Blocks carrying a `1`.
-    pub fn ones_fraction(&self) -> f64 {
-        self.bits.iter().filter(|&&b| b).count() as f64 / self.bits.len() as f64
     }
 }
 
@@ -274,7 +268,7 @@ mod tests {
     fn zero_frame_has_no_ones() {
         let l = layout();
         let f = DataFrame::zero(&l);
-        assert_eq!(f.ones_fraction(), 0.0);
+        assert!(f.bits.iter().all(|&b| !b));
         assert_eq!(f.blocks_x(), l.blocks_x);
     }
 

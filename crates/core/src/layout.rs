@@ -132,20 +132,9 @@ impl DataLayout {
         (gx * m + within % m, gy * m + within / m)
     }
 
-    /// Iterates over all Block coordinates in channel order.
-    pub fn blocks_in_channel_order(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        (0..self.num_blocks()).map(move |i| self.block_at_channel_index(i))
-    }
-
     /// GOB index of Block `(bx, by)`.
     pub fn gob_of_block(&self, bx: usize, by: usize) -> usize {
         self.block_channel_index(bx, by) / self.blocks_per_gob()
-    }
-
-    /// Whether the Block at channel position `idx % m²` within its GOB is
-    /// the parity slot (the last one).
-    pub fn is_parity_slot(&self, channel_idx: usize) -> bool {
-        channel_idx % self.blocks_per_gob() == self.blocks_per_gob() - 1
     }
 }
 
@@ -200,9 +189,6 @@ mod tests {
         ];
         idxs.sort_unstable();
         assert_eq!(idxs, vec![0, 1, 2, 3]);
-        // Parity slot is the last within the GOB.
-        assert!(l.is_parity_slot(3));
-        assert!(!l.is_parity_slot(2));
     }
 
     #[test]
@@ -226,7 +212,7 @@ mod tests {
         fn channel_order_is_a_permutation(_x in 0..1) {
             let l = DataLayout::from_config(&InFrameConfig::small_test());
             let mut seen = vec![false; l.num_blocks()];
-            for (bx, by) in l.blocks_in_channel_order() {
+            for (bx, by) in (0..l.num_blocks()).map(|i| l.block_at_channel_index(i)) {
                 let i = by * l.blocks_x + bx;
                 prop_assert!(!seen[i]);
                 seen[i] = true;

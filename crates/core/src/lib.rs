@@ -47,7 +47,6 @@ pub mod multiplex;
 pub mod naive;
 pub mod pattern;
 pub mod region;
-pub mod rgbmux;
 pub mod sender;
 pub mod sync;
 

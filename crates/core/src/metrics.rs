@@ -7,7 +7,6 @@
 //! every bar of Figure 7 from its printed annotations (e.g. gray, δ=20,
 //! τ=10: `1125 · 12 · 0.952 · 0.985 ≈ 12.6 kbps`).
 
-use inframe_code::parity::GobStats;
 use std::time::Duration;
 
 /// Aggregated link performance over a run.
@@ -45,24 +44,6 @@ impl ThroughputReport {
         }
     }
 
-    /// Builds a report from GOB statistics.
-    pub fn from_stats(
-        payload_bits: usize,
-        data_frame_rate: f64,
-        stats: &GobStats,
-        bit_accuracy: f64,
-        cycles: u64,
-    ) -> Self {
-        Self {
-            payload_bits,
-            data_frame_rate,
-            available_ratio: stats.available_ratio(),
-            error_rate: stats.error_rate(),
-            bit_accuracy,
-            cycles,
-        }
-    }
-
     /// Raw channel rate in kbit/s, before losses.
     pub fn raw_kbps(&self) -> f64 {
         self.payload_bits as f64 * self.data_frame_rate / 1000.0
@@ -72,17 +53,6 @@ impl ThroughputReport {
     /// paper's Figure 7 metric.
     pub fn goodput_kbps(&self) -> f64 {
         self.raw_kbps() * self.available_ratio * (1.0 - self.error_rate)
-    }
-
-    /// Formats one Figure 7 annotation line:
-    /// `"<goodput> kbps  (avail <a>%  err <e>%)"`.
-    pub fn annotation(&self) -> String {
-        format!(
-            "{:5.1} kbps  (avail {:5.1}%  err {:5.2}%)",
-            self.goodput_kbps(),
-            self.available_ratio * 100.0,
-            self.error_rate * 100.0
-        )
     }
 }
 
@@ -194,7 +164,7 @@ pub fn bit_accuracy(decoded: &[Option<bool>], truth: &[bool]) -> (usize, usize) 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use inframe_code::parity::GobStatus;
+    use inframe_code::parity::{GobStats, GobStatus};
 
     fn stats(ok: u64, err: u64, unavail: u64) -> GobStats {
         let mut s = GobStats::default();
@@ -210,11 +180,28 @@ mod tests {
         s
     }
 
+    fn report(
+        payload_bits: usize,
+        data_frame_rate: f64,
+        stats: &GobStats,
+        bit_accuracy: f64,
+        cycles: u64,
+    ) -> ThroughputReport {
+        ThroughputReport {
+            payload_bits,
+            data_frame_rate,
+            available_ratio: stats.available_ratio(),
+            error_rate: stats.error_rate(),
+            bit_accuracy,
+            cycles,
+        }
+    }
+
     #[test]
     fn reproduces_figure7_gray_tau10_bar() {
         // Paper: δ=20, τ=10, gray → 95.2% available, 1.5% err → 12.6 kbps.
         let s = stats(952, 14, 48); // 1000 GOBs: 95.2% avail, ~1.47% err
-        let r = ThroughputReport::from_stats(1125, 12.0, &s, 1.0, 100);
+        let r = report(1125, 12.0, &s, 1.0, 100);
         assert!((r.raw_kbps() - 13.5).abs() < 1e-9);
         let g = r.goodput_kbps();
         assert!((g - 12.66).abs() < 0.08, "goodput {g}");
@@ -224,15 +211,15 @@ mod tests {
     fn reproduces_figure7_video_bar() {
         // Paper: video δ=30, τ=12 → 68.5% available, 9.54% err → 7.0 kbps.
         let s = stats(620, 65, 315); // 685 available (620 ok + 65 err), 31.5% unavailable
-        let r = ThroughputReport::from_stats(1125, 10.0, &s, 1.0, 100);
+        let r = report(1125, 10.0, &s, 1.0, 100);
         let g = r.goodput_kbps();
         assert!((g - 6.97).abs() < 0.1, "goodput {g}");
     }
 
     #[test]
-    fn channel_summary_report_matches_from_stats() {
+    fn channel_summary_report_matches_gob_stats() {
         let s = stats(952, 14, 48);
-        let direct = ThroughputReport::from_stats(1125, 12.0, &s, 0.99, 100);
+        let direct = report(1125, 12.0, &s, 0.99, 100);
         let ch = inframe_obs::ChannelSummary {
             cycles: 100,
             gobs_ok: 952,
@@ -256,18 +243,8 @@ mod tests {
     #[test]
     fn goodput_zero_when_nothing_available() {
         let s = stats(0, 0, 100);
-        let r = ThroughputReport::from_stats(1125, 10.0, &s, 0.0, 10);
+        let r = report(1125, 10.0, &s, 0.0, 10);
         assert_eq!(r.goodput_kbps(), 0.0);
-    }
-
-    #[test]
-    fn annotation_contains_key_numbers() {
-        let s = stats(95, 1, 5);
-        let r = ThroughputReport::from_stats(1125, 12.0, &s, 1.0, 10);
-        let a = r.annotation();
-        assert!(a.contains("kbps"));
-        assert!(a.contains("avail"));
-        assert!(a.contains("err"));
     }
 
     #[test]

@@ -70,19 +70,9 @@ impl RegionMap {
         }
     }
 
-    /// A single region covering the whole frame (the degenerate tiling).
-    pub fn whole_frame(layout: &DataLayout) -> Self {
-        Self::new(layout, 1, 1)
-    }
-
     /// Number of regions.
     pub fn num_regions(&self) -> usize {
         self.tiles_x * self.tiles_y
-    }
-
-    /// Tile grid dimensions `(tiles_x, tiles_y)`.
-    pub fn tile_grid(&self) -> (usize, usize) {
-        (self.tiles_x, self.tiles_y)
     }
 
     /// GOBs per region (equal across regions by construction).

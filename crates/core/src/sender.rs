@@ -1,10 +1,7 @@
 //! The InFrame sender: video in, 120 Hz multiplexed display frames out.
 //!
 //! Wires together the video source, payload source, data-frame encoder and
-//! multiplexer. Also implements the paper's §5 practical requirement that
-//! "the original video frame should be rendered when video viewing pauses":
-//! [`Sender::pause`] swaps in an all-zero data frame (through the smoothing
-//! envelope, so even the pause transition is flicker-free).
+//! multiplexer.
 
 use crate::config::InFrameConfig;
 use crate::dataframe::{payload_bits_rs, DataFrame};
@@ -54,44 +51,6 @@ impl PayloadSource for PrbsPayload {
     }
 }
 
-/// Wraps any payload source with link-layer whitening
-/// ([`inframe_code::scramble::Scrambler`]): the emitted data frames look
-/// pseudo-random regardless of payload content, keeping per-GOB bit
-/// statistics balanced and giving the blind synchronizer
-/// ([`crate::sync`]) chessboards to lock onto even during idle stretches.
-#[derive(Debug, Clone)]
-pub struct ScrambledPayload<P> {
-    inner: P,
-    scrambler: inframe_code::scramble::Scrambler,
-    frame_index: u64,
-}
-
-impl<P: PayloadSource> ScrambledPayload<P> {
-    /// Wraps `inner`; both link ends must share `seed`.
-    pub fn new(inner: P, seed: u64) -> Self {
-        Self {
-            inner,
-            scrambler: inframe_code::scramble::Scrambler::new(seed),
-            frame_index: 0,
-        }
-    }
-
-    /// Descrambles bits recovered for data cycle `cycle` (the receiving
-    /// side of the wrapper).
-    pub fn descramble(seed: u64, bits: &[bool], cycle: u64) -> Vec<bool> {
-        inframe_code::scramble::Scrambler::new(seed).apply(bits, cycle)
-    }
-}
-
-impl<P: PayloadSource> PayloadSource for ScrambledPayload<P> {
-    fn next_payload(&mut self, bits: usize) -> Vec<bool> {
-        let raw = self.inner.next_payload(bits);
-        let out = self.scrambler.apply(&raw, self.frame_index);
-        self.frame_index += 1;
-        out
-    }
-}
-
 /// One emitted display frame with its schedule metadata and ground truth.
 ///
 /// The plane is a [`FramePool`] checkout: dropping the frame returns the
@@ -121,7 +80,6 @@ pub struct Sender<V, P> {
     /// Ground truth: payload of each emitted data cycle, by cycle index.
     sent_payloads: Vec<Vec<bool>>,
     display_index: u64,
-    paused: bool,
     /// Pending (δ, τ) command, applied at the next cycle boundary.
     queued_modulation: Option<(f32, u32)>,
     /// τ re-basing epoch: cycle counting restarts here whenever τ
@@ -219,7 +177,6 @@ impl<V: VideoSource, P: PayloadSource> Sender<V, P> {
             cur,
             next,
             display_index: 0,
-            paused: false,
             queued_modulation: None,
             epoch_display: 0,
             epoch_cycle: 0,
@@ -288,26 +245,9 @@ impl<V: VideoSource, P: PayloadSource> Sender<V, P> {
     }
 
     /// Ground-truth payload of data cycle `c` (available for every cycle
-    /// emitted so far, plus the pre-fetched next cycle). `None` for cycles
-    /// sent while paused.
+    /// emitted so far, plus the pre-fetched next cycle).
     pub fn sent_payload(&self, c: u64) -> Option<&[bool]> {
         self.sent_payloads.get(c as usize).map(|v| v.as_slice())
-    }
-
-    /// Pauses data transmission: subsequent cycles carry the all-zero data
-    /// frame, so after the envelope ramp the display shows pristine video.
-    pub fn pause(&mut self) {
-        self.paused = true;
-    }
-
-    /// Resumes data transmission.
-    pub fn resume(&mut self) {
-        self.paused = false;
-    }
-
-    /// Whether the sender is paused.
-    pub fn is_paused(&self) -> bool {
-        self.paused
     }
 
     /// Queues a mid-run (δ, τ) modulation command. It takes effect at
@@ -392,11 +332,7 @@ impl<V: VideoSource, P: PayloadSource> Sender<V, P> {
         // where cur/next are already primed).
         if s.k == 0 && s.display_index != 0 {
             std::mem::swap(&mut self.cur, &mut self.next);
-            let p = if self.paused {
-                vec![false; self.payload_bits]
-            } else {
-                self.payload.next_payload(self.payload_bits)
-            };
+            let p = self.payload.next_payload(self.payload_bits);
             self.next = DataFrame::encode(&self.layout, &p, self.config.coding);
             self.sent_payloads.push(p);
         }
@@ -543,28 +479,6 @@ mod tests {
     }
 
     #[test]
-    fn pause_fades_to_clean_video() {
-        let c = InFrameConfig::small_test();
-        let mut s = sender(c);
-        s.pause();
-        // After two full cycles the active data frame is all-zero and the
-        // envelope has fully ramped out.
-        for _ in 0..(3 * c.tau as usize) {
-            s.next_frame().unwrap();
-        }
-        let out = s.next_frame().unwrap();
-        for (_, _, v) in out.plane.iter_xy() {
-            assert!(
-                (v - 127.0).abs() < 1e-3,
-                "paused output must be pristine video"
-            );
-        }
-        assert!(s.is_paused());
-        s.resume();
-        assert!(!s.is_paused());
-    }
-
-    #[test]
     fn quantized_sender_matches_reference_within_tolerance() {
         let reference = InFrameConfig {
             kernel: crate::config::KernelBackend::Reference,
@@ -609,23 +523,6 @@ mod tests {
         let c = InFrameConfig::small_test();
         let clip = SolidClip::new(64, 64, 127.0, FrameRate(30.0));
         let _ = Sender::new(c, clip, PrbsPayload::new(1));
-    }
-
-    #[test]
-    fn scrambled_payload_roundtrips() {
-        let seed = 99;
-        // All-zero application payload: scrambling must still produce
-        // balanced frames, and descrambling must recover the zeros.
-        let zeros = |n: usize| vec![false; n];
-        let mut scrambled = ScrambledPayload::new(move |n: usize| zeros(n), seed);
-        let frame0 = scrambled.next_payload(128);
-        let frame1 = scrambled.next_payload(128);
-        assert_ne!(frame0, vec![false; 128], "whitening must change the bits");
-        assert_ne!(frame0, frame1, "frames must differ");
-        let back0 = ScrambledPayload::<PrbsPayload>::descramble(seed, &frame0, 0);
-        let back1 = ScrambledPayload::<PrbsPayload>::descramble(seed, &frame1, 1);
-        assert_eq!(back0, vec![false; 128]);
-        assert_eq!(back1, vec![false; 128]);
     }
 
     #[test]

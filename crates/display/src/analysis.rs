@@ -6,44 +6,6 @@
 
 use crate::emission::FrameEmission;
 
-/// Samples the emitted light of one pixel at a uniform rate `fs` Hz across
-/// a sequence of emissions, returning the waveform in normalized linear
-/// light.
-///
-/// `fs` should comfortably exceed the refresh rate (e.g. 8× ) to resolve
-/// the pixel-response exponential within each refresh.
-///
-/// # Panics
-/// Panics if `emissions` is empty or not contiguous in time.
-pub fn pixel_waveform(emissions: &[FrameEmission], x: usize, y: usize, fs: f64) -> Vec<f64> {
-    assert!(!emissions.is_empty(), "need at least one emission");
-    for pair in emissions.windows(2) {
-        let end = pair[0].t_start + pair[0].duration;
-        assert!(
-            (end - pair[1].t_start).abs() < 1e-9,
-            "emissions must be contiguous in time"
-        );
-    }
-    let t_begin = emissions[0].t_start;
-    let t_end = emissions
-        .last()
-        .map(|e| e.t_start + e.duration)
-        .expect("nonempty");
-    let n = ((t_end - t_begin) * fs).round() as usize;
-    let mut out = Vec::with_capacity(n);
-    let mut idx = 0usize;
-    for i in 0..n {
-        let t = t_begin + i as f64 / fs;
-        while idx + 1 < emissions.len() && t >= emissions[idx].t_start + emissions[idx].duration {
-            idx += 1;
-        }
-        let e = &emissions[idx];
-        let local = (t - e.t_start).clamp(0.0, e.duration);
-        out.push(e.sample_pixel(x, y, local) as f64);
-    }
-    out
-}
-
 /// Per-refresh mean light of one pixel — one sample per emission, the
 /// signal a full-frame-exposure camera at the refresh rate would capture.
 pub fn per_frame_means(emissions: &[FrameEmission], x: usize, y: usize) -> Vec<f64> {
@@ -82,24 +44,6 @@ mod tests {
     }
 
     #[test]
-    fn waveform_length_matches_rate() {
-        let em = alternating_emissions(12, 147.0, 107.0);
-        let w = pixel_waveform(&em, 0, 0, 1200.0);
-        // 12 frames at 120 Hz = 0.1 s → 120 samples at 1200 Hz.
-        assert_eq!(w.len(), 120);
-    }
-
-    #[test]
-    fn ideal_panel_waveform_is_square() {
-        let em = alternating_emissions(4, 255.0, 0.0);
-        let w = pixel_waveform(&em, 0, 0, 960.0);
-        // First frame's 8 samples all at the bright level, next 8 dark.
-        let bright = w[0];
-        assert!(w[..8].iter().all(|&v| (v - bright).abs() < 1e-9));
-        assert!(w[8..16].iter().all(|&v| v.abs() < 1e-9));
-    }
-
-    #[test]
     fn per_frame_means_alternate() {
         let em = alternating_emissions(6, 147.0, 107.0);
         let m = per_frame_means(&em, 0, 0);
@@ -115,13 +59,5 @@ mod tests {
         let hi = DisplayConfig::ideal_120hz().code_to_light(147.0) as f64;
         let lo = DisplayConfig::ideal_120hz().code_to_light(107.0) as f64;
         assert!((mean - (hi + lo) / 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "contiguous")]
-    fn gap_in_time_panics() {
-        let mut em = alternating_emissions(3, 100.0, 50.0);
-        em[2].t_start += 1.0;
-        let _ = pixel_waveform(&em, 0, 0, 960.0);
     }
 }

@@ -55,17 +55,6 @@ impl DisplayConfig {
         }
     }
 
-    /// A generic office 60 Hz LCD (for naive-design comparisons).
-    pub fn office_60hz() -> Self {
-        Self {
-            refresh_hz: 60.0,
-            peak_nits: 250.0,
-            brightness: 1.0,
-            response_tau_ms: 5.0,
-            backlight: Backlight::Constant,
-        }
-    }
-
     /// A FG2421-like panel with the strobe disabled (sample-and-hold
     /// mode) — the shutter/backlight ablation baseline.
     pub fn eizo_fg2421_no_strobe() -> Self {
@@ -101,11 +90,6 @@ impl DisplayConfig {
     /// steady state, honoring the brightness setting.
     pub fn code_to_light(&self, code: f32) -> f32 {
         inframe_frame::color::code_to_linear(code) * self.brightness as f32
-    }
-
-    /// Converts normalized linear light to absolute luminance in cd/m².
-    pub fn light_to_nits(&self, light: f64) -> f64 {
-        light * self.peak_nits
     }
 
     /// Validates physical plausibility.
@@ -181,13 +165,6 @@ mod tests {
     }
 
     #[test]
-    fn nits_conversion() {
-        let c = DisplayConfig::eizo_fg2421();
-        assert!((c.light_to_nits(1.0) - 400.0).abs() < 1e-9);
-        assert!((c.light_to_nits(0.25) - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
     #[should_panic(expected = "brightness")]
     fn invalid_brightness_panics() {
         let c = DisplayConfig {
@@ -200,7 +177,6 @@ mod tests {
     #[test]
     fn valid_presets_validate() {
         DisplayConfig::eizo_fg2421().validate();
-        DisplayConfig::office_60hz().validate();
         DisplayConfig::ideal_120hz().validate();
     }
 }

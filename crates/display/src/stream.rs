@@ -139,11 +139,6 @@ impl DisplayStream {
     pub fn present_all(&mut self, frames: &[Plane<f32>]) -> Vec<FrameEmission> {
         frames.iter().map(|f| self.present(f)).collect()
     }
-
-    /// Number of frames presented so far.
-    pub fn frames_presented(&self) -> u64 {
-        self.frame_index
-    }
 }
 
 #[cfg(test)]
@@ -166,7 +161,6 @@ mod tests {
         let e2 = s.present(&Plane::filled(2, 2, 0.0));
         assert_eq!(e2.initial, e1.attained());
         assert!((e2.t_start - 1.0 / 120.0).abs() < 1e-12);
-        assert_eq!(s.frames_presented(), 2);
     }
 
     #[test]

@@ -42,18 +42,6 @@ impl Biquad {
         }
     }
 
-    /// Designs a first-order low-pass (single real pole) packed into biquad
-    /// form. Useful for the simplest retinal-integration model.
-    pub fn first_order_lowpass(fc: f64, fs: f64) -> Self {
-        assert!(fc > 0.0 && fc < fs / 2.0, "cutoff must be in (0, fs/2)");
-        let k = (std::f64::consts::PI * fc / fs).tan();
-        let norm = 1.0 / (1.0 + k);
-        Self {
-            b: [k * norm, k * norm, 0.0],
-            a: [(k - 1.0) * norm, 0.0],
-        }
-    }
-
     /// Filters a whole signal, starting from zero state.
     pub fn filter(&self, x: &[f64]) -> Vec<f64> {
         let mut state = BiquadState::default();
@@ -180,14 +168,6 @@ mod tests {
         let bq = Biquad::butterworth_lowpass(45.0, fs);
         let g = bq.magnitude_at(60.0, fs);
         assert!(g < 0.6, "60Hz gain was {g}");
-    }
-
-    #[test]
-    fn first_order_is_gentler_than_second_order() {
-        let fs = 1000.0;
-        let b1 = Biquad::first_order_lowpass(50.0, fs);
-        let b2 = Biquad::butterworth_lowpass(50.0, fs);
-        assert!(b1.magnitude_at(200.0, fs) > b2.magnitude_at(200.0, fs));
     }
 
     #[test]

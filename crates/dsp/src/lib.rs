@@ -11,17 +11,13 @@
 //! * [`envelope`] — the three candidate amplitude envelopes the paper
 //!   compares for data-frame transitions: half square-root raised cosine
 //!   (the one InFrame adopts), linear, and stair.
-//! * [`fir`] — windowed-sinc FIR design and direct-form filtering.
 //! * [`biquad`] — second-order IIR sections with a Butterworth low-pass
 //!   design, the "electronic low-pass filter" of Figure 5.
-//! * [`fft`] — an in-place radix-2 complex FFT with inverse, for spectral
+//! * [`fft`] — an in-place radix-2 complex FFT, for spectral
 //!   verification that multiplexed waveforms keep their energy above the
 //!   critical flicker frequency.
 //! * [`spectrum`] — magnitude spectra, band energy, and dominant-frequency
 //!   helpers built on the FFT.
-//! * [`window`] — Hann/Hamming/Blackman windows.
-//! * [`resample`] — linear-interpolation resampling between display and
-//!   camera rates.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,11 +25,7 @@
 pub mod biquad;
 pub mod envelope;
 pub mod fft;
-pub mod fir;
-pub mod goertzel;
-pub mod resample;
 pub mod spectrum;
-pub mod window;
 
 pub use biquad::Biquad;
 pub use envelope::{Envelope, TransitionShape};

@@ -64,12 +64,6 @@ impl Spectrum {
     }
 }
 
-/// RMS (root-mean-square) of a signal.
-pub fn rms(signal: &[f64]) -> f64 {
-    assert!(!signal.is_empty(), "signal must be nonempty");
-    (signal.iter().map(|v| v * v).sum::<f64>() / signal.len() as f64).sqrt()
-}
-
 /// Peak-to-peak span of a signal.
 pub fn peak_to_peak(signal: &[f64]) -> f64 {
     assert!(!signal.is_empty(), "signal must be nonempty");
@@ -80,24 +74,6 @@ pub fn peak_to_peak(signal: &[f64]) -> f64 {
         hi = hi.max(v);
     }
     hi - lo
-}
-
-/// Michelson contrast of a luminance signal: `(max − min) / (max + min)`.
-/// Returns 0 for an all-zero signal. This is the standard measure of
-/// flicker modulation depth in vision science.
-pub fn michelson_contrast(signal: &[f64]) -> f64 {
-    assert!(!signal.is_empty(), "signal must be nonempty");
-    let mut lo = f64::INFINITY;
-    let mut hi = f64::NEG_INFINITY;
-    for &v in signal {
-        lo = lo.min(v);
-        hi = hi.max(v);
-    }
-    if hi + lo <= 0.0 {
-        0.0
-    } else {
-        (hi - lo) / (hi + lo)
-    }
 }
 
 #[cfg(test)]
@@ -162,17 +138,8 @@ mod tests {
     }
 
     #[test]
-    fn rms_and_peak_to_peak() {
+    fn peak_to_peak_of_alternation() {
         let s = vec![1.0, -1.0, 1.0, -1.0];
-        assert!((rms(&s) - 1.0).abs() < 1e-12);
         assert!((peak_to_peak(&s) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn michelson_contrast_of_flicker() {
-        // 100 ± 20 luminance flicker: contrast = 40/200 = 0.2.
-        let s = vec![120.0, 80.0, 120.0, 80.0];
-        assert!((michelson_contrast(&s) - 0.2).abs() < 1e-12);
-        assert_eq!(michelson_contrast(&[0.0, 0.0]), 0.0);
     }
 }

@@ -1,37 +1,8 @@
-//! Color primitives: transfer functions and color-space conversions.
+//! Color primitives: the sRGB transfer functions.
 //!
 //! The display simulator converts code values to emitted light through the
 //! sRGB electro-optical transfer function (EOTF); the HVS model operates in
-//! linear light. The receiver works on BT.601 luma, which is what a camera
-//! ISP hands to application code.
-
-/// BT.601 luma from RGB code values (any consistent scale).
-#[inline]
-pub fn luma_bt601(r: f32, g: f32, b: f32) -> f32 {
-    0.299 * r + 0.587 * g + 0.114 * b
-}
-
-/// Full BT.601 RGB → YCbCr conversion on `[0, 255]` code values.
-///
-/// Cb/Cr are centered on 128 as in JFIF.
-#[inline]
-pub fn rgb_to_ycbcr(r: f32, g: f32, b: f32) -> (f32, f32, f32) {
-    let y = luma_bt601(r, g, b);
-    let cb = 128.0 - 0.168_736 * r - 0.331_264 * g + 0.5 * b;
-    let cr = 128.0 + 0.5 * r - 0.418_688 * g - 0.081_312 * b;
-    (y, cb, cr)
-}
-
-/// Inverse of [`rgb_to_ycbcr`].
-#[inline]
-pub fn ycbcr_to_rgb(y: f32, cb: f32, cr: f32) -> (f32, f32, f32) {
-    let cb = cb - 128.0;
-    let cr = cr - 128.0;
-    let r = y + 1.402 * cr;
-    let g = y - 0.344_136 * cb - 0.714_136 * cr;
-    let b = y + 1.772 * cb;
-    (r, g, b)
-}
+//! linear light.
 
 /// sRGB EOTF: code value in `[0, 1]` → linear light in `[0, 1]`.
 ///
@@ -69,33 +40,10 @@ pub fn linear_to_code(l: f32) -> f32 {
     linear_to_srgb(l) * 255.0
 }
 
-/// Converts a code value to absolute luminance in cd/m² given the display's
-/// peak white luminance.
-///
-/// The Eizo FG2421 used in the paper peaks around 300 cd/m²; the display
-/// simulator passes its configured peak here.
-#[inline]
-pub fn code_to_luminance(code: f32, peak_cd_m2: f32) -> f32 {
-    code_to_linear(code) * peak_cd_m2
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
-
-    #[test]
-    fn luma_weights_sum_to_one() {
-        assert!((luma_bt601(1.0, 1.0, 1.0) - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn gray_is_fixed_point_of_ycbcr() {
-        let (y, cb, cr) = rgb_to_ycbcr(127.0, 127.0, 127.0);
-        assert!((y - 127.0).abs() < 1e-3);
-        assert!((cb - 128.0).abs() < 1e-3);
-        assert!((cr - 128.0).abs() < 1e-3);
-    }
 
     #[test]
     fn srgb_curve_endpoints() {
@@ -119,23 +67,7 @@ mod tests {
         }
     }
 
-    #[test]
-    fn luminance_scales_with_peak() {
-        let a = code_to_luminance(200.0, 300.0);
-        let b = code_to_luminance(200.0, 150.0);
-        assert!((a / b - 2.0).abs() < 1e-4);
-    }
-
     proptest! {
-        #[test]
-        fn ycbcr_roundtrip(r in 0.0f32..255.0, g in 0.0f32..255.0, b in 0.0f32..255.0) {
-            let (y, cb, cr) = rgb_to_ycbcr(r, g, b);
-            let (r2, g2, b2) = ycbcr_to_rgb(y, cb, cr);
-            prop_assert!((r - r2).abs() < 1e-2);
-            prop_assert!((g - g2).abs() < 1e-2);
-            prop_assert!((b - b2).abs() < 1e-2);
-        }
-
         #[test]
         fn srgb_roundtrip(c in 0.0f32..=1.0) {
             let rt = linear_to_srgb(srgb_to_linear(c));

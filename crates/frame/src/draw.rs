@@ -1,19 +1,7 @@
 //! Drawing helpers used by the synthetic video generators and data-frame
-//! construction: rectangles, gradients, checkerboards and markers.
+//! construction: checkerboards and discs.
 
 use crate::plane::Plane;
-
-/// Fills the axis-aligned rectangle `[x, x+w) × [y, y+h)` (clipped to the
-/// plane) with `value`.
-pub fn fill_rect(p: &mut Plane<f32>, x: usize, y: usize, w: usize, h: usize, value: f32) {
-    let x1 = (x + w).min(p.width());
-    let y1 = (y + h).min(p.height());
-    for yy in y.min(p.height())..y1 {
-        for xx in x.min(p.width())..x1 {
-            p.put(xx, yy, value);
-        }
-    }
-}
 
 /// Writes a chessboard pattern over the rectangle `[x, x+w) × [y, y+h)`:
 /// cells of `cell × cell` pixels alternate between `a` (when the cell parity
@@ -46,30 +34,6 @@ pub fn chessboard(
     }
 }
 
-/// Fills the whole plane with a horizontal linear gradient from `left` to
-/// `right` code values.
-pub fn horizontal_gradient(p: &mut Plane<f32>, left: f32, right: f32) {
-    let w = p.width().max(2);
-    for y in 0..p.height() {
-        for x in 0..p.width() {
-            let t = x as f32 / (w - 1) as f32;
-            p.put(x, y, left + t * (right - left));
-        }
-    }
-}
-
-/// Fills the whole plane with a vertical linear gradient from `top` to
-/// `bottom` code values.
-pub fn vertical_gradient(p: &mut Plane<f32>, top: f32, bottom: f32) {
-    let h = p.height().max(2);
-    for y in 0..p.height() {
-        let t = y as f32 / (h - 1) as f32;
-        for x in 0..p.width() {
-            p.put(x, y, top + t * (bottom - top));
-        }
-    }
-}
-
 /// Draws a filled disc centered at `(cx, cy)` with radius `r` (anti-aliased
 /// over a one-pixel rim), used by the sunrise clip for the sun.
 pub fn filled_disc(p: &mut Plane<f32>, cx: f64, cy: f64, r: f64, value: f32) {
@@ -97,29 +61,9 @@ pub fn filled_disc(p: &mut Plane<f32>, cx: f64, cy: f64, r: f64, value: f32) {
     }
 }
 
-/// Draws a one-pixel-wide axis-aligned rectangle outline (a fiducial used to
-/// mark the data area in debug images).
-pub fn rect_outline(p: &mut Plane<f32>, x: usize, y: usize, w: usize, h: usize, value: f32) {
-    if w == 0 || h == 0 {
-        return;
-    }
-    fill_rect(p, x, y, w, 1, value);
-    fill_rect(p, x, y + h.saturating_sub(1), w, 1, value);
-    fill_rect(p, x, y, 1, h, value);
-    fill_rect(p, x + w.saturating_sub(1), y, 1, h, value);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fill_rect_clips_to_plane() {
-        let mut p = Plane::filled(4, 4, 0.0);
-        fill_rect(&mut p, 2, 2, 10, 10, 1.0);
-        assert_eq!(p.get(3, 3), 1.0);
-        assert_eq!(p.get(1, 1), 0.0);
-    }
 
     #[test]
     fn chessboard_alternates_cells() {
@@ -146,33 +90,11 @@ mod tests {
     }
 
     #[test]
-    fn gradients_hit_endpoints() {
-        let mut p = Plane::filled(5, 3, 0.0);
-        horizontal_gradient(&mut p, 10.0, 20.0);
-        assert_eq!(p.get(0, 0), 10.0);
-        assert_eq!(p.get(4, 0), 20.0);
-        let mut q = Plane::filled(3, 5, 0.0);
-        vertical_gradient(&mut q, 0.0, 100.0);
-        assert_eq!(q.get(0, 0), 0.0);
-        assert_eq!(q.get(0, 4), 100.0);
-    }
-
-    #[test]
     fn disc_covers_center_not_corners() {
         let mut p = Plane::filled(11, 11, 0.0);
         filled_disc(&mut p, 5.5, 5.5, 3.0, 200.0);
         assert_eq!(p.get(5, 5), 200.0);
         assert_eq!(p.get(0, 0), 0.0);
         assert_eq!(p.get(10, 10), 0.0);
-    }
-
-    #[test]
-    fn outline_touches_only_border() {
-        let mut p = Plane::filled(6, 6, 0.0);
-        rect_outline(&mut p, 1, 1, 4, 4, 9.0);
-        assert_eq!(p.get(1, 1), 9.0);
-        assert_eq!(p.get(4, 4), 9.0);
-        assert_eq!(p.get(2, 2), 0.0);
-        assert_eq!(p.get(0, 0), 0.0);
     }
 }

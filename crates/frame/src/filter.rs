@@ -1,4 +1,4 @@
-//! Spatial filtering: box/Gaussian smoothing, separable convolution, median.
+//! Spatial filtering: box/Gaussian smoothing and separable convolution.
 //!
 //! The InFrame receiver's detector hinges on spatial smoothing: a captured
 //! block is smoothed, subtracted from itself, and the residual magnitude
@@ -200,35 +200,6 @@ pub fn gaussian_blur(src: &Plane<f32>, sigma: f32) -> Plane<f32> {
     separable_convolve(src, &k, &k, Border::Replicate)
 }
 
-/// 3×3 median filter (replicate border) — used in robustness ablations as an
-/// alternative receiver smoother.
-pub fn median3x3(src: &Plane<f32>) -> Plane<f32> {
-    let (w, h) = src.shape();
-    Plane::from_fn(w, h, |x, y| {
-        let mut vals = [0.0f32; 9];
-        let mut i = 0;
-        for dy in -1isize..=1 {
-            for dx in -1isize..=1 {
-                vals[i] = src.get_clamped(x as isize + dx, y as isize + dy);
-                i += 1;
-            }
-        }
-        vals.sort_by(|a, b| a.partial_cmp(b).expect("median input must not be NaN"));
-        vals[4]
-    })
-}
-
-/// Downweights a plane toward its local mean: `out = src + k·(blur − src)`
-/// with `k ∈ [0,1]`. `k = 1` is a plain box blur; intermediate values model
-/// partial optical low-pass. Used by the channel ablations.
-pub fn soften(src: &Plane<f32>, r: usize, k: f32) -> Plane<f32> {
-    let blurred = box_blur(src, r);
-    Plane::from_fn(src.width(), src.height(), |x, y| {
-        let s = src.get(x, y);
-        s + k.clamp(0.0, 1.0) * (blurred.get(x, y) - s)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,14 +253,6 @@ mod tests {
     }
 
     #[test]
-    fn median_removes_salt_noise() {
-        let mut p = Plane::filled(9, 9, 10.0);
-        p.put(4, 4, 255.0);
-        let m = median3x3(&p);
-        assert_eq!(m.get(4, 4), 10.0);
-    }
-
-    #[test]
     fn zero_border_darkens_edges() {
         let p = Plane::filled(8, 8, 100.0);
         let k = vec![1.0 / 3.0; 3];
@@ -297,18 +260,6 @@ mod tests {
         let r = separable_convolve(&p, &k, &k, Border::Replicate);
         assert!(z.get(0, 0) < r.get(0, 0));
         assert!((r.get(0, 0) - 100.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn soften_interpolates_between_identity_and_blur() {
-        let p = Plane::from_fn(8, 8, |x, _| (x * 30) as f32);
-        let s0 = soften(&p, 1, 0.0);
-        let s1 = soften(&p, 1, 1.0);
-        let b = box_blur(&p, 1);
-        for i in 0..p.len() {
-            assert!((s0.samples()[i] - p.samples()[i]).abs() < 1e-4);
-            assert!((s1.samples()[i] - b.samples()[i]).abs() < 1e-4);
-        }
     }
 
     /// Pseudo-random fractional samples in roughly `[-64, 192)`.

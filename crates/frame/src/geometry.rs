@@ -1,4 +1,4 @@
-//! Planar geometry: homographies and bilinear warps.
+//! Planar geometry: homographies.
 //!
 //! The camera simulator views the screen from an arbitrary pose; the mapping
 //! from screen plane to sensor plane is a homography. The receiver inverts
@@ -6,7 +6,6 @@
 //! block decoding, mirroring the registration step every screen-camera
 //! system performs.
 
-use crate::plane::Plane;
 use crate::FrameError;
 
 /// A 3×3 projective transform acting on 2-D points (row-major).
@@ -35,14 +34,6 @@ impl Homography {
     pub fn scale(sx: f64, sy: f64) -> Self {
         Self {
             m: [[sx, 0.0, 0.0], [0.0, sy, 0.0], [0.0, 0.0, 1.0]],
-        }
-    }
-
-    /// Rotation about the origin by `theta` radians.
-    pub fn rotation(theta: f64) -> Self {
-        let (s, c) = theta.sin_cos();
-        Self {
-            m: [[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]],
         }
     }
 
@@ -162,67 +153,6 @@ impl Homography {
     }
 }
 
-/// Samples a plane at a fractional coordinate with bilinear interpolation and
-/// replicate borders.
-pub fn sample_bilinear(src: &Plane<f32>, x: f64, y: f64) -> f32 {
-    let x0 = x.floor();
-    let y0 = y.floor();
-    let fx = (x - x0) as f32;
-    let fy = (y - y0) as f32;
-    let xi = x0 as isize;
-    let yi = y0 as isize;
-    let v00 = src.get_clamped(xi, yi);
-    let v10 = src.get_clamped(xi + 1, yi);
-    let v01 = src.get_clamped(xi, yi + 1);
-    let v11 = src.get_clamped(xi + 1, yi + 1);
-    let top = v00 + fx * (v10 - v00);
-    let bot = v01 + fx * (v11 - v01);
-    top + fy * (bot - top)
-}
-
-/// Warps `src` through the **inverse** mapping: for each destination pixel,
-/// `inv` maps destination coordinates to source coordinates, which are then
-/// bilinearly sampled. Destination pixels whose source falls outside `src`
-/// (beyond `margin` pixels) receive `fill`.
-pub fn warp_inverse(
-    src: &Plane<f32>,
-    inv: &Homography,
-    dst_w: usize,
-    dst_h: usize,
-    fill: f32,
-) -> Plane<f32> {
-    let (sw, sh) = src.shape();
-    Plane::from_fn(dst_w, dst_h, |x, y| {
-        match inv.apply(x as f64 + 0.5, y as f64 + 0.5) {
-            Some((sx, sy)) => {
-                let sx = sx - 0.5;
-                let sy = sy - 0.5;
-                if sx < -1.0 || sy < -1.0 || sx > sw as f64 || sy > sh as f64 {
-                    fill
-                } else {
-                    sample_bilinear(src, sx, sy)
-                }
-            }
-            None => fill,
-        }
-    })
-}
-
-/// Warps `src` through the **forward** homography `h` (destination = h ·
-/// source) by inverting it once and delegating to [`warp_inverse`].
-///
-/// # Errors
-/// Returns [`FrameError::DegenerateTransform`] if `h` is singular.
-pub fn warp_forward(
-    src: &Plane<f32>,
-    h: &Homography,
-    dst_w: usize,
-    dst_h: usize,
-    fill: f32,
-) -> Result<Plane<f32>, FrameError> {
-    Ok(warp_inverse(src, &h.inverse()?, dst_w, dst_h, fill))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -289,31 +219,6 @@ mod tests {
         assert!(r.is_err());
     }
 
-    #[test]
-    fn bilinear_interpolates_midpoints() {
-        let p = Plane::from_vec(2, 2, vec![0.0f32, 10.0, 20.0, 30.0]).unwrap();
-        assert!((sample_bilinear(&p, 0.5, 0.0) - 5.0).abs() < 1e-5);
-        assert!((sample_bilinear(&p, 0.0, 0.5) - 10.0).abs() < 1e-5);
-        assert!((sample_bilinear(&p, 0.5, 0.5) - 15.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn identity_warp_preserves_image() {
-        let p = Plane::from_fn(8, 6, |x, y| (x * 10 + y) as f32);
-        let w = warp_inverse(&p, &Homography::identity(), 8, 6, 0.0);
-        for (x, y, v) in w.iter_xy() {
-            assert!((v - p.get(x, y)).abs() < 1e-4, "({x},{y})");
-        }
-    }
-
-    #[test]
-    fn out_of_bounds_gets_fill_value() {
-        let p = Plane::filled(4, 4, 100.0);
-        let inv = Homography::translation(100.0, 100.0);
-        let w = warp_inverse(&p, &inv, 4, 4, -7.0);
-        assert!(w.samples().iter().all(|&v| v == -7.0));
-    }
-
     proptest! {
         #[test]
         fn inverse_roundtrips_points(
@@ -321,8 +226,12 @@ mod tests {
             th in -1.0f64..1.0, s in 0.5f64..2.0,
             px in -50.0f64..50.0, py in -50.0f64..50.0,
         ) {
+            let (sin, cos) = th.sin_cos();
+            let rotation = Homography {
+                m: [[cos, -sin, 0.0], [sin, cos, 0.0], [0.0, 0.0, 1.0]],
+            };
             let h = Homography::translation(tx, ty)
-                .compose(&Homography::rotation(th))
+                .compose(&rotation)
                 .compose(&Homography::scale(s, s));
             let hi = h.inverse().unwrap();
             let (qx, qy) = h.apply(px, py).unwrap();

@@ -3,67 +3,20 @@
 //! The receiver box-blurs every capture; the naive separable blur costs
 //! O(r) per pixel. A summed-area table gives exact box sums in constant
 //! time per pixel regardless of radius — the classic trade used by every
-//! real-time vision pipeline. [`box_blur_fast`] is a drop-in equivalent of
+//! real-time vision pipeline. [`box_blur_fast_into`] is a drop-in equivalent of
 //! [`crate::filter::box_blur`] (replicate-border semantics included) used
 //! by the performance-sensitive paths and property-tested against the
 //! reference implementation.
 
 use crate::plane::Plane;
-use crate::qplane::{self, QBlurScratch, QPlane};
-
-/// A summed-area table: `sat[(x, y)]` is the sum of all samples with
-/// coordinates `< (x+1, y+1)` (f64 accumulators to keep 1920×1080×255
-/// exact).
-#[derive(Debug, Clone)]
-pub struct IntegralImage {
-    width: usize,
-    height: usize,
-    /// `(width+1) × (height+1)` table with a zero top row and left column.
-    sat: Vec<f64>,
-}
-
-impl IntegralImage {
-    /// Builds the table in one pass.
-    pub fn new(src: &Plane<f32>) -> Self {
-        let (w, h) = src.shape();
-        let stride = w + 1;
-        let mut sat = vec![0.0f64; stride * (h + 1)];
-        for y in 0..h {
-            let mut row_sum = 0.0f64;
-            for x in 0..w {
-                row_sum += src.get(x, y) as f64;
-                sat[(y + 1) * stride + (x + 1)] = sat[y * stride + (x + 1)] + row_sum;
-            }
-        }
-        Self {
-            width: w,
-            height: h,
-            sat,
-        }
-    }
-
-    /// Sum of the inclusive rectangle `[x0, x1] × [y0, y1]` (clamped to
-    /// the image).
-    pub fn rect_sum(&self, x0: isize, y0: isize, x1: isize, y1: isize) -> f64 {
-        let stride = self.width + 1;
-        let cx0 = x0.clamp(0, self.width as isize) as usize;
-        let cy0 = y0.clamp(0, self.height as isize) as usize;
-        let cx1 = (x1 + 1).clamp(0, self.width as isize) as usize;
-        let cy1 = (y1 + 1).clamp(0, self.height as isize) as usize;
-        if cx1 <= cx0 || cy1 <= cy0 {
-            return 0.0;
-        }
-        self.sat[cy1 * stride + cx1] + self.sat[cy0 * stride + cx0]
-            - self.sat[cy0 * stride + cx1]
-            - self.sat[cy1 * stride + cx0]
-    }
-}
+use crate::qplane::{self, QPlane};
 
 /// Paired integer summed-area tables over a Q8.7 [`QPlane`]: one for the
-/// raw samples and one for their squares. This is the quantized
-/// demodulator's workhorse — per-Block correlation (`Σ hp·t`) and
-/// high-pass energy (`Σ hp²`) reduce to a handful of row-segment lookups
-/// instead of re-walking every sensor pixel per Block.
+/// raw samples and one for their squares — the whole-plane reference the
+/// quantized demodulator's banded [`QRowPrefix`] tables are tested
+/// against. Per-Block correlation (`Σ hp·t`) and high-pass energy
+/// (`Σ hp²`) reduce to a handful of row-segment lookups instead of
+/// re-walking every sensor pixel per Block.
 ///
 /// All arithmetic is `i64` and **exact**: `(255·128)² ≈ 1.07e9` per pixel
 /// times a 4K sensor (`~8.3e6` pixels) stays below `9e15 ≪ i64::MAX`.
@@ -127,100 +80,6 @@ impl QIntegral {
         }
     }
 
-    /// Builds both tables directly from the high-pass residual
-    /// `src − blur_r(src)` without materializing the smoothed or residual
-    /// planes.
-    ///
-    /// Bit-identical to composing [`qplane::sliding_box_blur_into`],
-    /// [`qplane::saturating_sub_into`] and [`Self::build_into`] (same
-    /// integer operations in the same order — pinned by a test below),
-    /// but one fused pass instead of three: the composition writes and
-    /// re-reads two full `i16` planes that exist only to feed this build,
-    /// which on a 720p capture is ~7 MB of pure memory traffic per frame.
-    ///
-    /// # Panics
-    /// Panics if `src` is empty.
-    pub fn build_highpass_into(&mut self, src: &QPlane, r: usize, scratch: &mut QBlurScratch) {
-        let (w, h) = src.shape();
-        assert!(w > 0 && h > 0, "cannot filter an empty plane");
-        self.width = w;
-        self.height = h;
-        let stride = w + 1;
-        let needed = stride * (h + 1);
-        if r == 0 {
-            // blur(src) == src, so the residual is identically zero.
-            self.sum.clear();
-            self.sum.resize(needed, 0);
-            self.sq.clear();
-            self.sq.resize(needed, 0);
-            return;
-        }
-        if self.sum.len() == needed {
-            self.sum[..stride].fill(0);
-            self.sq[..stride].fill(0);
-        } else {
-            self.sum.clear();
-            self.sum.resize(needed, 0);
-            self.sq.clear();
-            self.sq.resize(needed, 0);
-        }
-        qplane::horizontal_window_sums(src, r, &mut scratch.rowsum);
-        let area = ((2 * r + 1) * (2 * r + 1)) as i64;
-        qplane::init_column_sums(&scratch.rowsum, w, h, r, &mut scratch.col);
-        // Each row stages through the [`crate::simd`] fused kernel (the
-        // same reciprocal-mean semantics as the sliding blur — its i32
-        // row prefixes are exact up to 65 535-px rows, so widening them
-        // for the vertical accumulation reproduces the old i64 running
-        // sums term for term); huge windows take `div_round` directly,
-        // which equals the reciprocal quotient wherever both apply.
-        let use_kernel = area <= crate::simd::MAX_MEAN_AREA && w <= 65_535;
-        let level = crate::simd::active_level();
-        let (rowsum, col, row_s, row_q) = (
-            &scratch.rowsum,
-            &mut scratch.col,
-            &mut scratch.row_s,
-            &mut scratch.row_q,
-        );
-        if use_kernel {
-            row_s.clear();
-            row_s.resize(stride, 0);
-            row_q.clear();
-            row_q.resize(stride, 0);
-        }
-        for y in 0..h {
-            let row = &src.row(y)[..w];
-            let (prev_s, cur_s) = self.sum[y * stride..(y + 2) * stride].split_at_mut(stride);
-            let (prev_q, cur_q) = self.sq[y * stride..(y + 2) * stride].split_at_mut(stride);
-            cur_s[0] = 0;
-            cur_q[0] = 0;
-            if use_kernel {
-                crate::simd::highpass_prefix_row(level, row, col, area, row_s, row_q);
-                for x in 1..=w {
-                    cur_s[x] = prev_s[x] + row_s[x] as i64;
-                    cur_q[x] = prev_q[x] + row_q[x];
-                }
-            } else {
-                let mut run_s = 0i64;
-                let mut run_q = 0i64;
-                for x in 0..w {
-                    let mean = qplane::div_round(col[x] as i64, area);
-                    let hp = row[x].saturating_sub(mean as i16) as i64;
-                    run_s += hp;
-                    run_q += hp * hp;
-                    cur_s[x + 1] = prev_s[x + 1] + run_s;
-                    cur_q[x + 1] = prev_q[x + 1] + run_q;
-                }
-            }
-            if y + 1 < h {
-                let enter = &rowsum[(y + 1 + r).min(h - 1) * w..(y + 1 + r).min(h - 1) * w + w];
-                let leave = &rowsum[y.saturating_sub(r) * w..y.saturating_sub(r) * w + w];
-                for ((c, &e), &l) in col.iter_mut().zip(enter).zip(leave) {
-                    *c += e - l;
-                }
-            }
-        }
-    }
-
     /// The source shape the tables were built for.
     pub fn shape(&self) -> (usize, usize) {
         (self.width, self.height)
@@ -248,24 +107,6 @@ impl QIntegral {
         let lo = (y + 1) * stride;
         let hi = y * stride;
         (self.sq[lo + x1] - self.sq[lo + x0]) - (self.sq[hi + x1] - self.sq[hi + x0])
-    }
-
-    /// Raw-sum over the half-open rectangle `[x0, x1) × [y0, y1)`.
-    pub fn rect_sum(&self, x0: usize, y0: usize, x1: usize, y1: usize) -> i64 {
-        debug_assert!(x0 <= x1 && x1 <= self.width && y0 <= y1 && y1 <= self.height);
-        let stride = self.width + 1;
-        self.sum[y1 * stride + x1] + self.sum[y0 * stride + x0]
-            - self.sum[y0 * stride + x1]
-            - self.sum[y1 * stride + x0]
-    }
-
-    /// Squared-sum over the half-open rectangle `[x0, x1) × [y0, y1)`.
-    pub fn rect_sum_sq(&self, x0: usize, y0: usize, x1: usize, y1: usize) -> i64 {
-        debug_assert!(x0 <= x1 && x1 <= self.width && y0 <= y1 && y1 <= self.height);
-        let stride = self.width + 1;
-        self.sq[y1 * stride + x1] + self.sq[y0 * stride + x0]
-            - self.sq[y0 * stride + x1]
-            - self.sq[y1 * stride + x0]
     }
 }
 
@@ -564,21 +405,9 @@ pub struct BlurScratch {
     sat: Vec<f64>,
 }
 
-/// Box blur via integral image with **replicate-border** semantics, exactly
-/// matching [`crate::filter::box_blur`].
-///
-/// Replicate borders make the window sum at the edge include clamped
-/// duplicates; this is computed by counting how many window taps clamp to
-/// each border row/column.
-pub fn box_blur_fast(src: &Plane<f32>, r: usize) -> Plane<f32> {
-    let mut out = Plane::filled(src.width(), src.height(), 0.0);
-    box_blur_fast_into(src, r, &mut BlurScratch::default(), &mut out);
-    out
-}
-
-/// Allocation-free variant of [`box_blur_fast`]: filters `src` into `out`
-/// using (and growing, on first use) the caller's [`BlurScratch`]. Output
-/// is bit-identical to [`box_blur_fast`].
+/// Box blur via the summed-area table with **replicate-border** semantics,
+/// exactly matching [`crate::filter::box_blur`]: filters `src` into `out`
+/// using (and growing, on first use) the caller's [`BlurScratch`].
 ///
 /// # Panics
 /// Panics if `out` and `src` shapes differ.
@@ -605,8 +434,8 @@ pub fn box_blur_fast_into(
     let (w, h) = src.shape();
     let pw = w + 2 * r;
     let ph = h + 2 * r;
-    // Summed-area table over the padded image, same recurrence as
-    // [`IntegralImage::new`] (zero top row and left column). Output row
+    // Summed-area table over the padded image (zero top row and left
+    // column). Output row
     // `y` reads table rows `y` and `y + n` (`n = 2r + 1`), so only the
     // last `n + 1` table rows are kept, in a ring: table row `k` lives in
     // slot `k % (n + 1)`, and slot 0 starts as the zero row.
@@ -661,29 +490,10 @@ mod tests {
     use crate::filter::box_blur;
     use proptest::prelude::*;
 
-    #[test]
-    fn fused_highpass_build_is_bit_identical_to_composition() {
-        let src = QPlane::from_plane(&Plane::from_fn(37, 29, |x, y| {
-            ((x * 83 + y * 131 + x * y) % 256) as f32 - 64.0
-        }));
-        let mut scratch = QBlurScratch::default();
-        let mut smoothed = QPlane::new(1, 1);
-        let mut highpass = QPlane::new(1, 1);
-        let mut composed = QIntegral::default();
-        let mut fused = QIntegral::default();
-        for r in 0..=8usize {
-            qplane::sliding_box_blur_into(&src, r, &mut scratch, &mut smoothed);
-            qplane::saturating_sub_into(&src, &smoothed, &mut highpass);
-            composed.build_into(&highpass);
-            // Run the fused build twice: the second call exercises the
-            // buffer-reuse path (no zero fill).
-            for _ in 0..2 {
-                fused.build_highpass_into(&src, r, &mut scratch);
-                assert_eq!(fused.shape(), composed.shape());
-                assert_eq!(fused.sum, composed.sum, "sum table diverged at r={r}");
-                assert_eq!(fused.sq, composed.sq, "sq table diverged at r={r}");
-            }
-        }
+    fn box_blur_fast(src: &Plane<f32>, r: usize) -> Plane<f32> {
+        let mut out = Plane::filled(src.width(), src.height(), 0.0);
+        box_blur_fast_into(src, r, &mut BlurScratch::default(), &mut out);
+        out
     }
 
     #[test]
@@ -692,7 +502,7 @@ mod tests {
             ((x * 67 + y * 149 + x * y * 3) % 256) as f32 - 96.0
         }));
         let (w, h) = src.shape();
-        let mut scratch = QBlurScratch::default();
+        let mut scratch = qplane::QBlurScratch::default();
         let mut smoothed = QPlane::new(1, 1);
         let mut highpass = QPlane::new(1, 1);
         let mut col = Vec::new();
@@ -731,26 +541,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn rect_sum_matches_manual() {
-        let p = Plane::from_fn(5, 4, |x, y| (y * 5 + x) as f32);
-        let sat = IntegralImage::new(&p);
-        // Sum of the 2x2 block at (1,1): 6+7+11+12 = 36.
-        assert_eq!(sat.rect_sum(1, 1, 2, 2), 36.0);
-        // Whole image.
-        let total: f64 = p.samples().iter().map(|&v| v as f64).sum();
-        assert_eq!(sat.rect_sum(0, 0, 4, 3), total);
-        // Degenerate.
-        assert_eq!(sat.rect_sum(3, 3, 2, 2), 0.0);
-    }
-
-    #[test]
-    fn clamped_rect_matches_inner() {
-        let p = Plane::from_fn(4, 4, |x, y| (x + y) as f32);
-        let sat = IntegralImage::new(&p);
-        assert_eq!(sat.rect_sum(-5, -5, 10, 10), sat.rect_sum(0, 0, 3, 3));
     }
 
     #[test]
@@ -883,13 +673,14 @@ mod tests {
                     want_q += v * v;
                 }
             }
-            prop_assert_eq!(sat.rect_sum(x0, y0, x1, y1), want_s);
-            prop_assert_eq!(sat.rect_sum_sq(x0, y0, x1, y1), want_q);
             let mut row_s = 0i64;
+            let mut row_q = 0i64;
             for y in y0..y1 {
                 row_s += sat.row_sum(y, x0, x1);
+                row_q += sat.row_sum_sq(y, x0, x1);
             }
             prop_assert_eq!(row_s, want_s);
+            prop_assert_eq!(row_q, want_q);
         }
 
         #[test]

@@ -1,14 +1,13 @@
-//! Minimal Netpbm (PGM/PPM) reading and writing.
+//! Minimal Netpbm (PGM) reading and writing.
 //!
 //! Examples use these to emit viewable artifacts — e.g. the Figure 4
 //! complementary frame pairs — without pulling an image crate into the
-//! workspace. Only the binary variants (`P5`, `P6`) with 8-bit depth are
+//! workspace. Only the binary grayscale variant (`P5`) with 8-bit depth is
 //! supported, which is all the reproduction needs.
 
 use crate::plane::Plane;
-use crate::rgb::RgbFrame;
 use crate::{FrameError, Result};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, Write};
 use std::path::Path;
 
 /// Writes a grayscale plane as binary PGM (`P5`).
@@ -37,34 +36,6 @@ pub fn write_pgm_to(w: &mut impl Write, plane: &Plane<f32>) -> Result<()> {
     Ok(())
 }
 
-/// Writes an RGB frame as binary PPM (`P6`).
-///
-/// # Errors
-/// Propagates I/O failures.
-pub fn write_ppm(path: impl AsRef<Path>, frame: &RgbFrame) -> Result<()> {
-    let mut f = std::fs::File::create(path)?;
-    write_ppm_to(&mut f, frame)
-}
-
-/// Writes an RGB frame as binary PPM to any writer.
-///
-/// # Errors
-/// Propagates I/O failures.
-pub fn write_ppm_to(w: &mut impl Write, frame: &RgbFrame) -> Result<()> {
-    writeln!(w, "P6\n{} {}\n255", frame.width(), frame.height())?;
-    w.write_all(&frame.to_interleaved_u8())?;
-    Ok(())
-}
-
-/// Reads a binary PGM (`P5`) into an `f32` plane.
-///
-/// # Errors
-/// Returns [`FrameError::Parse`] on malformed headers or truncated data.
-pub fn read_pgm(path: impl AsRef<Path>) -> Result<Plane<f32>> {
-    let f = std::fs::File::open(path)?;
-    read_pgm_from(&mut BufReader::new(f))
-}
-
 /// Reads a binary PGM from any reader.
 ///
 /// # Errors
@@ -81,33 +52,6 @@ pub fn read_pgm_from(r: &mut impl BufRead) -> Result<Plane<f32>> {
     r.read_exact(&mut data)
         .map_err(|e| FrameError::Parse(format!("truncated pixel data: {e}")))?;
     Plane::from_vec(w, h, data.into_iter().map(|b| b as f32).collect())
-}
-
-/// Reads a binary PPM (`P6`) into an [`RgbFrame`].
-///
-/// # Errors
-/// Returns [`FrameError::Parse`] on malformed headers or truncated data.
-pub fn read_ppm(path: impl AsRef<Path>) -> Result<RgbFrame> {
-    let f = std::fs::File::open(path)?;
-    read_ppm_from(&mut BufReader::new(f))
-}
-
-/// Reads a binary PPM from any reader.
-///
-/// # Errors
-/// Returns [`FrameError::Parse`] on malformed headers or truncated data.
-pub fn read_ppm_from(r: &mut impl BufRead) -> Result<RgbFrame> {
-    let (magic, w, h, maxval) = read_header(r)?;
-    if magic != "P6" {
-        return Err(FrameError::Parse(format!("expected P6, got {magic}")));
-    }
-    if maxval != 255 {
-        return Err(FrameError::Parse(format!("unsupported maxval {maxval}")));
-    }
-    let mut data = vec![0u8; w * h * 3];
-    r.read_exact(&mut data)
-        .map_err(|e| FrameError::Parse(format!("truncated pixel data: {e}")))?;
-    RgbFrame::from_interleaved_u8(w, h, &data)
 }
 
 /// Parses a Netpbm header: magic, width, height, maxval. Handles `#`
@@ -163,7 +107,7 @@ fn next_token(r: &mut impl BufRead) -> Result<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
+    use std::io::{BufReader, Cursor};
 
     #[test]
     fn pgm_roundtrip_in_memory() {
@@ -172,20 +116,6 @@ mod tests {
         write_pgm_to(&mut buf, &p).unwrap();
         let q = read_pgm_from(&mut Cursor::new(buf)).unwrap();
         assert_eq!(p, q);
-    }
-
-    #[test]
-    fn ppm_roundtrip_in_memory() {
-        let f = RgbFrame::from_interleaved_u8(
-            3,
-            2,
-            &(0..18).map(|i| (i * 13) as u8).collect::<Vec<_>>(),
-        )
-        .unwrap();
-        let mut buf = Vec::new();
-        write_ppm_to(&mut buf, &f).unwrap();
-        let g = read_ppm_from(&mut Cursor::new(buf)).unwrap();
-        assert_eq!(f, g);
     }
 
     #[test]
@@ -229,7 +159,8 @@ mod tests {
         let path = dir.join("t.pgm");
         let p = Plane::from_fn(4, 4, |x, y| (x + y * 4) as f32);
         write_pgm(&path, &p).unwrap();
-        let q = read_pgm(&path).unwrap();
+        let mut r = BufReader::new(std::fs::File::open(&path).unwrap());
+        let q = read_pgm_from(&mut r).unwrap();
         assert_eq!(p, q);
         std::fs::remove_file(&path).ok();
     }

@@ -9,16 +9,15 @@
 //!
 //! * [`Plane`] — a 2-D buffer of scalar samples, generic over the sample
 //!   type (`u8` for storage, `f32` for linear-light math).
-//! * [`RgbFrame`] — a planar RGB frame built from three [`Plane<f32>`]s.
-//! * [`color`] — sRGB transfer functions, BT.601 RGB↔YCbCr, luma extraction.
+//! * [`color`] — sRGB transfer functions.
 //! * [`arith`] — saturating pixel arithmetic and image distance metrics
-//!   (MAE, MSE, PSNR); [`metrics`] adds SSIM and a combined quality report.
+//!   (mean absolute error).
 //! * [`filter`] — box/Gaussian smoothing and separable convolution (the
 //!   receiver's "smoothed version" of a block comes from here).
-//! * [`geometry`] — homographies and bilinear warps used by the camera
-//!   simulator for perspective capture and by the receiver for registration.
-//! * [`resample`] — area-average downsampling and bilinear resizing
-//!   (display resolution → capture resolution).
+//! * [`geometry`] — homographies, used by the camera simulator for
+//!   perspective capture and by the receiver for registration.
+//! * [`resample`] — area-average downsampling (display resolution →
+//!   capture resolution).
 //! * [`pool`] — a fixed-geometry frame arena ([`FramePool`]) whose
 //!   checkout/return handles give the streaming pipeline zero steady-state
 //!   heap allocations.
@@ -31,9 +30,9 @@
 //! * [`simd`] — explicit SSE2/AVX2 paths for the quantized hot kernels
 //!   with one-time runtime dispatch (`INFRAME_SIMD` override), each
 //!   bit-identical to the scalar oracle.
-//! * [`draw`] — rectangle/checkerboard/gradient drawing helpers used by the
+//! * [`draw`] — checkerboard/disc drawing helpers used by the
 //!   synthetic video generators.
-//! * [`io`] — binary PGM/PPM reading and writing so examples can emit
+//! * [`io`] — binary PGM reading and writing so examples can emit
 //!   viewable artifacts (e.g. the Figure 4 complementary pairs).
 //!
 //! All floating-point imagery uses the convention that sample values live in
@@ -56,21 +55,18 @@ pub mod filter;
 pub mod geometry;
 pub mod integral;
 pub mod io;
-pub mod metrics;
 pub mod parallel;
 pub mod perturb;
 pub mod plane;
 pub mod pool;
 pub mod qplane;
 pub mod resample;
-pub mod rgb;
 pub mod simd;
 
 pub use error::FrameError;
 pub use parallel::ParallelEngine;
 pub use plane::Plane;
 pub use pool::{FramePool, PooledPlane};
-pub use rgb::RgbFrame;
 
 /// Convenient result alias used across the crate.
 pub type Result<T> = std::result::Result<T, FrameError>;

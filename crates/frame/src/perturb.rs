@@ -81,16 +81,6 @@ impl CaptureTransform {
         occlusion: None,
     };
 
-    /// Gain-only transform from a linear factor (rounded into Q4.12, so
-    /// nearby factors snap to the same discrete transform — exactly what
-    /// batch scoring wants).
-    pub fn with_gain_factor(factor: f64) -> Self {
-        Self {
-            gain_q12: (factor * GAIN_ONE_Q12 as f64).round().max(0.0) as i32,
-            ..Self::IDENTITY
-        }
-    }
-
     /// Whether gain and AWB leave pixels untouched (occlusion may still
     /// be present).
     pub fn is_photometric_identity(&self) -> bool {

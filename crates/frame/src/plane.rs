@@ -194,16 +194,6 @@ impl<T: Sample> Plane<T> {
         self.data[y * self.width + x]
     }
 
-    /// Reads the sample at `(x, y)` or `None` when out of bounds.
-    #[inline]
-    pub fn try_get(&self, x: usize, y: usize) -> Option<T> {
-        if x < self.width && y < self.height {
-            Some(self.data[y * self.width + x])
-        } else {
-            None
-        }
-    }
-
     /// Reads the sample at the clamped coordinate — out-of-range coordinates
     /// are clamped to the border (replicate padding), the convention used by
     /// all spatial filters in this workspace.
@@ -251,12 +241,6 @@ impl<T: Sample> Plane<T> {
     #[inline]
     pub fn samples_mut(&mut self) -> &mut [T] {
         &mut self.data
-    }
-
-    /// Consumes the plane and returns its buffer.
-    #[inline]
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
     }
 
     /// Applies `f` to every sample in place.
@@ -326,25 +310,6 @@ impl<T: Sample> Plane<T> {
             self.data[dst_off..dst_off + src.width].copy_from_slice(src.row(sy));
         }
         Ok(())
-    }
-
-    /// Splits the plane into up to `bands` horizontal bands of contiguous
-    /// rows, returning each band's row range together with its mutable
-    /// sample slice. The partition is the deterministic one produced by
-    /// [`band_rows`], so the same `(height, bands)` always yields the same
-    /// boundaries — the property the parallel renderer relies on for
-    /// bit-identical output at any worker count.
-    pub fn bands_mut(&mut self, bands: usize) -> Vec<(std::ops::Range<usize>, &mut [T])> {
-        let ranges = band_rows(self.height, bands);
-        let width = self.width;
-        let mut rest: &mut [T] = &mut self.data;
-        let mut out = Vec::with_capacity(ranges.len());
-        for r in ranges {
-            let (band, tail) = rest.split_at_mut((r.end - r.start) * width);
-            rest = tail;
-            out.push((r, band));
-        }
-        out
     }
 
     /// Iterates over `(x, y, value)` triples in row-major order.
@@ -417,13 +382,6 @@ pub fn band_rows(
 }
 
 impl Plane<f32> {
-    /// Clamps every sample into `[lo, hi]` in place.
-    pub fn clamp_in_place(&mut self, lo: f32, hi: f32) {
-        for v in &mut self.data {
-            *v = v.clamp(lo, hi);
-        }
-    }
-
     /// Quantizes to 8-bit code values (round + clamp to `[0, 255]`).
     pub fn quantize_u8(&self) -> Plane<u8> {
         self.map(u8::from_f32)
@@ -460,8 +418,6 @@ mod tests {
         let mut p = Plane::<f32>::filled(3, 2, 0.0);
         p.put(2, 1, 9.5);
         assert_eq!(p.get(2, 1), 9.5);
-        assert_eq!(p.try_get(3, 0), None);
-        assert_eq!(p.try_get(0, 0), Some(0.0));
     }
 
     #[test]
@@ -543,20 +499,6 @@ mod tests {
             let max = bands.iter().map(|r| r.len()).max().unwrap();
             let min = bands.iter().map(|r| r.len()).min().unwrap();
             assert!(max - min <= 1, "bands must differ by at most one row");
-        }
-    }
-
-    #[test]
-    fn bands_mut_covers_all_rows_disjointly() {
-        let mut p = Plane::from_fn(5, 11, |x, y| (y * 5 + x) as f32);
-        let reference = p.clone();
-        for (range, slice) in p.bands_mut(3) {
-            assert_eq!(slice.len(), range.len() * 5);
-            for (i, v) in slice.iter().enumerate() {
-                let y = range.start + i / 5;
-                let x = i % 5;
-                assert_eq!(*v, reference.get(x, y));
-            }
         }
     }
 

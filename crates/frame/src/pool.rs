@@ -173,17 +173,6 @@ impl PooledPlane {
             generation: 0,
         }
     }
-
-    /// Consumes the handle and keeps the plane, permanently removing the
-    /// buffer from pool circulation.
-    pub fn detach(mut self) -> Plane<f32> {
-        let plane = self.plane.take().expect("plane present until drop");
-        if let Some(inner) = self.pool.upgrade() {
-            inner.live.fetch_sub(1, Ordering::Relaxed);
-        }
-        self.pool = Weak::new();
-        plane
-    }
 }
 
 impl std::ops::Deref for PooledPlane {
@@ -307,16 +296,6 @@ mod tests {
         assert_eq!(b.get(1, 1), 9.0);
         assert_eq!(pool.stats().allocated, 1);
         assert_eq!(pool.stats().reused, 2);
-    }
-
-    #[test]
-    fn detach_removes_buffer_from_circulation() {
-        let pool = FramePool::new(4, 4);
-        let a = pool.checkout();
-        let plane = a.detach();
-        assert_eq!(plane.shape(), (4, 4));
-        assert_eq!(pool.stats().live, 0);
-        assert_eq!(pool.stats().free, 0, "detached buffer must not return");
     }
 
     #[test]

@@ -96,16 +96,6 @@ impl QPlane {
         crate::simd::quantize_slice(crate::simd::active_level(), src.samples(), &mut self.data);
     }
 
-    /// Dequantizes into a new f32 plane.
-    pub fn to_plane(&self) -> Plane<f32> {
-        Plane::from_vec(
-            self.width,
-            self.height,
-            self.data.iter().map(|&r| dequantize(r)).collect(),
-        )
-        .expect("shape is consistent by construction")
-    }
-
     /// `(width, height)`.
     pub fn shape(&self) -> (usize, usize) {
         (self.width, self.height)
@@ -184,10 +174,6 @@ pub struct QBlurScratch {
     /// Vertical running accumulators, one per column (`i32` — see
     /// [`init_column_sums`] for the overflow bound).
     pub(crate) col: Vec<i32>,
-    /// Staging row for the fused high-pass prefix sums (`w + 1` i32).
-    pub(crate) row_s: Vec<i32>,
-    /// Staging row for the squared prefix sums (`w + 1` i64).
-    pub(crate) row_q: Vec<i64>,
 }
 
 /// Rounded division for the window mean: nearest integer, ties away from
@@ -324,18 +310,17 @@ pub(crate) fn init_column_sums(rowsum: &[i32], w: usize, h: usize, r: usize, col
     }
 }
 
-/// Allocating convenience wrapper over [`sliding_box_blur_into`].
-pub fn sliding_box_blur(src: &QPlane, r: usize) -> QPlane {
-    let mut out = QPlane::new(src.width(), src.height());
-    sliding_box_blur_into(src, r, &mut QBlurScratch::default(), &mut out);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::filter::box_blur;
     use proptest::prelude::*;
+
+    fn sliding_box_blur(src: &QPlane, r: usize) -> QPlane {
+        let mut out = QPlane::new(src.width(), src.height());
+        sliding_box_blur_into(src, r, &mut QBlurScratch::default(), &mut out);
+        out
+    }
 
     fn hash_plane(w: usize, h: usize, seed: u64) -> Plane<f32> {
         Plane::from_fn(w, h, |x, y| {

@@ -1,25 +1,10 @@
-//! Resolution conversion: area-average downsampling and bilinear resizing.
+//! Resolution conversion: area-average downsampling.
 //!
 //! The paper's sender renders at 1920×1080 while the Lumia 1020 captures at
 //! 1280×720 — a 1.5× downsample. Area averaging models how multiple display
 //! pixels integrate onto one sensor photosite.
 
-use crate::geometry::sample_bilinear;
 use crate::plane::Plane;
-
-/// Resizes with bilinear interpolation. Suitable for mild scale changes and
-/// upsampling; prefer [`downsample_area`] for large downscales to avoid
-/// aliasing.
-pub fn resize_bilinear(src: &Plane<f32>, dst_w: usize, dst_h: usize) -> Plane<f32> {
-    assert!(dst_w > 0 && dst_h > 0, "destination must be nonzero");
-    let sx = src.width() as f64 / dst_w as f64;
-    let sy = src.height() as f64 / dst_h as f64;
-    Plane::from_fn(dst_w, dst_h, |x, y| {
-        let fx = (x as f64 + 0.5) * sx - 0.5;
-        let fy = (y as f64 + 0.5) * sy - 0.5;
-        sample_bilinear(src, fx, fy)
-    })
-}
 
 /// Downsamples by averaging the exact (fractional) source area covered by
 /// each destination pixel — a box reconstruction filter. Works for any
@@ -143,11 +128,10 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn constant_plane_survives_both_resamplers() {
+    fn constant_plane_survives_area_resampling() {
         let p = Plane::filled(12, 9, 77.0);
         let a = downsample_area(&p, 8, 6);
-        let b = resize_bilinear(&p, 8, 6);
-        for &v in a.samples().iter().chain(b.samples()) {
+        for &v in a.samples() {
             assert!((v - 77.0).abs() < 1e-4);
         }
     }
@@ -198,16 +182,6 @@ mod tests {
     fn downsample_rejects_upscale() {
         let p = Plane::filled(4, 4, 0.0);
         let _ = downsample_area(&p, 8, 8);
-    }
-
-    #[test]
-    fn bilinear_upscale_interpolates() {
-        let p = Plane::from_vec(2, 1, vec![0.0f32, 100.0]).unwrap();
-        let u = resize_bilinear(&p, 4, 1);
-        // Monotone non-decreasing along the gradient.
-        for i in 1..4 {
-            assert!(u.get(i, 0) >= u.get(i - 1, 0));
-        }
     }
 
     /// Pseudo-random samples: half are ±2⁴⁵, half fractions in `[0, 1)`.

@@ -155,28 +155,6 @@ pub fn force_level(level: Option<SimdLevel>) {
     ACTIVE.store(raw, Ordering::Relaxed);
 }
 
-/// Comma-separated list of the relevant CPU features this machine
-/// reports, for bench metadata ("portable" off x86_64).
-pub fn cpu_features() -> String {
-    #[cfg(target_arch = "x86_64")]
-    {
-        let mut found = Vec::new();
-        macro_rules! probe {
-            ($($name:tt),*) => {
-                $(if std::arch::is_x86_feature_detected!($name) {
-                    found.push($name);
-                })*
-            };
-        }
-        probe!("sse2", "ssse3", "sse4.1", "sse4.2", "avx", "avx2", "fma", "avx512f");
-        found.join(",")
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        String::from("portable")
-    }
-}
-
 /// Largest window area the reciprocal/f64 mean kernels accept
 /// (`(2r+1)² ≤ 2896` ⇔ `r ≤ 26`; the demodulator clamps r to 8).
 pub const MAX_MEAN_AREA: i64 = 2896;
@@ -463,69 +441,11 @@ fn segment_sum_scalar(table: &[i64], idx0: &[u32], idx1: &[u32]) -> i64 {
 }
 
 /// `Σ sign·(table[idx1] − table[idx0])` over precomputed prefix-table
-/// indices — the demodulator's template correlation. Each difference is
-/// a row-segment sum (fits `i32` exactly); `sign` entries must be `±1`
-/// (the AVX2 path applies them by conditional negation).
-///
-/// # Panics
-/// Panics if the index/sign slices differ in length or any index is out
-/// of the table's bounds (checked up front so the gather is in-bounds).
-pub fn signed_segment_sum_i32(
-    level: SimdLevel,
-    table: &[i32],
-    idx0: &[u32],
-    idx1: &[u32],
-    sign: &[i32],
-) -> i64 {
-    assert!(idx0.len() == idx1.len() && idx0.len() == sign.len());
-    // i32 gathers sign-extend the lane, so indices must also stay below
-    // 2³¹; a table that large (8 GiB) is unreachable, but check anyway.
-    assert!(
-        table.len() <= i32::MAX as usize,
-        "table too large to gather"
-    );
-    let bound = table.len() as u32;
-    assert!(
-        idx0.iter().chain(idx1).all(|&i| i < bound),
-        "gather index out of table bounds"
-    );
-    debug_assert!(sign.iter().all(|&s| s == 1 || s == -1));
-    match level.min(detected_level()) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: feature present per clamp; indices verified in bounds.
-        SimdLevel::Avx2 => unsafe { x86::signed_segment_sum_avx2(table, idx0, idx1, sign) },
-        // The 128-bit ISA has no gather; scalar loads are the fallback.
-        _ => signed_segment_sum_scalar(table, idx0, idx1, sign),
-    }
-}
-
-/// `Σ (table[idx1] − table[idx0])` over the squared-sum prefix table —
-/// the demodulator's high-pass energy term.
-///
-/// # Panics
-/// Panics on mismatched slice lengths or out-of-bounds indices.
-pub fn segment_sum_i64(level: SimdLevel, table: &[i64], idx0: &[u32], idx1: &[u32]) -> i64 {
-    assert_eq!(idx0.len(), idx1.len());
-    assert!(
-        table.len() <= i32::MAX as usize,
-        "table too large to gather"
-    );
-    let bound = table.len() as u32;
-    assert!(
-        idx0.iter().chain(idx1).all(|&i| i < bound),
-        "gather index out of table bounds"
-    );
-    match level.min(detected_level()) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: feature present per clamp; indices verified in bounds.
-        SimdLevel::Avx2 => unsafe { x86::segment_sum_avx2(table, idx0, idx1) },
-        _ => segment_sum_scalar(table, idx0, idx1),
-    }
-}
-
-/// Batched [`signed_segment_sum_i32`]: one accumulator per slice, where
-/// `slices[k]` is the half-open range of the index arrays belonging to
-/// slice `k`. A Block's demodulation makes a handful of very short
+/// indices — the demodulator's template correlation — with one
+/// accumulator per slice, where `slices[k]` is the half-open range of the
+/// index arrays belonging to slice `k`. Each difference is a row-segment
+/// sum (fits `i32` exactly); `sign` entries must be `±1` (the AVX2 path
+/// applies them by conditional negation). A Block's demodulation makes a handful of very short
 /// segment-sum calls (one per rolling-shutter slice); batching them pays
 /// the bounds validation and dispatch once per Block instead of per
 /// slice. Each slice's accumulator is the exact per-slice kernel result.
@@ -574,8 +494,9 @@ pub fn signed_segment_sums_sliced(
     }
 }
 
-/// Batched [`segment_sum_i64`] — the energy-term twin of
-/// [`signed_segment_sums_sliced`], same slicing contract.
+/// `Σ (table[idx1] − table[idx0])` over the squared-sum prefix table per
+/// slice — the demodulator's high-pass energy term, the twin of
+/// [`signed_segment_sums_sliced`] with the same slicing contract.
 ///
 /// # Panics
 /// Panics on mismatched index lengths, an out-of-bounds gather index, a
@@ -1251,7 +1172,6 @@ mod tests {
         let d = detected_level();
         assert!(d >= SimdLevel::Scalar);
         assert!(SimdLevel::supported().all(|l| l <= d));
-        assert!(!cpu_features().is_empty());
     }
 
     #[test]
@@ -1390,21 +1310,24 @@ mod tests {
             let idx0: Vec<u32> = (0..n).map(|_| (rng.next() % 1000) as u32).collect();
             let idx1: Vec<u32> = (0..n).map(|_| (rng.next() % 1000) as u32).collect();
             let sign: Vec<i32> = (0..n).map(|i| if i % 3 == 0 { -1 } else { 1 }).collect();
-            let want_s = signed_segment_sum_i32(SimdLevel::Scalar, &table_i32, &idx0, &idx1, &sign);
-            let want_q = segment_sum_i64(SimdLevel::Scalar, &table_i64, &idx0, &idx1);
+            let whole = [(0u32, n as u32)];
+            let signed = |level| {
+                let mut acc = [0i64];
+                signed_segment_sums_sliced(
+                    level, &table_i32, &idx0, &idx1, &sign, &whole, &mut acc,
+                );
+                acc[0]
+            };
+            let energy = |level| {
+                let mut acc = [0i64];
+                segment_sums_sliced(level, &table_i64, &idx0, &idx1, &whole, &mut acc);
+                acc[0]
+            };
+            let want_s = signed(SimdLevel::Scalar);
+            let want_q = energy(SimdLevel::Scalar);
             for level in vector_levels() {
-                assert_eq!(
-                    signed_segment_sum_i32(level, &table_i32, &idx0, &idx1, &sign),
-                    want_s,
-                    "i32 {} n={n}",
-                    level.name()
-                );
-                assert_eq!(
-                    segment_sum_i64(level, &table_i64, &idx0, &idx1),
-                    want_q,
-                    "i64 {} n={n}",
-                    level.name()
-                );
+                assert_eq!(signed(level), want_s, "i32 {} n={n}", level.name());
+                assert_eq!(energy(level), want_q, "i64 {} n={n}", level.name());
             }
         }
     }
@@ -1413,6 +1336,14 @@ mod tests {
     #[should_panic(expected = "gather index out of table bounds")]
     fn out_of_bounds_gather_index_panics() {
         let table = vec![0i32; 8];
-        signed_segment_sum_i32(detected_level(), &table, &[8], &[0], &[1]);
+        signed_segment_sums_sliced(
+            detected_level(),
+            &table,
+            &[8],
+            &[0],
+            &[1],
+            &[(0, 1)],
+            &mut [0],
+        );
     }
 }

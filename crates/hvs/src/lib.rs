@@ -34,7 +34,6 @@ pub mod flicker;
 pub mod observer;
 pub mod phantom;
 pub mod spatial;
-pub mod temporal;
 
 pub use flicker::{FlickerAssessment, FlickerMeter};
 pub use observer::{Observer, ObserverPanel, StudyResult};

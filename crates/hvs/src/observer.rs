@@ -7,7 +7,7 @@
 //! sensitivity on the meter's visibility, plus integer rating with
 //! probabilistic rounding — reproducing both the mean and the error bars.
 
-use crate::flicker::{FlickerAssessment, FlickerMeter};
+use crate::flicker::FlickerAssessment;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
@@ -115,18 +115,6 @@ impl ObserverPanel {
             std: var.sqrt(),
             n,
         }
-    }
-
-    /// Convenience: assess a waveform with `meter` and rate it.
-    pub fn rate_waveform(
-        &mut self,
-        meter: &FlickerMeter,
-        waveform: &[f64],
-        fs: f64,
-        envelope_step_contrast: f64,
-    ) -> StudyResult {
-        let a = meter.assess(waveform, fs, envelope_step_contrast);
-        self.rate(&a)
     }
 }
 

@@ -106,11 +106,6 @@ impl SymbolGeometry {
         Symbol::frame_bits(self.symbol_bytes)
     }
 
-    /// Source symbols K for an object of `len` bytes.
-    pub fn k_for(&self, len: usize) -> usize {
-        len.div_ceil(self.symbol_bytes).max(1)
-    }
-
     /// Mean symbols emitted per cycle (exact for aligned geometry).
     pub fn symbols_per_cycle(&self) -> f64 {
         match self.mode {
@@ -119,12 +114,6 @@ impl SymbolGeometry {
             } => symbols_per_cycle as f64,
             GeometryMode::Streamed => self.payload_bits_per_cycle as f64 / self.frame_bits() as f64,
         }
-    }
-
-    /// Transport goodput ceiling in data bytes per cycle (symbol data
-    /// through a loss-free channel; framing and padding excluded).
-    pub fn data_bytes_per_cycle(&self) -> f64 {
-        self.symbols_per_cycle() * self.symbol_bytes as f64
     }
 }
 
@@ -401,7 +390,6 @@ mod tests {
                 pad_bits: 5
             }
         );
-        assert_eq!(g.data_bytes_per_cycle(), 112.0);
     }
 
     #[test]
@@ -420,8 +408,6 @@ mod tests {
                 pad_bits: 0
             }
         );
-        // 4 KiB object needs K = 79 source symbols.
-        assert_eq!(g.k_for(4096), 79);
     }
 
     #[test]

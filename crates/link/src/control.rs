@@ -5,14 +5,13 @@
 //! imperceptibility margin; a longer cycle τ improves capture odds but
 //! cuts the data-frame rate. The controller closes that loop: it watches
 //! windowed [`GobStats`] from the receiver path and nudges the sender's
-//! modulation — raise δ (up to the HVS-derived ceiling from
-//! [`imperceptible_delta_ceiling`]) when the channel degrades, claw back
+//! modulation — raise δ (up to the policy's imperceptibility ceiling
+//! [`ControllerPolicy::delta_max`]) when the channel degrades, claw back
 //! goodput (shorter τ, then lower δ) when there is headroom. Hysteresis
 //! around the availability target keeps the commands from oscillating.
 
 use inframe_code::parity::GobStats;
 use inframe_core::InFrameConfig;
-use inframe_hvs::flicker::FlickerMeter;
 use inframe_obs::{names, CommandCause, Counter, Event, Gauge, Telemetry};
 
 /// The controller's tuning policy.
@@ -45,19 +44,6 @@ impl Default for ControllerPolicy {
             delta_max: 40.0,
             taus: vec![10, 12, 14],
             window_cycles: 8,
-        }
-    }
-}
-
-impl ControllerPolicy {
-    /// The default policy with `delta_max` replaced by the HVS ceiling
-    /// for this configuration and meter.
-    pub fn with_hvs_ceiling(config: &InFrameConfig, meter: &FlickerMeter) -> Self {
-        let ceiling = imperceptible_delta_ceiling(config, meter);
-        let base = Self::default();
-        Self {
-            delta_max: ceiling.max(base.delta_min),
-            ..base
         }
     }
 }
@@ -317,37 +303,6 @@ impl ModulationController {
     }
 }
 
-/// The largest chessboard amplitude δ the flicker meter rates invisible
-/// (visibility ≤ 1) for this configuration, found by bisection.
-///
-/// The probe waveform is the worst case the multiplexer can emit: a
-/// mid-gray pixel alternating `±δ` every displayed frame (complementary
-/// pairs at `refresh_hz / 2`), converted to linear light with the
-/// standard 2.2 display gamma. Envelope smoothing only lowers real
-/// visibility below this bound.
-pub fn imperceptible_delta_ceiling(config: &InFrameConfig, meter: &FlickerMeter) -> f32 {
-    let visible = |delta: f64| -> bool {
-        let lin = |c: f64| (c.clamp(0.0, 255.0) / 255.0).powf(2.2);
-        let waveform: Vec<f64> = (0..256)
-            .map(|i| lin(127.5 + if i % 2 == 0 { delta } else { -delta }))
-            .collect();
-        meter.assess(&waveform, config.refresh_hz, 0.0).visibility > 1.0
-    };
-    if !visible(127.0) {
-        return 127.0;
-    }
-    let (mut lo, mut hi) = (0.0f64, 127.0f64);
-    for _ in 0..24 {
-        let mid = (lo + hi) / 2.0;
-        if visible(mid) {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-    }
-    lo as f32
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -449,32 +404,6 @@ mod tests {
         }
         assert!(ctl.observe_cycle(&bad).is_some());
         assert_eq!(ctl.decisions(), 1);
-    }
-
-    #[test]
-    fn hvs_ceiling_is_a_genuine_threshold() {
-        let cfg = InFrameConfig::paper();
-        let meter = FlickerMeter::default();
-        let ceiling = imperceptible_delta_ceiling(&cfg, &meter);
-        assert!(ceiling > 0.0, "some amplitude must be invisible");
-        if ceiling < 127.0 {
-            // Just above the ceiling the meter must call it visible.
-            let lin = |c: f64| (c.clamp(0.0, 255.0) / 255.0).powf(2.2);
-            let probe: Vec<f64> = (0..256)
-                .map(|i| {
-                    lin(127.5
-                        + if i % 2 == 0 {
-                            ceiling as f64 + 1.0
-                        } else {
-                            -(ceiling as f64 + 1.0)
-                        })
-                })
-                .collect();
-            let v = meter.assess(&probe, cfg.refresh_hz, 0.0).visibility;
-            assert!(v > 1.0, "δ={} should be visible, v={v}", ceiling + 1.0);
-        }
-        let policy = ControllerPolicy::with_hvs_ceiling(&cfg, &meter);
-        assert!(policy.delta_max >= policy.delta_min);
     }
 
     #[test]

@@ -42,10 +42,7 @@ pub mod session;
 pub mod symbol;
 
 pub use carousel::{Carousel, GeometryMode, SymbolGeometry};
-pub use control::{
-    imperceptible_delta_ceiling, ChannelHealth, ControllerPolicy, ModulationCommand,
-    ModulationController,
-};
+pub use control::{ChannelHealth, ControllerPolicy, ModulationCommand, ModulationController};
 pub use feedback::{FeedbackAggregator, FeedbackReport, ObjectNack, RegionQuality};
 pub use rlc::{Absorb, ObjectDecoder, RlcEncoder};
 pub use session::{

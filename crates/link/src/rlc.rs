@@ -195,12 +195,6 @@ impl ObjectDecoder {
             .map(|r| r as f64 / self.k as f64 - 1.0)
     }
 
-    /// Whether a pivot row exists at source column `j` — once set, the
-    /// systematic symbol `j` is recoverable without further repair.
-    pub fn has_pivot(&self, j: usize) -> bool {
-        j < self.k && self.rows[j].is_some()
-    }
-
     /// Writes the systematic-gap bitmap into `out`: bit `j` of the map
     /// is set when source column `j` has no pivot row yet — the holes a
     /// selective-repeat sender can fill with a direct retransmission.

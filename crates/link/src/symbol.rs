@@ -25,7 +25,7 @@ pub const SYMBOL_OVERHEAD_BYTES: usize = framing::OVERHEAD_BYTES + HEADER_BYTES;
 /// Address-hint bits of an object id: the network layer partitions the
 /// u16 id space into a high 6-bit destination hint (a hash of the MAC
 /// destination, `63` reserved for broadcast) and a low 10-bit rolling
-/// object number. A session with an admission mask drops symbols whose
+/// object number. A receiver with an admission mask drops symbols whose
 /// hint it does not admit *before* buying a decoder — hint collisions are
 /// harmless (the MAC filter above re-checks the exact address), missed
 /// admissions are impossible (the hint is a pure function of the id).
@@ -50,11 +50,6 @@ impl SymbolHeader {
     pub fn source_symbols(&self, symbol_bytes: usize) -> usize {
         assert!(symbol_bytes > 0, "symbol size must be positive");
         (self.object_len as usize).div_ceil(symbol_bytes).max(1)
-    }
-
-    /// Whether this is a systematic (source-chunk) symbol.
-    pub fn is_source(&self, symbol_bytes: usize) -> bool {
-        (self.seq as usize) < self.source_symbols(symbol_bytes)
     }
 }
 
@@ -190,16 +185,13 @@ mod tests {
     }
 
     #[test]
-    fn source_symbol_count_and_classification() {
+    fn source_symbol_count_rounds_up() {
         let h = SymbolHeader {
             object_id: 1,
             object_len: 100,
             seq: 12,
         };
         assert_eq!(h.source_symbols(8), 13); // ceil(100 / 8)
-        assert!(h.is_source(8));
-        let h2 = SymbolHeader { seq: 13, ..h };
-        assert!(!h2.is_source(8));
     }
 
     #[test]

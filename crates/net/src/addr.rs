@@ -5,9 +5,8 @@
 //! `0xFF00..=0xFFFE` are group addresses any number of receivers may
 //! join, everything else is unicast. Each address also hashes to a 6-bit
 //! *hint* that rides in the high bits of every object id carrying frames
-//! for it — the symbol-level pre-filter
-//! ([`inframe_link::session::ReceiverSession::set_admission_hints`])
-//! screens on hints, the MAC filter re-checks the exact address, so hint
+//! for it — the receiver's symbol-level pre-filter
+//! ([`crate::receiver::NetReceiver`]) screens on hints, the MAC filter re-checks the exact address, so hint
 //! collisions cost a little decode work and never correctness.
 
 /// A 16-bit MAC address (nonzero).
@@ -119,11 +118,6 @@ impl AddressFilter {
     /// The joined group addresses (raw).
     pub fn groups(&self) -> &[u16] {
         &self.groups[..self.n_groups as usize]
-    }
-
-    /// Whether this filter accepts every destination.
-    pub fn is_promiscuous(&self) -> bool {
-        self.promiscuous
     }
 
     /// Whether a frame addressed to `dst` should be accepted. Branch-free

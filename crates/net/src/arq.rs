@@ -391,11 +391,6 @@ impl ArqEngine {
         mux.cancel_retransmits(id);
         self.objects.retain(|o| o.id != id);
     }
-
-    /// Objects with live ARQ state.
-    pub fn tracked_objects(&self) -> usize {
-        self.objects.len()
-    }
 }
 
 #[cfg(test)]
@@ -545,9 +540,9 @@ mod tests {
         let agg = fresh_agg(0);
         arq.on_cycle(0, &agg, &mut mux);
         arq.on_nack(&nack(11, 7, &[0]), 0, &mut mux);
-        assert_eq!(arq.tracked_objects(), 1);
+        assert_eq!(arq.objects.len(), 1);
         arq.object_retired(11, &mut mux);
-        assert_eq!(arq.tracked_objects(), 0);
+        assert_eq!(arq.objects.len(), 0);
         assert_eq!(mux.retransmit_backlog(), 0);
     }
 }

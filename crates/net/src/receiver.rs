@@ -439,14 +439,6 @@ impl NetReceiver {
             .unwrap_or(0)
     }
 
-    /// Total datagrams delivered on `stream` across all its lanes.
-    pub fn stream_delivered_datagrams(&self, id: u8) -> u64 {
-        self.streams
-            .get(&id)
-            .map(|s| s.lanes.iter().map(|l| l.rx.delivered_datagrams()).sum())
-            .unwrap_or(0)
-    }
-
     /// Completed object ids in completion order.
     pub fn completed_objects(&self) -> &[u16] {
         &self.completed

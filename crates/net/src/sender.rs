@@ -109,11 +109,6 @@ impl NetSender {
             .insert(id, StreamTx::new(id, qos, self.src, max_fragment));
     }
 
-    /// The sender's own address.
-    pub fn src_addr(&self) -> MacAddr {
-        self.src
-    }
-
     /// The per-region symbol geometry.
     pub fn geometry(&self) -> SymbolGeometry {
         self.mux.geometry()
@@ -251,11 +246,6 @@ impl NetSender {
         changed
     }
 
-    /// The feedback aggregator, when the loop is enabled.
-    pub fn aggregator(&self) -> Option<&FeedbackAggregator> {
-        self.agg.as_ref()
-    }
-
     /// The ARQ engine, when the loop is enabled.
     pub fn arq(&self) -> Option<&ArqEngine> {
         self.arq.as_ref()
@@ -291,11 +281,6 @@ impl NetSender {
         self.obs
             .feedback_age
             .set(agg.feedback_age(self.cycles).unwrap_or(u64::MAX));
-    }
-
-    /// Object ids currently riding the carousel.
-    pub fn live_objects(&self) -> Vec<u16> {
-        self.mux.object_ids()
     }
 
     /// Emits one full-frame cycle payload (flushing pending datagrams
@@ -352,10 +337,10 @@ mod tests {
         s.open_stream(0, StreamQos::bulk(), 64);
         s.send_datagram(0, MacAddr::new(7), b"one");
         let ids = s.flush();
-        assert_eq!(s.live_objects(), ids);
+        assert_eq!(s.mux.object_ids(), ids);
         assert!(s.retire_object(ids[0]));
         assert!(!s.retire_object(ids[0]));
-        assert!(s.live_objects().is_empty());
+        assert!(s.mux.object_ids().is_empty());
     }
 
     #[test]
@@ -366,7 +351,7 @@ mod tests {
         let p = s.next_cycle_payload();
         let layout = DataLayout::from_config(&InFrameConfig::paper());
         assert_eq!(p.len(), layout.payload_bits_parity());
-        assert_eq!(s.live_objects().len(), 1);
+        assert_eq!(s.mux.object_ids().len(), 1);
     }
 
     #[test]

@@ -75,11 +75,6 @@ impl SpatialMux {
         self.map.num_regions()
     }
 
-    /// Full-frame payload bits per cycle.
-    pub fn frame_payload_bits(&self) -> usize {
-        self.frame_bits
-    }
-
     /// Adds an object to every shard with strided sequences.
     ///
     /// # Panics
@@ -104,11 +99,6 @@ impl SpatialMux {
     /// Object ids currently riding the shards.
     pub fn object_ids(&self) -> Vec<u16> {
         self.shards[0].object_ids()
-    }
-
-    /// Whether any objects are loaded.
-    pub fn has_objects(&self) -> bool {
-        !self.shards[0].object_ids().is_empty()
     }
 
     /// Cycles emitted so far.
@@ -297,21 +287,6 @@ impl RegionControllerBank {
         self.recompute_scales()
     }
 
-    /// Open-loop fallback: forgets the per-region differentiation (all
-    /// scales back to 1.0 — uniform modulation at the envelope), used
-    /// when the back-channel goes silent and per-region knowledge can
-    /// no longer be trusted. Returns `true` when any scale changed.
-    pub fn reset_scales(&mut self) -> bool {
-        let mut changed = false;
-        for s in &mut self.scales {
-            if *s != 1.0 {
-                *s = 1.0;
-                changed = true;
-            }
-        }
-        changed
-    }
-
     fn recompute_scales(&mut self) -> bool {
         let envelope = self.delta_envelope();
         let mut changed = false;
@@ -339,17 +314,6 @@ impl RegionControllerBank {
         self.controllers[r].command()
     }
 
-    /// The largest τ any region currently demands — the only τ a real
-    /// display (one refresh cadence for the whole panel) can honor.
-    /// GOB-level simulation may honor per-region τ individually.
-    pub fn tau_envelope(&self) -> u32 {
-        self.controllers
-            .iter()
-            .map(|c| c.command().tau)
-            .max()
-            .expect("bank has at least one region")
-    }
-
     /// Latest per-region amplitude scales.
     pub fn scales(&self) -> &[f32] {
         &self.scales
@@ -362,11 +326,6 @@ impl RegionControllerBank {
         self.map.block_scales(layout, &scales, &mut self.blocks);
         self.scales = scales;
         &self.blocks
-    }
-
-    /// Direct access to region `r`'s controller.
-    pub fn controller_mut(&mut self, r: usize) -> &mut ModulationController {
-        &mut self.controllers[r]
     }
 }
 
@@ -393,7 +352,7 @@ mod tests {
         m.add_object(1, 1, &[0xA5; 200]);
         let p = m.next_cycle_payload();
         assert_eq!(p.len(), layout().payload_bits_parity());
-        assert_eq!(m.frame_payload_bits(), p.len());
+        assert_eq!(m.frame_bits, p.len());
     }
 
     #[test]
@@ -509,7 +468,6 @@ mod tests {
             defensive.tau > clean.tau || defensive.delta > clean.delta,
             "region 7 must degrade relative to clean regions: {defensive:?} vs {clean:?}"
         );
-        assert!(bank.tau_envelope() >= defensive.tau);
         // The lossy region rides the envelope at full scale; clean
         // regions attenuate below it.
         assert!((bank.delta_envelope() - defensive.delta).abs() < 1e-6);

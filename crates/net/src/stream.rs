@@ -321,11 +321,6 @@ impl StreamRx {
         true
     }
 
-    /// Undelivered datagrams currently queued.
-    pub fn ready_datagrams(&self) -> usize {
-        self.ready.len()
-    }
-
     /// Bytes delivered in order so far.
     pub fn delivered_bytes(&self) -> u64 {
         self.delivered_bytes
@@ -423,7 +418,7 @@ mod tests {
         for seq in 0u16..=u16::MAX {
             rx.push_fragment(seq, true, &seq.to_be_bytes());
             expect.push(seq);
-            if rx.ready_datagrams() > 8 {
+            if rx.ready.len() > 8 {
                 let mut out = Vec::new();
                 while rx.pop_datagram_into(&mut out) {}
             }

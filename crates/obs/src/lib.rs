@@ -166,13 +166,6 @@ impl Telemetry {
         self.inner.is_some()
     }
 
-    /// Microseconds since the spine epoch (0 for a disabled handle).
-    pub fn now_us(&self) -> u64 {
-        self.inner
-            .as_ref()
-            .map_or(0, |s| s.epoch.elapsed().as_micros() as u64)
-    }
-
     /// Gets or creates the counter registered under `name`. On a
     /// disabled handle, returns a no-op instrument.
     pub fn counter(&self, name: &'static str) -> Counter {
@@ -353,29 +346,6 @@ impl Telemetry {
         self.inner
             .as_ref()
             .map_or_else(Vec::new, |s| s.recorder.last_lock_loss_dump())
-    }
-
-    /// Installs a process panic hook that prints this spine's flight
-    /// recorder to stderr (after the default hook) so a panicking run
-    /// still yields its post-mortem. Call once per process, from tools
-    /// that opt in.
-    pub fn install_panic_hook(&self) {
-        let Some(s) = &self.inner else { return };
-        let spine = Arc::clone(s);
-        let previous = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            previous(info);
-            let mut line = String::with_capacity(256);
-            eprintln!(
-                "inframe-obs flight recorder ({} events):",
-                spine.recorder.dump().len()
-            );
-            for rec in spine.recorder.dump() {
-                line.clear();
-                event::encode_event(&mut line, &rec);
-                eprintln!("{line}");
-            }
-        }));
     }
 
     /// Point-in-time summary of every registered instrument, sorted by

@@ -62,7 +62,7 @@ impl Counter {
 }
 
 /// A last-value-wins gauge. Values are raw `u64`; use
-/// [`Gauge::set_f32`]/[`Gauge::get_f32`] for float payloads (stored as
+/// [`Gauge::set_f32`]/[`Gauge::set_f64`] for float payloads (stored as
 /// IEEE-754 bits).
 #[derive(Debug, Clone, Default)]
 pub struct Gauge(pub(crate) Option<Arc<AtomicU64>>);
@@ -100,18 +100,6 @@ impl Gauge {
         self.0
             .as_ref()
             .map_or(0, |cell| cell.load(Ordering::Relaxed))
-    }
-
-    /// Current value reinterpreted as the `f32` stored by
-    /// [`Gauge::set_f32`].
-    pub fn get_f32(&self) -> f32 {
-        f32::from_bits(self.get() as u32)
-    }
-
-    /// Current value reinterpreted as the `f64` stored by
-    /// [`Gauge::set_f64`].
-    pub fn get_f64(&self) -> f64 {
-        f64::from_bits(self.get())
     }
 }
 
@@ -482,7 +470,7 @@ mod tests {
     fn gauge_round_trips_f32() {
         let g = Gauge(Some(Arc::new(AtomicU64::new(0))));
         g.set_f32(0.15);
-        assert_eq!(g.get_f32(), 0.15);
+        assert_eq!(f32::from_bits(g.get() as u32), 0.15);
     }
 
     #[test]

@@ -104,9 +104,6 @@ pub mod session {
     pub const OBJECTS_COMPLETED: &str = "link.session.objects_completed";
     /// Histogram (milli-units): decode overhead ε per completed object.
     pub const DECODE_EPS_MILLI: &str = "link.session.decode_eps_milli";
-    /// Counter: valid symbols dropped by the admission mask (objects not
-    /// addressed to this receiver).
-    pub const SYMBOLS_FILTERED: &str = "link.session.symbols_filtered";
 }
 
 /// Modulation-controller instruments (`link::control`).
@@ -121,16 +118,6 @@ pub mod control {
     pub const DELTA: &str = "link.control.delta";
     /// Gauge: current cycle length τ in frames.
     pub const TAU: &str = "link.control.tau";
-}
-
-/// Capture-tap instruments (`camera::tap`).
-pub mod tap {
-    /// Counter: captures entering the tap from the sensor.
-    pub const CAPTURES_IN: &str = "camera.tap.captures_in";
-    /// Counter: captures delivered downstream (duplicates counted).
-    pub const CAPTURES_OUT: &str = "camera.tap.captures_out";
-    /// Counter: sensor captures the tap swallowed entirely.
-    pub const SWALLOWED: &str = "camera.tap.swallowed";
 }
 
 /// Fault-injection instruments (`sim::faults` via `camera::tap`).
@@ -268,11 +255,5 @@ pub mod net {
     /// registration, never on the per-cycle path).
     pub fn stream_bytes(stream: u8) -> String {
         format!("net.stream.{stream}.bytes_rx")
-    }
-
-    /// Per-region δ-scale gauge name (resolved at controller-bank
-    /// construction, never on the per-cycle path).
-    pub fn region_scale(region: usize) -> String {
-        format!("net.region.{region}.delta_scale")
     }
 }

@@ -9,8 +9,7 @@
 //! with [`crate::Event::is_lock_loss`] lands, copies the ring into a
 //! `last_dump` buffer — so the context of the **first** failure survives
 //! even if the ring keeps rolling afterwards. [`FlightRecorder::dump`]
-//! reads the live ring at any time; panics can be covered by installing
-//! [`crate::Telemetry::install_panic_hook`].
+//! reads the live ring at any time.
 
 use std::sync::Mutex;
 

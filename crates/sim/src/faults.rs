@@ -87,9 +87,7 @@ pub enum FaultKind {
     },
     /// A rectangle given in plane fractions is painted at `level` —
     /// aimed at one spatial sub-channel tile rather than the frame
-    /// centre. [`region_fraction_rect`] computes the fractions for a
-    /// [`inframe_core::region::RegionMap`] tile, so an occlusion window
-    /// can be keyed exactly to the sub-channel it should erase.
+    /// centre.
     RegionOcclusion {
         /// Left edge, fraction of plane width.
         fx: f64,
@@ -412,38 +410,6 @@ fn occlude_fraction_rect(
             plane.put(x, y, level);
         }
     }
-}
-
-/// The display-pixel rectangle of one spatial sub-channel tile (the
-/// union of its GOBs' block rectangles), as fractions of a
-/// `plane_w × plane_h` capture plane — the coordinates a
-/// [`FaultKind::RegionOcclusion`] window takes. Computing fractions here
-/// keeps [`FaultInjector`] free of any layout knowledge.
-pub fn region_fraction_rect(
-    layout: &inframe_core::layout::DataLayout,
-    map: &inframe_core::region::RegionMap,
-    region: usize,
-    plane_w: usize,
-    plane_h: usize,
-) -> (f64, f64, f64, f64) {
-    let (gobs_x, _) = layout.gob_grid();
-    let g = layout.gob_size;
-    let (mut x0, mut y0, mut x1, mut y1) = (usize::MAX, usize::MAX, 0usize, 0usize);
-    for &gob in map.region_gobs(region) {
-        let (gx, gy) = (gob as usize % gobs_x, gob as usize / gobs_x);
-        let a = layout.block_rect(gx * g, gy * g);
-        let b = layout.block_rect(gx * g + g - 1, gy * g + g - 1);
-        x0 = x0.min(a.x);
-        y0 = y0.min(a.y);
-        x1 = x1.max(b.x + b.w);
-        y1 = y1.max(b.y + b.h);
-    }
-    (
-        x0 as f64 / plane_w as f64,
-        y0 as f64 / plane_h as f64,
-        (x1 - x0) as f64 / plane_w as f64,
-        (y1 - y0) as f64 / plane_h as f64,
-    )
 }
 
 /// Configuration of one fault-recovery run.
@@ -856,30 +822,5 @@ mod tests {
         assert_eq!(out[0].plane.get(1, 4), 100.0, "left of the tile");
         assert_eq!(out[0].plane.get(3, 2), 100.0, "above the tile");
         assert_eq!(out[0].plane.get(3, 6), 100.0, "below the tile");
-    }
-
-    #[test]
-    fn region_fraction_rects_tile_the_data_area_disjointly() {
-        use inframe_core::layout::DataLayout;
-        use inframe_core::region::RegionMap;
-        use inframe_core::InFrameConfig;
-        let layout = DataLayout::from_config(&InFrameConfig::paper());
-        let map = RegionMap::new(&layout, 5, 3);
-        let (pw, ph) = (1920, 1080);
-        let mut covered = vec![false; map.num_regions()];
-        for (r, covered) in covered.iter_mut().enumerate() {
-            let (fx, fy, fw, fh) = region_fraction_rect(&layout, &map, r, pw, ph);
-            assert!(fx >= 0.0 && fy >= 0.0 && fw > 0.0 && fh > 0.0);
-            assert!(fx + fw <= 1.0 + 1e-9 && fy + fh <= 1.0 + 1e-9);
-            // No two tiles overlap: their pixel rects are disjoint.
-            for r2 in 0..r {
-                let (gx, gy, gw, gh) = region_fraction_rect(&layout, &map, r2, pw, ph);
-                let overlap_x = fx < gx + gw && gx < fx + fw;
-                let overlap_y = fy < gy + gh && gy < fy + fh;
-                assert!(!(overlap_x && overlap_y), "tiles {r} and {r2} overlap");
-            }
-            *covered = true;
-        }
-        assert!(covered.iter().all(|&c| c));
     }
 }

@@ -250,66 +250,6 @@ impl Fig6 {
     }
 }
 
-/// Diagnostic: returns the raw assessment for a condition (used by debug
-/// tooling and the Figure 6 bench to report component visibilities).
-pub fn assess_condition(
-    brightness: f32,
-    delta: f32,
-    tau: u32,
-    display: &DisplayConfig,
-) -> inframe_hvs::FlickerAssessment {
-    let cfg = study_config(delta, tau);
-    let layout = DataLayout::from_config(&cfg);
-    let video = Plane::filled(cfg.display_w, cfg.display_h, brightness);
-    let ones = DataFrame::encode(
-        &layout,
-        &vec![true; layout.payload_bits_parity()],
-        cfg.coding,
-    );
-    let zero = DataFrame::zero(&layout);
-    let cycles = 12u64;
-    let frames = cycles * cfg.tau as u64;
-    let mut mux = Multiplexer::new(cfg);
-    let mut mux_display = DisplayStream::new(*display);
-    let mut ref_display = DisplayStream::new(*display);
-    let mut mux_emissions = Vec::with_capacity(frames as usize);
-    let mut ref_emissions = Vec::with_capacity(frames as usize);
-    for f in 0..frames {
-        let s = slot(&cfg, f);
-        let odd_cycle = s.cycle_index % 2 == 1;
-        let (cur, next) = if odd_cycle {
-            (&zero, &ones)
-        } else {
-            (&ones, &zero)
-        };
-        let frame = mux.render(&s, &video, cur, next);
-        mux_emissions.push(mux_display.present(&frame));
-        ref_emissions.push(ref_display.present(&video));
-    }
-    let rect = layout.block_rect(0, 0);
-    let (px, py) = (rect.x + layout.pixel_size, rect.y);
-    let fs = display.refresh_hz;
-    let mux_wave = per_frame_means(&mux_emissions, px, py);
-    let ref_wave = per_frame_means(&ref_emissions, px, py);
-    let ref_mean = ref_wave.iter().sum::<f64>() / ref_wave.len() as f64;
-    let diff_wave: Vec<f64> = mux_wave
-        .iter()
-        .zip(&ref_wave)
-        .map(|(m, r)| ref_mean + (m - r))
-        .collect();
-    let l_hi = color::code_to_linear(brightness + delta) as f64;
-    let l_lo = color::code_to_linear((brightness - delta).max(0.0)) as f64;
-    let l_mid = color::code_to_linear(brightness).max(1e-6) as f64;
-    let mod_contrast = ((l_hi - l_lo) / (2.0 * l_mid)).abs();
-    let step_contrast = mux.max_envelope_step() * mod_contrast;
-    let meter = FlickerMeter {
-        peak_nits: display.peak_nits,
-        pattern_cell_px: cfg.pixel_size as f64,
-        ..FlickerMeter::default()
-    };
-    meter.assess(&diff_wave, fs, step_contrast)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

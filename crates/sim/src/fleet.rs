@@ -326,12 +326,6 @@ impl FleetReport {
         done as f64 / self.receivers.max(1) as f64
     }
 
-    /// Completion latency at quantile `q` over *completed* receivers
-    /// (`None` when nobody finished).
-    pub fn completion_percentile(&self, q: f64) -> Option<u64> {
-        percentile(&self.completion_cycles, q).copied()
-    }
-
     /// Per-receiver mean availability at quantile `q` (exact, from the
     /// sorted per-receiver means).
     pub fn availability_percentile(&self, q: f64) -> f64 {

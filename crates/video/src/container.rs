@@ -16,8 +16,6 @@
 
 use crate::source::{FrameList, FrameRate};
 use inframe_frame::{FrameError, Plane};
-use std::io::Write;
-use std::path::Path;
 
 /// Magic bytes identifying an IFV stream.
 pub const MAGIC: &[u8; 4] = b"IFV1";
@@ -123,24 +121,6 @@ impl IfvClip {
             frames,
         })
     }
-
-    /// Writes the clip to a file.
-    ///
-    /// # Errors
-    /// Propagates I/O failures.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), FrameError> {
-        let mut f = std::fs::File::create(path)?;
-        f.write_all(&self.encode())?;
-        Ok(())
-    }
-
-    /// Reads a clip from a file.
-    ///
-    /// # Errors
-    /// Propagates I/O failures and parse errors.
-    pub fn load(path: impl AsRef<Path>) -> Result<Self, FrameError> {
-        Self::decode(&std::fs::read(path)?)
-    }
 }
 
 #[cfg(test)]
@@ -219,18 +199,6 @@ mod tests {
         let frames = src.take_frames(10);
         assert_eq!(frames.len(), 3);
         assert_eq!(frames[0].get(1, 1), clip.frames[0].get(1, 1) as f32);
-    }
-
-    #[test]
-    fn file_roundtrip() {
-        let dir = std::env::temp_dir().join("inframe_ifv_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("clip.ifv");
-        let clip = sample_clip();
-        clip.save(&path).unwrap();
-        let rt = IfvClip::load(&path).unwrap();
-        assert_eq!(clip, rt);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]

@@ -10,15 +10,15 @@
 //! — are controlled and documented (see DESIGN.md, substitution table):
 //!
 //! * [`source`] — the [`VideoSource`] trait: a pull-based stream of luma
-//!   frames at a fixed rate, plus adapters (frame-rate conversion by
-//!   duplication, clip looping, length limiting).
-//! * [`synth`] — generators: solid color, gradients, moving bars, value
-//!   noise, and the procedural [`synth::SunriseClip`] standing in for the
+//!   frames at a fixed rate, plus adapters (clip looping, length
+//!   limiting).
+//! * [`synth`] — generators: solid color, moving bars, value noise, and
+//!   the procedural [`synth::SunriseClip`] standing in for the
 //!   paper's sun-rising clip.
-//! * [`container`] — a minimal raw planar container ("IFV") for persisting
-//!   clips to disk and reading them back, so experiments can be re-run on
-//!   identical inputs.
-//! * [`stats`] — luma histograms, spatial-texture and motion metrics used
+//! * [`container`] — a minimal raw planar container ("IFV") for encoding
+//!   clips to bytes and decoding them back, so experiments can be re-run
+//!   on identical inputs.
+//! * [`stats`] — spatial-texture and motion metrics used
 //!   by experiments to characterize inputs (and explain why textured clips
 //!   decode worse, Figure 7).
 

@@ -3,8 +3,7 @@
 //! A video source yields luma frames (`Plane<f32>`, code values 0–255) at a
 //! declared frame rate. The InFrame sender consumes a 30 FPS source and
 //! emits 120 Hz multiplexed frames by duplicating each video frame four
-//! times (paper Figure 2); [`RateConverter`] implements exactly that
-//! duplication.
+//! times (paper Figure 2).
 
 use inframe_frame::Plane;
 
@@ -15,8 +14,6 @@ pub struct FrameRate(pub f64);
 impl FrameRate {
     /// The paper's video rate (30 FPS).
     pub const VIDEO_30: FrameRate = FrameRate(30.0);
-    /// The paper's display refresh (120 Hz).
-    pub const DISPLAY_120: FrameRate = FrameRate(120.0);
 
     /// Seconds per frame.
     pub fn frame_duration(&self) -> f64 {
@@ -167,78 +164,6 @@ impl VideoSource for FrameList {
     }
 }
 
-/// Duplicates each source frame an integral number of times, converting a
-/// 30 FPS stream into the 120 Hz display cadence of Figure 2.
-#[derive(Debug)]
-pub struct RateConverter<S> {
-    inner: S,
-    factor: usize,
-    pending: Option<(Plane<f32>, usize)>,
-}
-
-impl<S: VideoSource> RateConverter<S> {
-    /// Wraps `inner`, duplicating each frame `factor` times.
-    ///
-    /// # Panics
-    /// Panics when `factor == 0`.
-    pub fn new(inner: S, factor: usize) -> Self {
-        assert!(factor > 0, "duplication factor must be nonzero");
-        Self {
-            inner,
-            factor,
-            pending: None,
-        }
-    }
-
-    /// The paper's 30→120 conversion (factor 4).
-    pub fn x4(inner: S) -> Self {
-        Self::new(inner, 4)
-    }
-}
-
-impl<S: VideoSource> VideoSource for RateConverter<S> {
-    fn width(&self) -> usize {
-        self.inner.width()
-    }
-    fn height(&self) -> usize {
-        self.inner.height()
-    }
-    fn frame_rate(&self) -> FrameRate {
-        FrameRate(self.inner.frame_rate().0 * self.factor as f64)
-    }
-    fn next_frame(&mut self) -> Option<Plane<f32>> {
-        if let Some((frame, left)) = self.pending.take() {
-            if left > 1 {
-                self.pending = Some((frame.clone(), left - 1));
-            }
-            return Some(frame);
-        }
-        let frame = self.inner.next_frame()?;
-        if self.factor > 1 {
-            self.pending = Some((frame.clone(), self.factor - 1));
-        }
-        Some(frame)
-    }
-    fn next_frame_into(&mut self, out: &mut Plane<f32>) -> bool {
-        if let Some((frame, left)) = &mut self.pending {
-            copy_plane_into(frame, out);
-            if *left > 1 {
-                *left -= 1;
-            } else {
-                self.pending = None;
-            }
-            return true;
-        }
-        if !self.inner.next_frame_into(out) {
-            return false;
-        }
-        if self.factor > 1 {
-            self.pending = Some((out.clone(), self.factor - 1));
-        }
-        true
-    }
-}
-
 /// Loops an inner finite source forever (rewinding at end of stream).
 #[derive(Debug, Clone)]
 pub struct Looped {
@@ -359,26 +284,6 @@ mod tests {
     }
 
     #[test]
-    fn rate_converter_duplicates_four_times() {
-        let src = FrameList::new(frames(2), FrameRate::VIDEO_30);
-        let mut conv = RateConverter::x4(src);
-        assert_eq!(conv.frame_rate().0, 120.0);
-        let out = conv.take_frames(100);
-        assert_eq!(out.len(), 8);
-        for i in 0..4 {
-            assert_eq!(out[i].get(0, 0), 0.0);
-            assert_eq!(out[4 + i].get(0, 0), 1.0);
-        }
-    }
-
-    #[test]
-    fn rate_converter_factor_one_is_passthrough() {
-        let src = FrameList::new(frames(3), FrameRate::VIDEO_30);
-        let mut conv = RateConverter::new(src, 1);
-        assert_eq!(conv.take_frames(10).len(), 3);
-    }
-
-    #[test]
     fn looped_source_wraps_around() {
         let src = FrameList::new(frames(2), FrameRate::VIDEO_30);
         let mut looped = Looped::from_source(src);
@@ -397,6 +302,6 @@ mod tests {
 
     #[test]
     fn frame_rate_duration() {
-        assert!((FrameRate::DISPLAY_120.frame_duration() - 1.0 / 120.0).abs() < 1e-12);
+        assert!((FrameRate::VIDEO_30.frame_duration() - 1.0 / 30.0).abs() < 1e-12);
     }
 }

@@ -42,16 +42,6 @@ pub fn motion_energy(a: &Plane<f32>, b: &Plane<f32>) -> Result<f64, FrameError> 
     arith::mae(a, b)
 }
 
-/// 256-bin luma histogram (code values clamped into `[0, 255]`).
-pub fn luma_histogram(frame: &Plane<f32>) -> [u64; 256] {
-    let mut hist = [0u64; 256];
-    for &v in frame.samples() {
-        let bin = v.round().clamp(0.0, 255.0) as usize;
-        hist[bin] += 1;
-    }
-    hist
-}
-
 /// Fraction of pixels within `margin` code values of the 0/255 rails —
 /// where the sender must locally reduce the chessboard amplitude (§3.3
 /// "for bright or dark areas, we locally adjust the amplitude").
@@ -127,21 +117,6 @@ mod tests {
     fn motion_energy_zero_for_identical_frames() {
         let p = Plane::filled(8, 8, 50.0);
         assert_eq!(motion_energy(&p, &p).unwrap(), 0.0);
-    }
-
-    #[test]
-    fn histogram_sums_to_pixel_count() {
-        let p = Plane::from_fn(10, 10, |x, y| (x * 25 + y) as f32);
-        let h = luma_histogram(&p);
-        assert_eq!(h.iter().sum::<u64>(), 100);
-    }
-
-    #[test]
-    fn histogram_clamps_out_of_range() {
-        let p = Plane::from_vec(2, 1, vec![-50.0f32, 400.0]).unwrap();
-        let h = luma_histogram(&p);
-        assert_eq!(h[0], 1);
-        assert_eq!(h[255], 1);
     }
 
     #[test]

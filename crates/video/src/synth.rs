@@ -102,11 +102,6 @@ impl SolidClip {
     pub fn paper_gray(width: usize, height: usize) -> Self {
         Self::new(width, height, 127.0, FrameRate::VIDEO_30)
     }
-
-    /// The paper's second pure input, RGB (180,180,180).
-    pub fn paper_dark_gray(width: usize, height: usize) -> Self {
-        Self::new(width, height, 180.0, FrameRate::VIDEO_30)
-    }
 }
 
 impl VideoSource for SolidClip {
@@ -207,75 +202,6 @@ impl VideoSource for MovingBarsClip {
             row.copy_from_slice(first);
         }
         self.t += 1;
-        true
-    }
-}
-
-/// Smooth gradient clip whose mean brightness ramps over time — used by the
-/// Figure 6 brightness sweep.
-#[derive(Debug, Clone)]
-pub struct BrightnessRampClip {
-    width: usize,
-    height: usize,
-    start: f32,
-    end: f32,
-    frames: usize,
-    rate: FrameRate,
-    t: usize,
-}
-
-impl BrightnessRampClip {
-    /// Ramps a solid frame from `start` to `end` code value over `frames`
-    /// frames, then ends.
-    pub fn new(
-        width: usize,
-        height: usize,
-        start: f32,
-        end: f32,
-        frames: usize,
-        rate: FrameRate,
-    ) -> Self {
-        assert!(frames >= 2, "ramp needs at least two frames");
-        Self {
-            width,
-            height,
-            start,
-            end,
-            frames,
-            rate,
-            t: 0,
-        }
-    }
-}
-
-impl VideoSource for BrightnessRampClip {
-    fn width(&self) -> usize {
-        self.width
-    }
-    fn height(&self) -> usize {
-        self.height
-    }
-    fn frame_rate(&self) -> FrameRate {
-        self.rate
-    }
-    fn next_frame(&mut self) -> Option<Plane<f32>> {
-        if self.t >= self.frames {
-            return None;
-        }
-        let a = self.t as f32 / (self.frames - 1) as f32;
-        let level = self.start + a * (self.end - self.start);
-        self.t += 1;
-        Some(Plane::filled(self.width, self.height, level))
-    }
-    fn next_frame_into(&mut self, out: &mut Plane<f32>) -> bool {
-        if self.t >= self.frames {
-            return false;
-        }
-        let a = self.t as f32 / (self.frames - 1) as f32;
-        let level = self.start + a * (self.end - self.start);
-        self.t += 1;
-        ensure_shape(out, self.width, self.height);
-        out.samples_mut().fill(level);
         true
     }
 }
@@ -398,11 +324,9 @@ mod tests {
     }
 
     #[test]
-    fn paper_gray_levels_match_section4() {
+    fn paper_gray_level_matches_section4() {
         let mut g = SolidClip::paper_gray(4, 4);
-        let mut d = SolidClip::paper_dark_gray(4, 4);
         assert_eq!(g.next_frame().unwrap().get(0, 0), 127.0);
-        assert_eq!(d.next_frame().unwrap().get(0, 0), 180.0);
     }
 
     #[test]
@@ -413,15 +337,6 @@ mod tests {
         // Shifting by exactly one bar width flips every pixel.
         assert_ne!(f0, f1);
         assert_eq!(f0.get(0, 0), f1.get(4, 0));
-    }
-
-    #[test]
-    fn brightness_ramp_hits_endpoints_and_ends() {
-        let mut c = BrightnessRampClip::new(4, 4, 60.0, 200.0, 5, FrameRate::VIDEO_30);
-        let frames = c.take_frames(100);
-        assert_eq!(frames.len(), 5);
-        assert_eq!(frames[0].get(0, 0), 60.0);
-        assert_eq!(frames[4].get(0, 0), 200.0);
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! Clip transforms: editing operations over [`VideoSource`]s.
 //!
 //! Real playback paths do more than decode frames: they concatenate clips
-//! (scene cuts), crossfade, letterbox to the display aspect, and adjust
-//! levels. Each transform here wraps a source and is itself a source, so
+//! (scene cuts) and letterbox to the display aspect. Each transform here wraps a source and is itself a source, so
 //! experiment inputs compose: a scene-cut stress clip is
 //! `Concat(solid, bars)`, a "TV with black bars" is `Letterbox(sunrise)`.
 //!
@@ -66,67 +65,6 @@ impl<A: VideoSource, B: VideoSource> VideoSource for Concat<A, B> {
     }
 }
 
-/// Crossfades from `a` to `b` over `fade_frames` frames, then continues
-/// with `b`.
-#[derive(Debug)]
-pub struct Crossfade<A, B> {
-    a: A,
-    b: B,
-    fade_frames: usize,
-    t: usize,
-}
-
-impl<A: VideoSource, B: VideoSource> Crossfade<A, B> {
-    /// Builds the crossfade.
-    ///
-    /// # Panics
-    /// Panics on shape/rate mismatch or a zero-length fade.
-    pub fn new(a: A, b: B, fade_frames: usize) -> Self {
-        assert!(fade_frames > 0, "fade must span at least one frame");
-        assert_eq!(
-            (a.width(), a.height()),
-            (b.width(), b.height()),
-            "crossfaded clips must share a shape"
-        );
-        Self {
-            a,
-            b,
-            fade_frames,
-            t: 0,
-        }
-    }
-}
-
-impl<A: VideoSource, B: VideoSource> VideoSource for Crossfade<A, B> {
-    fn width(&self) -> usize {
-        self.a.width()
-    }
-    fn height(&self) -> usize {
-        self.a.height()
-    }
-    fn frame_rate(&self) -> FrameRate {
-        self.a.frame_rate()
-    }
-    fn next_frame(&mut self) -> Option<Plane<f32>> {
-        let t = self.t;
-        self.t += 1;
-        if t >= self.fade_frames {
-            return self.b.next_frame();
-        }
-        let alpha = (t as f32 + 0.5) / self.fade_frames as f32;
-        let fa = self.a.next_frame();
-        let fb = self.b.next_frame();
-        match (fa, fb) {
-            (Some(fa), Some(fb)) => Some(
-                inframe_frame::arith::zip_map(&fa, &fb, |x, y| x + alpha * (y - x))
-                    .expect("same shape by construction"),
-            ),
-            (None, some_b) => some_b,
-            (some_a, None) => some_a,
-        }
-    }
-}
-
 /// Letterboxes a source into a larger canvas with black bars.
 #[derive(Debug)]
 pub struct Letterbox<S> {
@@ -176,45 +114,6 @@ impl<S: VideoSource> VideoSource for Letterbox<S> {
     }
 }
 
-/// Applies a per-frame brightness/contrast adjustment:
-/// `out = (in − 128) · contrast + 128 + brightness`, clamped to `[0, 255]`.
-#[derive(Debug)]
-pub struct Levels<S> {
-    inner: S,
-    brightness: f32,
-    contrast: f32,
-}
-
-impl<S: VideoSource> Levels<S> {
-    /// Builds the adjustment (contrast 1.0, brightness 0.0 = identity).
-    pub fn new(inner: S, brightness: f32, contrast: f32) -> Self {
-        assert!(contrast >= 0.0, "contrast must be non-negative");
-        Self {
-            inner,
-            brightness,
-            contrast,
-        }
-    }
-}
-
-impl<S: VideoSource> VideoSource for Levels<S> {
-    fn width(&self) -> usize {
-        self.inner.width()
-    }
-    fn height(&self) -> usize {
-        self.inner.height()
-    }
-    fn frame_rate(&self) -> FrameRate {
-        self.inner.frame_rate()
-    }
-    fn next_frame(&mut self) -> Option<Plane<f32>> {
-        let mut f = self.inner.next_frame()?;
-        let (b, c) = (self.brightness, self.contrast);
-        f.map_in_place(|v| ((v - 128.0) * c + 128.0 + b).clamp(0.0, 255.0));
-        Some(f)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,18 +136,6 @@ mod tests {
     }
 
     #[test]
-    fn crossfade_is_monotone_between_levels() {
-        let mut x = Crossfade::new(solid(0.0, 10), solid(100.0, 20), 10);
-        let frames = x.take_frames(15);
-        assert_eq!(frames.len(), 15);
-        for pair in frames.windows(2) {
-            assert!(pair[1].get(0, 0) >= pair[0].get(0, 0));
-        }
-        assert_eq!(frames[14].get(0, 0), 100.0);
-        assert!(frames[0].get(0, 0) < 20.0);
-    }
-
-    #[test]
     fn letterbox_centers_and_fills_bars() {
         let mut l = Letterbox::new(solid(200.0, 1), 12, 10, 0.0);
         assert_eq!((l.width(), l.height()), (12, 10));
@@ -257,14 +144,6 @@ mod tests {
         assert_eq!(f.get(6, 5), 200.0); // clip centre
         assert_eq!(f.get(2, 2), 200.0); // clip corner (8x6 at (2,2))
         assert_eq!(f.get(1, 1), 0.0);
-    }
-
-    #[test]
-    fn levels_identity_and_clamping() {
-        let mut id = Levels::new(solid(127.0, 1), 0.0, 1.0);
-        assert_eq!(id.next_frame().unwrap().get(0, 0), 127.0);
-        let mut hot = Levels::new(solid(200.0, 1), 100.0, 2.0);
-        assert_eq!(hot.next_frame().unwrap().get(0, 0), 255.0);
     }
 
     #[test]
@@ -278,12 +157,11 @@ mod tests {
     #[test]
     fn transforms_compose() {
         let cut = Concat::new(solid(50.0, 2), solid(150.0, 2));
-        let boxed = Letterbox::new(cut, 16, 12, 0.0);
-        let mut leveled = Levels::new(boxed, 10.0, 1.0);
-        let frames = leveled.take_frames(10);
+        let mut boxed = Letterbox::new(cut, 16, 12, 0.0);
+        let frames = boxed.take_frames(10);
         assert_eq!(frames.len(), 4);
-        assert_eq!(frames[0].get(8, 6), 60.0); // 50 + 10 in the clip area
-        assert_eq!(frames[0].get(0, 0), 10.0); // bars get brightness too
+        assert_eq!(frames[0].get(8, 6), 50.0); // the clip area
+        assert_eq!(frames[0].get(0, 0), 0.0); // the bars
         let list = FrameList::new(frames, FrameRate::VIDEO_30);
         assert_eq!(list.remaining(), 4);
     }

@@ -1,4 +1,4 @@
-//! Figure 4: example complementary frame pairs, written as viewable PPM/PGM
+//! Figure 4: example complementary frame pairs, written as viewable PGM
 //! images.
 //!
 //! ```sh

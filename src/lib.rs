@@ -34,13 +34,13 @@
 //! | Module | Crate | Role |
 //! |---|---|---|
 //! | [`core`] | `inframe-core` | the InFrame system: multiplexer, chessboard coding, receiver |
-//! | [`frame`] | `inframe-frame` | planes, color, filters, geometry, image I/O |
-//! | [`dsp`] | `inframe-dsp` | envelopes, filters, FFT, spectra |
+//! | [`frame`] | `inframe-frame` | planes, sRGB, filters, homographies, fixed-point/SIMD kernels, PGM I/O |
+//! | [`dsp`] | `inframe-dsp` | envelopes, Butterworth biquads, FFT, spectra |
 //! | [`video`] | `inframe-video` | video sources, synthetic clips, raw container |
 //! | [`display`] | `inframe-display` | 120 Hz panel model (LCD response, strobed backlight) |
 //! | [`camera`] | `inframe-camera` | rolling-shutter camera model |
 //! | [`hvs`] | `inframe-hvs` | flicker fusion / phantom array perception model |
-//! | [`code`] | `inframe-code` | parity, CRC, Reed–Solomon, interleaving, PRBS |
+//! | [`code`] | `inframe-code` | parity, CRC, Reed–Solomon, scrambling, framing, seeded PRNG |
 //! | [`link`] | `inframe-link` | rateless transport: fountain-coded carousel, receiver sessions, δ/τ control |
 //! | [`net`] | `inframe-net` | network layer: addressed MAC frames, multi-stream QoS, spatial sub-channels |
 //! | [`obs`] | `inframe-obs` | telemetry spine: counters, histograms, events, flight recorder, exporters |
