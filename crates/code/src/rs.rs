@@ -112,10 +112,8 @@ impl ReedSolomon {
             rem.rotate_left(1);
             *rem.last_mut().expect("parity_len >= 1") = 0;
             if coef != 0 {
-                for (j, r) in rem.iter_mut().enumerate() {
-                    // generator[0] == 1 (monic), skip it.
-                    *r = gf::add(*r, gf::mul(coef, self.generator[j + 1]));
-                }
+                // generator[0] == 1 (monic), skip it.
+                gf::mul_add_row(&mut rem, &self.generator[1..], coef);
             }
         }
         let mut out = msg.to_vec();
@@ -164,7 +162,7 @@ impl ReedSolomon {
         for &e in erasures {
             // Position i in the codeword corresponds to locator α^{n-1-i}.
             let xi = gf::pow_alpha((self.n - 1 - e) as i32);
-            gamma = poly_mul_lh(&gamma, &[1, xi]);
+            gamma = gf::poly_mul(&gamma, &[1, xi]);
         }
 
         // Modified syndromes: Ξ(x) = Γ(x)·S(x) mod x^{n−k}.
@@ -179,7 +177,7 @@ impl ReedSolomon {
         }
 
         // Combined locator Ψ(x) = Λ(x)·Γ(x) covers errors and erasures.
-        let psi = poly_mul_lh(&lambda, &gamma);
+        let psi = gf::poly_mul(&lambda, &gamma);
 
         // Chien search: roots of Ψ give error locations.
         let mut positions = Vec::new();
@@ -231,21 +229,10 @@ impl ReedSolomon {
 }
 
 /// Polynomial helpers in **low-to-high** degree order (index = power).
-fn poly_mul_lh(a: &[u8], b: &[u8]) -> Vec<u8> {
-    let mut out = vec![0u8; a.len() + b.len() - 1];
-    for (i, &ai) in a.iter().enumerate() {
-        if ai == 0 {
-            continue;
-        }
-        for (j, &bj) in b.iter().enumerate() {
-            out[i + j] ^= gf::mul(ai, bj);
-        }
-    }
-    out
-}
-
+/// A product is the same convolution in either order, so multiplication
+/// reuses [`gf::poly_mul`].
 fn poly_mul_mod(a: &[u8], b: &[u8], modulus_degree: usize) -> Vec<u8> {
-    let full = poly_mul_lh(a, b);
+    let full = gf::poly_mul(a, b);
     full.into_iter().take(modulus_degree).collect()
 }
 
@@ -318,9 +305,7 @@ fn poly_sub_scaled_shifted(lambda: &[u8], b: &[u8], coef: u8, shift: usize) -> V
     if out.len() < b.len() + shift {
         out.resize(b.len() + shift, 0);
     }
-    for (i, &bi) in b.iter().enumerate() {
-        out[i + shift] ^= gf::mul(coef, bi);
-    }
+    gf::mul_add_row(&mut out[shift..shift + b.len()], b, coef);
     out
 }
 

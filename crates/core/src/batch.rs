@@ -22,7 +22,7 @@
 //!    engine band-slices over *receivers* when N is large.
 //!
 //! The batch path reuses the exact kernels of the streaming
-//! [`Demultiplexer`] (`direct_sweep`, `score_from_slices`,
+//! [`Demultiplexer`](crate::demux::Demultiplexer) (`direct_sweep`, `score_from_slices`,
 //! `demodulate`), so its decode decisions are bit-identical to looping
 //! `push_capture` over per-receiver materialized captures — enforced by
 //! `tests/fleet_equivalence.rs` across backends, SIMD levels, and
@@ -45,7 +45,7 @@ use std::sync::Arc;
 /// Score encoding of [`BlockScore::Unreadable`] in the flat `f32`
 /// tables: negative infinity loses every `max` against a readable score
 /// and never satisfies the `< T − margin` verdict test, so the flat
-/// encoding is value-identical to [`BlockScore::merge_max`] folding.
+/// encoding is value-identical to `BlockScore::merge_max` folding.
 pub const UNREADABLE: f32 = f32::NEG_INFINITY;
 
 /// Receiver-class sentinel for [`BatchScorer::merge_assigned`]: the
@@ -131,7 +131,7 @@ pub struct BatchScorer {
 impl BatchScorer {
     /// Creates a batch scorer over a prebuilt region cache. The kernel
     /// backend follows `config.kernel`, exactly like the streaming
-    /// [`Demultiplexer`].
+    /// [`Demultiplexer`](crate::demux::Demultiplexer).
     pub fn new(
         config: InFrameConfig,
         cache: Arc<RegionCache>,
@@ -167,7 +167,7 @@ impl BatchScorer {
     /// Attaches telemetry: `core.batch.score_ns` times each
     /// `score_classes` fan-out and `core.batch.fanout` counts receiver
     /// scorings folded by `merge_assigned`. Builder-style, like the
-    /// streaming [`Demultiplexer`].
+    /// streaming [`Demultiplexer`](crate::demux::Demultiplexer).
     pub fn with_telemetry(mut self, telemetry: &Telemetry) -> Self {
         self.score_ns = telemetry.histogram(names::batch::SCORE_NS);
         self.fanout = telemetry.counter(names::batch::FANOUT);

@@ -1,7 +1,7 @@
 //! Second-order IIR sections (biquads) and Butterworth low-pass design.
 //!
 //! Figure 5 of the paper verifies the block-smoothing envelope "by passing
-//! the waveform to an electronic low-pass filter and observ[ing] stable
+//! the waveform to an electronic low-pass filter and observ\[ing\] stable
 //! output waveform". [`Biquad::butterworth_lowpass`] is that filter; the
 //! HVS temporal model also composes biquads to approximate the eye's
 //! flicker-fusion response.

@@ -4,8 +4,9 @@
 //! high-pass + prefix-sum build, the sliding-blur window mean, the
 //! `ChessLut` chessboard patch and the demodulator's segment-sum scoring
 //! — previously relied on LLVM's autovectorizer. This module supplies
-//! hand-written `std::arch` paths (SSE2 and AVX2) next to a portable
-//! scalar path, selected once per process:
+//! hand-written `std::arch` paths (SSE2 and AVX2) for them, and for the
+//! rateless code's GF(2⁸) row operations, next to a portable scalar
+//! path, selected once per process:
 //!
 //! * [`active_level`] reads the `INFRAME_SIMD` environment variable
 //!   (`off` | `sse2` | `avx2`), clamps it to what
@@ -41,6 +42,15 @@
 //! * **Lane-width invariants**: vector bodies process 16/8/4-lane groups
 //!   and hand the remainder to the *same* scalar core that defines the
 //!   oracle, so a row of any width splits into identical arithmetic.
+//! * **GF(2⁸) row kernels** ([`gf256_mul_add_prefix`],
+//!   [`gf256_scale_prefix`]) serve the rateless code in `inframe-link`.
+//!   The product `c·b` is `low[b & 15] ⊕ high[b >> 4]` over factor `c`'s
+//!   two 16-entry nibble tables, so a byte shuffle (`pshufb`) looks up 32
+//!   bytes at once — exact, not approximate. Their scalar oracle lives in
+//!   `inframe_code::gf256` (this crate does not depend on it), so the
+//!   vector bodies return how far they got and the caller finishes the
+//!   row there. Only the AVX2 level has a body: the shuffle needs SSSE3,
+//!   which the SSE2 level does not assume, so SSE2 runs the scalar form.
 //!
 //! All `unsafe` in the workspace is confined to this module (the crate
 //! root keeps `#![deny(unsafe_code)]`); every intrinsic body is wrapped
@@ -575,6 +585,50 @@ pub fn sweep_row_segments(
     }
     for &(x0, x1, acc) in spans {
         acc_q[acc as usize] += row_q[x1 as usize] - row_q[x0 as usize];
+    }
+}
+
+// --------------------------------------------------------------------
+// GF(2⁸) row kernels (rateless decoder and encoder)
+// --------------------------------------------------------------------
+
+/// Vector body of the GF(2⁸) row multiply-accumulate `dst[i] ⊕= c·src[i]`,
+/// given factor `c`'s split-nibble tables `[low, high]` (`low[x] = c·x`,
+/// `high[x] = c·(x << 4)`). Processes the longest prefix the level's body
+/// covers and returns its length; the caller finishes the row with the
+/// scalar form, `inframe_code::gf256::mul_add_row`, which is the oracle.
+///
+/// AVX2 looks both nibbles up with `_mm256_shuffle_epi8`, 32 bytes a
+/// step and then one 16-byte step, so it covers all but `len % 16`
+/// bytes. Below AVX2 it covers nothing: the byte shuffle needs SSSE3,
+/// which the SSE2 level does not assume.
+///
+/// # Panics
+/// Panics if the rows differ in length.
+pub fn gf256_mul_add_prefix(
+    level: SimdLevel,
+    tables: &[[u8; 16]; 2],
+    dst: &mut [u8],
+    src: &[u8],
+) -> usize {
+    assert_eq!(dst.len(), src.len(), "GF(256) rows must match");
+    match level.min(detected_level()) {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the clamp above guarantees the feature is present.
+        SimdLevel::Avx2 => unsafe { x86::gf256_mul_add_avx2(tables, dst, src) },
+        _ => 0,
+    }
+}
+
+/// Vector body of the GF(2⁸) row scaling `row[i] = c·row[i]`, with the
+/// same tables, coverage and contract as [`gf256_mul_add_prefix`]; the
+/// caller finishes with `inframe_code::gf256::scale_row`.
+pub fn gf256_scale_prefix(level: SimdLevel, tables: &[[u8; 16]; 2], row: &mut [u8]) -> usize {
+    match level.min(detected_level()) {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the clamp above guarantees the feature is present.
+        SimdLevel::Avx2 => unsafe { x86::gf256_scale_avx2(tables, row) },
+        _ => 0,
     }
 }
 
@@ -1128,6 +1182,108 @@ mod x86 {
         }
         reduce_epi64(acc) + segment_sum_scalar(table, &idx0[i..], &idx1[i..])
     }
+
+    /// `c·v` per byte: each nibble indexes its 16-entry table through a
+    /// byte shuffle (both 128-bit halves hold the same table).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn gf256_mul32(lo: __m256i, hi: __m256i, v: __m256i) -> __m256i {
+        let mask = _mm256_set1_epi8(0x0F);
+        let l = _mm256_and_si256(v, mask);
+        let h = _mm256_and_si256(_mm256_srli_epi16::<4>(v), mask);
+        _mm256_xor_si256(_mm256_shuffle_epi8(lo, l), _mm256_shuffle_epi8(hi, h))
+    }
+
+    /// The 16-byte form of [`gf256_mul32`] (SSSE3, implied by AVX2).
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn gf256_mul16(lo: __m128i, hi: __m128i, v: __m128i) -> __m128i {
+        let mask = _mm_set1_epi8(0x0F);
+        let l = _mm_and_si128(v, mask);
+        let h = _mm_and_si128(_mm_srli_epi16::<4>(v), mask);
+        _mm_xor_si128(_mm_shuffle_epi8(lo, l), _mm_shuffle_epi8(hi, h))
+    }
+
+    /// Loads the `[low, high]` nibble tables as 128-bit registers.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    fn gf256_tables(tables: &[[u8; 16]; 2]) -> (__m128i, __m128i) {
+        // SAFETY: each table is exactly 16 readable bytes.
+        unsafe {
+            (
+                _mm_loadu_si128(tables[0].as_ptr().cast()),
+                _mm_loadu_si128(tables[1].as_ptr().cast()),
+            )
+        }
+    }
+
+    /// # Safety
+    /// Requires AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn gf256_mul_add_avx2(
+        tables: &[[u8; 16]; 2],
+        dst: &mut [u8],
+        src: &[u8],
+    ) -> usize {
+        let n = dst.len().min(src.len());
+        let (lo, hi) = gf256_tables(tables);
+        let (lo2, hi2) = (
+            _mm256_broadcastsi128_si256(lo),
+            _mm256_broadcastsi128_si256(hi),
+        );
+        let (d, s) = (dst.as_mut_ptr(), src.as_ptr());
+        let mut i = 0;
+        while i + 32 <= n {
+            // SAFETY: i + 32 <= n bounds both rows.
+            unsafe {
+                let p = gf256_mul32(lo2, hi2, _mm256_loadu_si256(s.add(i).cast()));
+                let acc = _mm256_loadu_si256(d.add(i).cast());
+                _mm256_storeu_si256(d.add(i).cast(), _mm256_xor_si256(acc, p));
+            }
+            i += 32;
+        }
+        if i + 16 <= n {
+            // SAFETY: i + 16 <= n bounds both rows.
+            unsafe {
+                let p = gf256_mul16(lo, hi, _mm_loadu_si128(s.add(i).cast()));
+                let acc = _mm_loadu_si128(d.add(i).cast());
+                _mm_storeu_si128(d.add(i).cast(), _mm_xor_si128(acc, p));
+            }
+            i += 16;
+        }
+        i
+    }
+
+    /// # Safety
+    /// Requires AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn gf256_scale_avx2(tables: &[[u8; 16]; 2], row: &mut [u8]) -> usize {
+        let n = row.len();
+        let (lo, hi) = gf256_tables(tables);
+        let (lo2, hi2) = (
+            _mm256_broadcastsi128_si256(lo),
+            _mm256_broadcastsi128_si256(hi),
+        );
+        let r = row.as_mut_ptr();
+        let mut i = 0;
+        while i + 32 <= n {
+            // SAFETY: i + 32 <= n bounds the row.
+            unsafe {
+                let p = gf256_mul32(lo2, hi2, _mm256_loadu_si256(r.add(i).cast()));
+                _mm256_storeu_si256(r.add(i).cast(), p);
+            }
+            i += 32;
+        }
+        if i + 16 <= n {
+            // SAFETY: i + 16 <= n bounds the row.
+            unsafe {
+                let p = gf256_mul16(lo, hi, _mm_loadu_si128(r.add(i).cast()));
+                _mm_storeu_si128(r.add(i).cast(), p);
+            }
+            i += 16;
+        }
+        i
+    }
 }
 
 #[cfg(test)]
@@ -1294,6 +1450,63 @@ mod tests {
                         "{} len={len} add={add}",
                         level.name()
                     );
+                }
+            }
+        }
+    }
+
+    /// Shift-and-add GF(2⁸) product under 0x11D (the field of
+    /// `inframe_code::gf256`), for building reference nibble tables.
+    fn gf_mul(mut a: u8, mut b: u8) -> u8 {
+        let mut p = 0u8;
+        while b != 0 {
+            if b & 1 != 0 {
+                p ^= a;
+            }
+            a = (a << 1) ^ if a & 0x80 != 0 { 0x1D } else { 0 };
+            b >>= 1;
+        }
+        p
+    }
+
+    #[test]
+    fn gf256_prefixes_match_per_byte_products() {
+        let mut rng = Lcg(11);
+        let src: Vec<u8> = (0..140).map(|_| rng.next() as u8).collect();
+        let base: Vec<u8> = (0..140).map(|_| rng.next() as u8).collect();
+        for c in [0u8, 1, 2, 0x53, 0x8E, 0xFF] {
+            let mut tables = [[0u8; 16]; 2];
+            for x in 0..16u8 {
+                tables[0][x as usize] = gf_mul(c, x);
+                tables[1][x as usize] = gf_mul(c, x << 4);
+            }
+            for level in SimdLevel::supported() {
+                // Odd offsets exercise unaligned loads.
+                for (off, len) in [
+                    (0, 0),
+                    (1, 15),
+                    (3, 16),
+                    (0, 31),
+                    (5, 32),
+                    (2, 52),
+                    (7, 130),
+                ] {
+                    let mut dst = base[off..off + len].to_vec();
+                    let n = gf256_mul_add_prefix(level, &tables, &mut dst, &src[off..off + len]);
+                    let mut row = src[off..off + len].to_vec();
+                    let m = gf256_scale_prefix(level, &tables, &mut row);
+                    let want = if level == SimdLevel::Avx2 {
+                        len - len % 16
+                    } else {
+                        0
+                    };
+                    assert_eq!((n, m), (want, want), "{level:?} len {len}");
+                    for i in 0..len {
+                        let (b, s) = (base[off + i], src[off + i]);
+                        let covered = i < n;
+                        assert_eq!(dst[i], if covered { b ^ gf_mul(c, s) } else { b });
+                        assert_eq!(row[i], if covered { gf_mul(c, s) } else { s });
+                    }
                 }
             }
         }

@@ -106,39 +106,33 @@ impl Symbol {
     }
 }
 
-/// The repair-symbol coefficient vector for `(object_id, seq)` over a
-/// `k`-symbol object: `k` GF(256) coefficients from a SplitMix64 stream
-/// seeded by the identifying triple. Deterministic on both ends; never
-/// the all-zero vector.
+/// Writes the repair-symbol coefficient vector for `(object_id, seq)`
+/// over a `k = out.len()`-symbol object into `out`: `k` GF(256)
+/// coefficients from a SplitMix64 stream seeded by the identifying
+/// triple. Deterministic on both ends; never the all-zero vector.
+/// Allocation-free.
 ///
 /// # Panics
-/// Panics when `seq` addresses a systematic symbol (`seq < k`) — those
-/// use unit vectors, not generated coefficients.
-pub fn repair_coefficients(object_id: u16, seq: u32, k: usize) -> Vec<u8> {
+/// Panics on an empty `out`, or when `seq` addresses a systematic
+/// symbol (`seq < k`) — those use unit vectors, not generated
+/// coefficients.
+pub fn repair_coefficients(object_id: u16, seq: u32, out: &mut [u8]) {
+    let k = out.len();
     assert!(seq as usize >= k, "seq {seq} is systematic for k={k}");
+    assert!(k > 0, "an object has at least one source symbol");
     let mut state =
         (object_id as u64) << 48 ^ (seq as u64) << 16 ^ (k as u64) ^ 0x9E37_79B9_7F4A_7C15u64;
-    let mut next = || {
+    for chunk in out.chunks_mut(8) {
         state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    };
-    let mut coeffs = Vec::with_capacity(k);
-    while coeffs.len() < k {
-        let word = next();
-        for shift in (0..8).rev() {
-            if coeffs.len() == k {
-                break;
-            }
-            coeffs.push((word >> (shift * 8)) as u8);
-        }
+        z ^= z >> 31;
+        chunk.copy_from_slice(&z.to_be_bytes()[..chunk.len()]);
     }
-    if coeffs.iter().all(|&c| c == 0) {
-        coeffs[seq as usize % k] = 1;
+    if out.iter().all(|&c| c == 0) {
+        out[seq as usize % k] = 1;
     }
-    coeffs
 }
 
 #[cfg(test)]
@@ -194,20 +188,35 @@ mod tests {
         assert_eq!(h.source_symbols(8), 13); // ceil(100 / 8)
     }
 
+    fn coefficients(object_id: u16, seq: u32, k: usize) -> Vec<u8> {
+        let mut out = vec![0xA5; k];
+        repair_coefficients(object_id, seq, &mut out);
+        out
+    }
+
     #[test]
     fn coefficients_deterministic_and_distinct() {
-        let a = repair_coefficients(7, 100, 20);
-        let b = repair_coefficients(7, 100, 20);
-        let c = repair_coefficients(7, 101, 20);
+        let a = coefficients(7, 100, 20);
+        let b = coefficients(7, 100, 20);
+        let c = coefficients(7, 101, 20);
         assert_eq!(a, b);
         assert_ne!(a, c);
-        assert_eq!(a.len(), 20);
         assert!(a.iter().any(|&x| x != 0));
+    }
+
+    #[test]
+    fn coefficients_are_the_big_endian_splitmix_stream() {
+        // Pinned values: both ends of a link regenerate these, so any
+        // change to the stream breaks interoperability.
+        assert_eq!(
+            coefficients(7, 100, 11),
+            [0x9E, 0x9D, 0x93, 0x4A, 0x0B, 0x15, 0xC3, 0xEE, 0x80, 0x1F, 0x5A]
+        );
     }
 
     #[test]
     #[should_panic(expected = "systematic")]
     fn systematic_seq_has_no_generated_coefficients() {
-        let _ = repair_coefficients(1, 3, 10);
+        repair_coefficients(1, 3, &mut [0; 10]);
     }
 }

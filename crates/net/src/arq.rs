@@ -11,7 +11,7 @@
 //! The [`ArqEngine`] therefore treats feedback as an *accelerator*, not
 //! a dependency:
 //!
-//! * **Closed mode** — fresh [`FeedbackReport`]s arrive within the
+//! * **Closed mode** — fresh [`FeedbackReport`](inframe_link::feedback::FeedbackReport)s arrive within the
 //!   policy timeout. NACKed systematic symbols are queued onto the
 //!   spatial carousel's retransmit ring (which preempts the WRR schedule
 //!   without perturbing credit), under a per-object retry budget, a

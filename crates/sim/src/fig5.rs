@@ -2,7 +2,7 @@
 //! electronic low-pass filter.
 //!
 //! The paper verifies the block-smoothing design "by passing the waveform
-//! to an electronic low-pass filter and observ[ing] stable output
+//! to an electronic low-pass filter and observ\[ing\] stable output
 //! waveform". This module regenerates both curves: the displayed ±δ
 //! waveform with the SRRC transition envelope (red solid curve) and its
 //! output through a 2nd-order Butterworth low-pass at the CFF (blue dotted

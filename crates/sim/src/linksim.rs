@@ -152,7 +152,7 @@ impl GobChannel {
 /// a passer-by, a sticker on the display) for this receiver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RegionOcclusion {
-    /// Region index in the channel's [`RegionMap`].
+    /// Region index in the channel's [`RegionMap`](inframe_core::region::RegionMap).
     pub region: usize,
     /// First occluded cycle (inclusive).
     pub from_cycle: u64,
@@ -301,7 +301,7 @@ pub struct LinkScenarioConfig {
     /// Route the controller's observations through a modeled
     /// back-channel (delay, loss, reordering) instead of the
     /// instantaneous ideal. The controller then reacts to quantized
-    /// [`RegionQuality`](inframe_link::feedback::RegionQuality) reports
+    /// [`RegionQuality`] reports
     /// that arrive late or not at all — a blackout silences the loop
     /// while the rateless carousel keeps completing.
     pub feedback: Option<crate::backchannel::BackchannelConfig>,

@@ -21,6 +21,9 @@
 //!   encode into the file-backed ring, including the frame commits that
 //!   publish to an out-of-process tailer — performs **0 heap
 //!   allocations** once the writer's frame buffers are sized, and
+//! * a rateless `ObjectDecoder` absorbing systematic, repair and
+//!   duplicate symbols performs **0 heap allocations** per symbol; only
+//!   the completing symbol allocates, once, for the object, and
 //! * presenting a display frame performs **0 heap allocations** once
 //!   the stream's frame pool is warm, and capturing a camera frame
 //!   performs exactly **1** — the returned plane.
@@ -541,6 +544,54 @@ fn obs_ring_writer_steady_state_is_allocation_free() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+fn object_decoder_steady_state_allocations() {
+    use inframe::link::rlc::{Absorb, ObjectDecoder, RlcEncoder};
+
+    // A 10 KB object in 52-byte symbols (K = 193, the paper RS{10}
+    // symbol size) and a lossy stream that mixes every kind of symbol:
+    // a systematic pass with every fourth symbol lost, a duplicate after
+    // every tenth, then repair symbols with a late copy of a lost
+    // systematic symbol and a duplicate repair symbol between them.
+    let data: Vec<u8> = (0..10_000u32).map(|i| (i * 37 + i / 251) as u8).collect();
+    let enc = RlcEncoder::new(9, &data, 52);
+    let k = enc.k() as u32;
+    let mut stream = Vec::new();
+    for seq in 0..k {
+        if seq % 4 != 1 {
+            stream.push(enc.symbol(seq));
+        }
+        if seq % 10 == 0 {
+            stream.push(enc.symbol(seq));
+        }
+    }
+    let mut late = (1..k).step_by(4);
+    for seq in k..2 * k {
+        stream.push(enc.symbol(seq));
+        let extra = if seq % 2 == 0 { late.next() } else { None };
+        stream.push(enc.symbol(extra.unwrap_or(seq)));
+    }
+    let mut dec = ObjectDecoder::for_symbol(&stream[0]);
+    let mut seen = [0u32; 2];
+    for (i, symbol) in stream.iter().enumerate() {
+        let before = allocation_count();
+        let outcome = dec.absorb(symbol);
+        let delta = allocation_count() - before;
+        if dec.is_complete() && outcome == Absorb::Innovative {
+            // The completing symbol allocates the object, once.
+            assert!(delta <= 1, "completing symbol {i} allocated {delta} times");
+            break;
+        }
+        assert_eq!(delta, 0, "symbol {i} ({outcome:?}) allocated {delta} times");
+        seen[(symbol.header.seq >= k) as usize] += 1;
+    }
+    assert_eq!(dec.object(), Some(&data[..]));
+    assert!(dec.redundant() > 0, "no duplicate was absorbed");
+    assert!(
+        seen[0] > 0 && seen[1] > 0,
+        "both symbol kinds must be absorbed: {seen:?}"
+    );
+}
+
 fn display_and_camera_steady_state_allocations() {
     // Quick geometry: a 240×168 panel and the 12-band Lumia-like camera
     // at 160×112, noise and optics blur on.
@@ -606,6 +657,12 @@ fn steady_state_hot_paths_allocate_nothing() {
             }
             batch_steady_state_is_allocation_free(backend);
         }
+    }
+    simd::force_level(None);
+    // The rateless decoder's row kernels dispatch on the SIMD level.
+    for level in simd::SimdLevel::supported() {
+        simd::force_level(Some(level));
+        object_decoder_steady_state_allocations();
     }
     simd::force_level(None);
     // The network hot path is pure byte processing — kernel backend and
