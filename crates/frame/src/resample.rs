@@ -3,8 +3,15 @@
 //! The paper's sender renders at 1920×1080 while the Lumia 1020 captures at
 //! 1280×720 — a 1.5× downsample. Area averaging models how multiple display
 //! pixels integrate onto one sensor photosite.
+//!
+//! At that 3:2 ratio every destination sample covers exactly two source
+//! samples per axis. Shapes like that take a fixed two-tap loop, compiled
+//! for AVX2 where the CPU has it ([`crate::simd::run_at`]); other shapes
+//! take the generic loop over each destination's tap list. Both add the
+//! same products in the same order, so they give the same bits.
 
 use crate::plane::Plane;
+use crate::simd::{self, SimdLevel};
 
 /// Downsamples by averaging the exact (fractional) source area covered by
 /// each destination pixel — a box reconstruction filter. Works for any
@@ -33,13 +40,26 @@ pub fn downsample_area(src: &Plane<f32>, dst_w: usize, dst_h: usize) -> Plane<f3
 /// Panics unless `src` holds `x`'s × `y`'s source lengths and `dst` their
 /// destination lengths.
 pub fn downsample_area_into(src: &[f32], x: &AreaTaps, y: &AreaTaps, dst: &mut [f32]) {
-    let w = x.src_len;
-    assert_eq!(src.len(), w * y.src_len, "tap tables must match the source");
+    assert_eq!(
+        src.len(),
+        x.src_len * y.src_len,
+        "tap tables must match the source"
+    );
     assert_eq!(
         dst.len(),
         x.dst_len() * y.dst_len(),
         "tap tables must match the destination"
     );
+    if x.two_tap && y.two_tap {
+        downsample_two_tap(simd::active_level(), src, x, y, dst);
+    } else {
+        downsample_generic(src, x, y, dst);
+    }
+}
+
+/// The area average over each destination's tap lists, for any shape.
+fn downsample_generic(src: &[f32], x: &AreaTaps, y: &AreaTaps, dst: &mut [f32]) {
+    let w = x.src_len;
     let mut out = dst.iter_mut();
     for dy in 0..y.dst_len() {
         let (rows, wys) = y.taps(dy);
@@ -60,6 +80,36 @@ pub fn downsample_area_into(src: &[f32], x: &AreaTaps, y: &AreaTaps, dst: &mut [
     }
 }
 
+/// [`downsample_generic`] for tables with exactly two taps per destination
+/// on both axes, run at `level`: the same products, summed in the same
+/// order from the same `0.0`, in a loop of fixed shape.
+fn downsample_two_tap(level: SimdLevel, src: &[f32], x: &AreaTaps, y: &AreaTaps, dst: &mut [f32]) {
+    let w = x.src_len;
+    let rows = y.index.chunks_exact(2).zip(y.weight.chunks_exact(2));
+    simd::run_at(
+        level,
+        #[inline(always)]
+        || {
+            for ((ys, wys), out) in rows.zip(dst.chunks_exact_mut(x.dst_len())) {
+                let (row0, row1) = (&src[ys[0] * w..][..w], &src[ys[1] * w..][..w]);
+                let cols = x.index.chunks_exact(2).zip(x.weight.chunks_exact(2));
+                for (out, (xs, wxs)) in out.iter_mut().zip(cols) {
+                    let mut acc = 0.0f64;
+                    let mut wsum = 0.0f64;
+                    for (row, wy) in [(row0, wys[0]), (row1, wys[1])] {
+                        for (xi, wx) in [(xs[0], wxs[0]), (xs[1], wxs[1])] {
+                            let w = wx * wy;
+                            acc += w * row[xi] as f64;
+                            wsum += w;
+                        }
+                    }
+                    *out = if wsum > 0.0 { (acc / wsum) as f32 } else { 0.0 };
+                }
+            }
+        },
+    );
+}
+
 /// The area-average taps of one axis: for each destination index `d`,
 /// the source indices its interval `[d·s, (d+1)·s)` (with `s = src/dst`)
 /// overlaps, in ascending order, and their coverage weights.
@@ -70,6 +120,9 @@ pub struct AreaTaps {
     starts: Vec<usize>,
     index: Vec<usize>,
     weight: Vec<f64>,
+    /// Every destination has exactly two taps, so `d`'s are `2d` and
+    /// `2d + 1`.
+    two_tap: bool,
 }
 
 impl AreaTaps {
@@ -88,6 +141,7 @@ impl AreaTaps {
             starts: Vec::with_capacity(dst_len + 1),
             index: Vec::new(),
             weight: Vec::new(),
+            two_tap: false,
         };
         taps.starts.push(0);
         for d in 0..dst_len {
@@ -102,6 +156,7 @@ impl AreaTaps {
             }
             taps.starts.push(taps.index.len());
         }
+        taps.two_tap = taps.starts.windows(2).all(|d| d[1] - d[0] == 2);
         taps
     }
 
@@ -193,6 +248,10 @@ mod tests {
             let mut v = seed ^ ((x as u64) << 32 | y as u64);
             v = v.wrapping_mul(0x9E37_79B9_7F4A_7C15);
             v ^= v >> 29;
+            // A second round brings `x`, which only reached the high
+            // bits, down into the bits read below.
+            v = v.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            v ^= v >> 32;
             match v % 4 {
                 0 => 2f32.powi(45),
                 1 => -(2f32.powi(45)),
@@ -264,6 +323,41 @@ mod tests {
         let mut out = vec![f32::NAN; 20 * 7];
         downsample_area_into(p.samples(), &x, &y, &mut out);
         assert_eq!(out, downsample_area(&p, 20, 7).samples());
+    }
+
+    /// The two-tap loop gives the generic loop's bits at every SIMD level,
+    /// on order-sensitive samples: a paper-scale rolling-shutter band, a
+    /// whole paper-scale frame and the smallest 3:2 shape.
+    #[test]
+    fn two_tap_loop_matches_the_generic_loop() {
+        for (w, h, dw, dh) in [(1920, 45, 1280, 30), (1920, 1080, 1280, 720), (6, 3, 4, 2)] {
+            let p = noisy_plane(w, h, 11);
+            let (x, y) = (AreaTaps::new(w, dw), AreaTaps::new(h, dh));
+            assert!(x.two_tap && y.two_tap, "{w}×{h} → {dw}×{dh} is 3:2");
+            let mut want = vec![f32::NAN; dw * dh];
+            downsample_generic(p.samples(), &x, &y, &mut want);
+            for level in SimdLevel::supported() {
+                let mut got = vec![f32::NAN; dw * dh];
+                downsample_two_tap(level, p.samples(), &x, &y, &mut got);
+                assert!(
+                    got.iter()
+                        .zip(&want)
+                        .all(|(a, b)| a.to_bits() == b.to_bits()),
+                    "{w}×{h} → {dw}×{dh} at {}",
+                    level.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn two_tap_only_where_every_destination_has_two_taps() {
+        assert!(AreaTaps::new(3, 2).two_tap);
+        assert!(AreaTaps::new(4, 2).two_tap);
+        // 67 display rows onto 45 sensor rows: some take three taps.
+        assert!(!AreaTaps::new(67, 45).two_tap);
+        assert!(!AreaTaps::new(5, 5).two_tap);
+        assert!(!AreaTaps::new(6, 2).two_tap);
     }
 
     #[test]

@@ -52,10 +52,24 @@
 //!   row there. Only the AVX2 level has a body: the shuffle needs SSSE3,
 //!   which the SSE2 level does not assume, so SSE2 runs the scalar form.
 //!
+//! * **Scalar code compiled twice** ([`run_at`]): the camera's capture
+//!   back end (the noise draws and polynomial Gaussian, the gamma lookup
+//!   that follows them, and the two-tap area downsample in
+//!   [`crate::resample`]) has no intrinsics. Its scalar Rust runs inside
+//!   a closure that [`run_at`] calls through an AVX2 `target_feature`
+//!   trampoline, so LLVM vectorizes it four `f64`s wide instead of the
+//!   baseline SSE2's two. Rust never fuses a multiply and an add or
+//!   reorders float operations, so the AVX2 compilation gives the same
+//!   bits as the plain one, which is its oracle. Callers mark the
+//!   closure `#[inline(always)]`: the trampoline only changes code that
+//!   LLVM inlines into it.
+//!
 //! All `unsafe` in the workspace is confined to this module (the crate
-//! root keeps `#![deny(unsafe_code)]`); every intrinsic body is wrapped
-//! by a safe dispatcher that clamps the requested level to the detected
-//! one, so callers can never reach an instruction the CPU lacks.
+//! root keeps `#![deny(unsafe_code)]`, and crates such as the camera that
+//! use [`run_at`] keep `#![forbid(unsafe_code)]`); every intrinsic body
+//! and the trampoline are wrapped by safe dispatchers that clamp the
+//! requested level to the detected one, so callers can never reach an
+//! instruction the CPU lacks.
 
 #![allow(unsafe_code)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -629,6 +643,31 @@ pub fn gf256_scale_prefix(level: SimdLevel, tables: &[[u8; 16]; 2], row: &mut [u
         // SAFETY: the clamp above guarantees the feature is present.
         SimdLevel::Avx2 => unsafe { x86::gf256_scale_avx2(tables, row) },
         _ => 0,
+    }
+}
+
+// --------------------------------------------------------------------
+// Scalar code compiled for AVX2
+// --------------------------------------------------------------------
+
+/// Runs `f`, compiled for AVX2 when `level` (clamped to the detected
+/// level) is [`SimdLevel::Avx2`], and as plain code otherwise.
+///
+/// At AVX2 the call goes through a `#[target_feature(enable = "avx2")]`
+/// trampoline, so `f`'s loops vectorize four `f64`s or eight `f32`s
+/// wide. That holds only for code inlined into the trampoline: mark the
+/// closure `#[inline(always)]`, or LLVM may compile it once, for the
+/// baseline, and call it. `f` is scalar Rust either way, and Rust never
+/// contracts a multiply and an add into an FMA or reorders float
+/// operations, so both compilations give the same bits: the plain one is
+/// the oracle.
+#[inline]
+pub fn run_at<R>(level: SimdLevel, f: impl FnOnce() -> R) -> R {
+    match level.min(detected_level()) {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: the clamp above guarantees the feature is present.
+        SimdLevel::Avx2 => unsafe { x86::run_avx2(f) },
+        _ => f(),
     }
 }
 
@@ -1283,6 +1322,16 @@ mod x86 {
             i += 16;
         }
         i
+    }
+
+    /// Calls `f` with AVX2 enabled, for [`super::run_at`].
+    ///
+    /// # Safety
+    /// Requires AVX2.
+    #[inline]
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn run_avx2<R>(f: impl FnOnce() -> R) -> R {
+        f()
     }
 }
 

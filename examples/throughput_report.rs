@@ -10,6 +10,8 @@
 //!
 //! Prints the Figure 7 table including the paper's headline numbers
 //! (≈12.8 kbps on pure gray at δ=20, τ=10; ≈7 kbps over real video).
+//! Exits non-zero when the table breaks the paper's shape (pure colors
+//! beat video; throughput falls with τ).
 
 use inframe::core::demux::{Demultiplexer, RegionCache};
 use inframe::core::metrics::ThroughputReport;
@@ -23,6 +25,7 @@ use inframe::sim::pipeline::{Simulation, SimulationConfig};
 use inframe::sim::{fig7, Scale, Scenario};
 use inframe::video::synth::MovingBarsClip;
 use inframe::video::FrameRate;
+use std::process::ExitCode;
 use std::sync::Arc;
 
 /// Renders and scores a handful of frames at the given scale and prints
@@ -100,7 +103,7 @@ fn telemetry_section(scale: Scale, cycles: u32) {
     );
 }
 
-fn main() {
+fn main() -> ExitCode {
     let paper_scale = std::env::args().any(|a| a == "--paper");
     let (scale, cycles) = if paper_scale {
         (Scale::Paper, 12)
@@ -124,7 +127,8 @@ fn main() {
     telemetry_section(scale, cycles);
     println!();
     let violations = fig.check_shape();
-    if violations.is_empty() {
+    let shape_holds = violations.is_empty();
+    if shape_holds {
         println!("shape check vs paper: PASS (pure colors beat video; throughput falls with τ)");
     } else {
         println!("shape check vs paper: {} violation(s)", violations.len());
@@ -146,5 +150,10 @@ fn main() {
                 bar.report.goodput_kbps()
             );
         }
+    }
+    if shape_holds {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }

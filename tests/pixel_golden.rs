@@ -12,12 +12,21 @@
 //! case covers one branch of the model: strobed vs constant backlight,
 //! τ > 0 vs τ = 0, rolling vs global shutter, fronto vs projective
 //! geometry, and a pass-through vs processing ISP.
+//!
+//! Quick size splits 112 sensor rows into 12 bands of 9 or 10 rows, so
+//! its band resamples never have the paper's exact 3:2 shape. One more
+//! test captures at paper geometry, whose bands do, at several worker
+//! counts and every SIMD level.
+
+use std::sync::Arc;
 
 use inframe::camera::capture::integrate_display_rows;
 use inframe::camera::{Camera, CameraConfig, CaptureGeometry, IspConfig};
 use inframe::display::{DisplayConfig, DisplayStream, FrameEmission};
 use inframe::frame::filter::gaussian_blur;
-use inframe::frame::Plane;
+use inframe::frame::simd::{self, SimdLevel};
+use inframe::frame::{ParallelEngine, Plane};
+use inframe::sim::Scale;
 
 const DISPLAY_W: usize = 240;
 const DISPLAY_H: usize = 168;
@@ -51,15 +60,20 @@ impl Fnv {
 /// Code frame `i`: a flat ±20 chessboard band (long runs of equal codes),
 /// a fractional ramp that drifts per frame, and a pseudo-random texture.
 fn code_frame(i: usize) -> Plane<f32> {
-    Plane::from_fn(DISPLAY_W, DISPLAY_H, |x, y| {
+    sized_code_frame(DISPLAY_W, DISPLAY_H, i)
+}
+
+/// [`code_frame`] at any display size.
+fn sized_code_frame(w: usize, h: usize, i: usize) -> Plane<f32> {
+    Plane::from_fn(w, h, |x, y| {
         let sign = if (x / 4 + y / 4 + i).is_multiple_of(2) {
             1.0
         } else {
             -1.0
         };
-        if y < DISPLAY_H / 3 {
+        if y < h / 3 {
             127.0 + sign * 20.0
-        } else if y < 2 * DISPLAY_H / 3 {
+        } else if y < 2 * h / 3 {
             (x as f32 * 1.0625 + i as f32 * 3.5) % 256.0
         } else {
             ((x * 31 + y * 17 + i * 13) % 256) as f32 * 0.75 + 10.0
@@ -175,4 +189,49 @@ fn processing_isp_digest() {
         CaptureGeometry::Fronto,
     );
     check("phone ISP", got, 0xd9974726c2c187c0);
+}
+
+/// One capture at paper geometry: the strobed 1920×1080 panel seen by the
+/// 24-band Lumia at 1280×720 (rolling shutter, blur and noise on). Each
+/// band resamples 1920×45 display samples to 1280×30 sensor samples, the
+/// exact 3:2 shape. The digest covers the captured codes, the whole
+/// window's integrated light and its fronto projection, and was recorded
+/// before the capture back end had its AVX2 and two-tap paths. It must
+/// hold at 1 and 2 workers and at every SIMD level this machine runs.
+#[test]
+fn paper_geometry_capture_digest() {
+    let scale = Scale::Paper;
+    let (config, geometry) = (scale.camera(), scale.geometry());
+    let inframe = scale.inframe();
+    let (display_w, display_h) = (inframe.display_w, inframe.display_h);
+    let new_camera =
+        |workers| Camera::with_engine(config, geometry, 17, Arc::new(ParallelEngine::new(workers)));
+    let mut stream = DisplayStream::new(scale.display());
+    let mut window: Vec<FrameEmission> = Vec::new();
+    let need = new_camera(1).required_window();
+    for i in 0.. {
+        let e = stream.present(&sized_code_frame(display_w, display_h, i));
+        let end = e.t_start + e.duration;
+        window.push(e);
+        if need.1 <= end {
+            break;
+        }
+    }
+    window.retain(|e| e.t_start + e.duration > need.0 + 1e-12);
+    let light = integrate_display_rows(&window, 0, display_h, need.0, need.1);
+    for level in SimdLevel::supported() {
+        simd::force_level(Some(level));
+        for workers in [1, 2] {
+            let cap = new_camera(workers)
+                .capture(&window)
+                .expect("window is covered");
+            let mut h = Fnv::new();
+            h.plane(&cap.plane);
+            h.plane(&light);
+            h.plane(&geometry.project(&light, config.width, config.height));
+            let label = format!("paper geometry, {} at {workers} worker(s)", level.name());
+            check(&label, h.0, 0xf277_8b32_b13c_54f3);
+        }
+    }
+    simd::force_level(None);
 }
