@@ -18,9 +18,12 @@
 //! checked by shifting two adjacent words and folding bytes into a
 //! streaming CRC register ([`crate::crc::crc16_ccitt_update`]); nothing
 //! is allocated per offset. The historical `&[bool]` API is kept as a
-//! thin wrapper that packs once.
+//! thin wrapper that packs once. Receivers carry decoded bits with their
+//! erasures as [`LossyBits`].
 
 use crate::crc::{crc16_ccitt, crc16_ccitt_update, CRC16_CCITT_INIT};
+use std::fmt;
+use std::ops::Range;
 
 /// Frame delimiter byte.
 pub const MAGIC: u8 = 0xA7;
@@ -43,31 +46,18 @@ pub struct PackedBits {
 }
 
 impl PackedBits {
-    /// An empty bitstream.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Packs a bool slice.
     pub fn from_bools(bits: &[bool]) -> Self {
-        let mut out = Self {
-            words: Vec::with_capacity(bits.len().div_ceil(8)),
-            bit_len: 0,
-        };
-        for &b in bits {
-            out.push_bit(b);
+        let word = |c: &[bool]| c.iter().fold(0u8, |w, &b| w << 1 | b as u8) << (8 - c.len());
+        Self {
+            words: bits.chunks(8).map(word).collect(),
+            bit_len: bits.len(),
         }
-        out
     }
 
     /// Number of bits held.
     pub fn bit_len(&self) -> usize {
         self.bit_len
-    }
-
-    /// Whether no bits are held.
-    pub fn is_empty(&self) -> bool {
-        self.bit_len == 0
     }
 
     /// Appends one bit.
@@ -81,15 +71,53 @@ impl PackedBits {
         self.bit_len += 1;
     }
 
-    /// Appends lossy bits, writing each undecodable position (`None`) as
-    /// a plain `0` bit. Nothing marks the erasure afterwards: a frame that
-    /// overlaps one is caught only by its CRC-16, which passes a damaged
-    /// frame with probability about 2⁻¹⁶ (see ROADMAP, "No corrupt
-    /// delivery").
-    pub fn push_option_bits(&mut self, bits: &[Option<bool>]) {
-        for &b in bits {
-            self.push_bit(b.unwrap_or(false));
+    /// Appends the bits `range` of `src`, a word's worth per step.
+    #[inline]
+    pub fn extend_from(&mut self, src: &PackedBits, range: Range<usize>) {
+        assert!(range.end <= src.bit_len, "bit range out of bounds");
+        for i in range.clone().step_by(8) {
+            let n = (range.end - i).min(8);
+            let byte = src.bits8(i) & (0xFF << (8 - n));
+            let fill = self.bit_len % 8;
+            if fill == 0 {
+                self.words.push(byte);
+            } else {
+                *self.words.last_mut().expect("a partial word") |= byte >> fill;
+                if fill + n > 8 {
+                    self.words.push(byte << (8 - fill));
+                }
+            }
+            self.bit_len += n;
         }
+    }
+
+    /// Sets every bit of `range` to `bit`.
+    fn fill(&mut self, range: Range<usize>, bit: bool) {
+        for (w, mask) in self.word_masks(range) {
+            let keep = self.words[w] & !mask;
+            self.words[w] = if bit { keep | mask } else { keep };
+        }
+    }
+
+    /// Number of set bits in `range`.
+    fn count_ones(&self, range: Range<usize>) -> u32 {
+        let ones = |(w, mask): (usize, u8)| (self.words[w] & mask).count_ones();
+        self.word_masks(range).map(ones).sum()
+    }
+
+    /// Each word `range` touches, with the mask of its bits in the range.
+    fn word_masks(&self, range: Range<usize>) -> impl Iterator<Item = (usize, u8)> {
+        assert!(range.end <= self.bit_len, "bit range out of bounds");
+        (range.start / 8..range.end.div_ceil(8)).map(move |w| {
+            let lo = range.start.max(8 * w) - 8 * w;
+            let hi = range.end.min(8 * w + 8) - 8 * w;
+            (w, (0xFF >> lo) & (0xFF << (8 - hi)))
+        })
+    }
+
+    /// The packed words, MSB-first, the last one zero-padded.
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.words
     }
 
     /// The bit at `index`.
@@ -101,22 +129,13 @@ impl PackedBits {
         self.words[index / 8] & (1 << (7 - index % 8)) != 0
     }
 
-    /// Reads one byte starting at an arbitrary bit offset, or `None` when
-    /// fewer than 8 bits remain. Two word reads and a shift — the packed
-    /// replacement for the historical [`byte_at`].
+    /// The 8 bits from `bit_offset` (which must lie in a held word), zero
+    /// past the last word: two word reads and a shift.
     #[inline]
-    pub fn byte_at(&self, bit_offset: usize) -> Option<u8> {
-        if bit_offset + 8 > self.bit_len {
-            return None;
-        }
+    fn bits8(&self, bit_offset: usize) -> u8 {
         let w = bit_offset / 8;
-        let s = bit_offset % 8;
-        Some(if s == 0 {
-            self.words[w]
-        } else {
-            // bit_offset + 8 <= bit_len guarantees words[w + 1] exists.
-            (self.words[w] << s) | (self.words[w + 1] >> (8 - s))
-        })
+        let pair = u16::from_be_bytes([self.words[w], *self.words.get(w + 1).unwrap_or(&0)]);
+        (pair << (bit_offset % 8) >> 8) as u8
     }
 
     /// Drops the first `n` bits (clamped to the length), shifting the
@@ -124,19 +143,112 @@ impl PackedBits {
     /// shifted through the buffer once.
     pub fn discard_front(&mut self, n: usize) {
         let n = n.min(self.bit_len);
-        let whole = n / 8;
-        let rem = n % 8;
-        self.words.drain(..whole);
-        self.bit_len -= whole * 8;
-        if rem > 0 {
-            let len = self.words.len();
-            for i in 0..len {
-                let next = if i + 1 < len { self.words[i + 1] } else { 0 };
-                self.words[i] = (self.words[i] << rem) | (next >> (8 - rem));
+        self.words.drain(..n / 8);
+        self.bit_len -= n;
+        if !n.is_multiple_of(8) {
+            for i in 0..self.words.len() {
+                self.words[i] = self.bits8(8 * i + n % 8);
             }
-            self.bit_len -= rem;
             self.words.truncate(self.bit_len.div_ceil(8));
         }
+    }
+}
+
+/// Decoded bits with erasures: packed values plus a same-length erasure
+/// mask. An erased position keeps its value bit at 0, so equality means
+/// equality of the `Option<bool>` verdicts (`None` = erased), and
+/// [`fmt::Debug`] prints them as that list.
+#[derive(Clone, Default, PartialEq, Eq)]
+pub struct LossyBits {
+    values: PackedBits,
+    erased: PackedBits,
+}
+
+impl LossyBits {
+    /// An empty sequence with room for `bits` verdicts.
+    pub fn with_capacity(bits: usize) -> Self {
+        let mut out = Self::default();
+        out.values.words.reserve_exact(bits.div_ceil(8));
+        out.erased.words.reserve_exact(bits.div_ceil(8));
+        out
+    }
+
+    /// Every bit of `bits`, decoded.
+    pub fn from_bools(bits: &[bool]) -> Self {
+        let values = PackedBits::from_bools(bits);
+        let mut erased = values.clone();
+        erased.words.fill(0);
+        Self { values, erased }
+    }
+
+    /// Number of verdicts held.
+    pub fn len(&self) -> usize {
+        self.values.bit_len
+    }
+
+    /// Whether no verdicts are held.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Empties the sequence, keeping its capacity.
+    pub fn clear(&mut self) {
+        self.values.discard_front(usize::MAX);
+        self.erased.discard_front(usize::MAX);
+    }
+
+    /// Appends one verdict: a decoded bit, or `None` for an erasure.
+    pub fn push(&mut self, verdict: Option<bool>) {
+        self.values.push_bit(verdict == Some(true));
+        self.erased.push_bit(verdict.is_none());
+    }
+
+    /// Appends the verdicts `range` of `src` (which must hold them).
+    #[inline]
+    pub fn extend_from(&mut self, src: &LossyBits, range: Range<usize>) {
+        self.values.extend_from(&src.values, range.clone());
+        self.erased.extend_from(&src.erased, range);
+    }
+
+    /// Erases every verdict in `range`.
+    pub fn erase(&mut self, range: Range<usize>) {
+        self.values.fill(range.clone(), false);
+        self.erased.fill(range, true);
+    }
+
+    /// Whether no verdict in `range` is erased.
+    pub fn is_intact(&self, range: Range<usize>) -> bool {
+        self.erased.count_ones(range) == 0
+    }
+
+    /// XOR of the decoded bits in `range` (erasures count as 0).
+    pub fn parity(&self, range: Range<usize>) -> bool {
+        self.values.count_ones(range) % 2 == 1
+    }
+
+    /// The verdicts in order.
+    pub fn iter(&self) -> impl Iterator<Item = Option<bool>> + '_ {
+        (0..self.len()).map(|i| (!self.erased.bit(i)).then(|| self.values.bit(i)))
+    }
+
+    /// The value bits, with every erasure read as 0.
+    pub fn values(&self) -> &PackedBits {
+        &self.values
+    }
+}
+
+impl FromIterator<Option<bool>> for LossyBits {
+    fn from_iter<I: IntoIterator<Item = Option<bool>>>(iter: I) -> Self {
+        let iter = iter.into_iter();
+        let mut out = Self::with_capacity(iter.size_hint().0);
+        iter.for_each(|v| out.push(v));
+        out
+    }
+}
+
+impl fmt::Debug for LossyBits {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
     }
 }
 
@@ -145,15 +257,6 @@ impl PackedBits {
 /// # Panics
 /// Panics if `payload` exceeds [`MAX_PAYLOAD`].
 pub fn encode_frame(payload: &[u8]) -> Vec<bool> {
-    bytes_to_bits(&encode_frame_bytes(payload))
-}
-
-/// Encodes one message into frame bytes (the packed form of
-/// [`encode_frame`]).
-///
-/// # Panics
-/// Panics if `payload` exceeds [`MAX_PAYLOAD`].
-pub fn encode_frame_bytes(payload: &[u8]) -> Vec<u8> {
     assert!(
         payload.len() <= MAX_PAYLOAD,
         "payload exceeds one frame ({} > {MAX_PAYLOAD})",
@@ -165,12 +268,7 @@ pub fn encode_frame_bytes(payload: &[u8]) -> Vec<u8> {
     bytes.extend_from_slice(payload);
     let crc = crc16_ccitt(&bytes);
     bytes.extend_from_slice(&crc.to_be_bytes());
-    bytes
-}
-
-/// Encodes a sequence of messages back to back.
-pub fn encode_stream(messages: &[&[u8]]) -> Vec<bool> {
-    messages.iter().flat_map(|m| encode_frame(m)).collect()
+    bytes_to_bits(&bytes)
 }
 
 /// A recovered message with its bit offset in the scanned stream.
@@ -207,11 +305,11 @@ pub fn scan_packed(bits: &PackedBits, streaming: bool) -> (Vec<RecoveredFrame>, 
     let n = bits.bit_len();
     let mut i = 0;
     while i + 8 * OVERHEAD_BYTES <= n {
-        if bits.byte_at(i) != Some(MAGIC) {
+        if bits.bits8(i) != MAGIC {
             i += 1;
             continue;
         }
-        let len = bits.byte_at(i + 8).expect("header within range") as usize;
+        let len = bits.bits8(i + 8) as usize;
         let total_bits = 8 * (OVERHEAD_BYTES + len);
         if i + total_bits > n {
             if streaming {
@@ -221,20 +319,12 @@ pub fn scan_packed(bits: &PackedBits, streaming: bool) -> (Vec<RecoveredFrame>, 
             i += 1;
             continue;
         }
+        // Byte `k` of the candidate frame; the whole span is held.
+        let byte = |k: usize| bits.bits8(i + 8 * k);
         let body_bytes = 2 + len;
-        let mut crc = CRC16_CCITT_INIT;
-        for k in 0..body_bytes {
-            crc = crc16_ccitt_update(crc, bits.byte_at(i + 8 * k).expect("span checked"));
-        }
-        let rx = u16::from_be_bytes([
-            bits.byte_at(i + 8 * body_bytes).expect("span checked"),
-            bits.byte_at(i + 8 * (body_bytes + 1))
-                .expect("span checked"),
-        ]);
-        if crc == rx {
-            let payload = (0..len)
-                .map(|k| bits.byte_at(i + 8 * (2 + k)).expect("span checked"))
-                .collect();
+        let crc = (0..body_bytes).fold(CRC16_CCITT_INIT, |crc, k| crc16_ccitt_update(crc, byte(k)));
+        if crc == u16::from_be_bytes([byte(body_bytes), byte(body_bytes + 1)]) {
+            let payload = (2..2 + len).map(byte).collect();
             out.push(RecoveredFrame {
                 bit_offset: i,
                 payload,
@@ -260,23 +350,22 @@ pub fn bytes_to_bits(bytes: &[u8]) -> Vec<bool> {
         .collect()
 }
 
-/// Reads one byte from an unpacked bitstream at an arbitrary bit offset.
-pub fn byte_at(bits: &[bool], bit_offset: usize) -> Option<u8> {
-    if bit_offset + 8 > bits.len() {
-        return None;
-    }
-    Some(
-        bits[bit_offset..bit_offset + 8]
-            .iter()
-            .enumerate()
-            .fold(0u8, |acc, (i, &b)| acc | ((b as u8) << (7 - i))),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Encodes a sequence of messages back to back.
+    fn encode_stream(messages: &[&[u8]]) -> Vec<bool> {
+        messages.iter().flat_map(|m| encode_frame(m)).collect()
+    }
+
+    /// Reads one byte from an unpacked bitstream at an arbitrary bit
+    /// offset: the oracle for `PackedBits::bits8`.
+    fn byte_at(bits: &[bool], bit_offset: usize) -> u8 {
+        let byte = &bits[bit_offset..bit_offset + 8];
+        byte.iter().fold(0u8, |acc, &b| acc << 1 | b as u8)
+    }
 
     fn unpack(p: &PackedBits) -> Vec<bool> {
         (0..p.bit_len()).map(|i| p.bit(i)).collect()
@@ -361,7 +450,7 @@ mod tests {
         let mut spurious = 0usize;
         for trial in 0..TRIALS {
             let mut state = 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(trial + 1);
-            let mut packed = PackedBits::new();
+            let mut packed = PackedBits::default();
             for _ in 0..BITS_PER_TRIAL / 64 {
                 state = state
                     .wrapping_mul(6364136223846793005)
@@ -394,8 +483,8 @@ mod tests {
         let bits = bytes_to_bits(&bytes);
         let packed = PackedBits::from_bools(&bits);
         assert_eq!(packed.bit_len(), bits.len());
-        for off in 0..bits.len() {
-            assert_eq!(packed.byte_at(off), byte_at(&bits, off), "offset {off}");
+        for off in 0..=bits.len() - 8 {
+            assert_eq!(packed.bits8(off), byte_at(&bits, off), "offset {off}");
         }
         assert_eq!(unpack(&packed), bits);
     }
@@ -440,7 +529,7 @@ mod tests {
     fn streaming_scan_across_many_small_appends() {
         let messages: Vec<Vec<u8>> = (0..10u8).map(|i| vec![i; 3 + i as usize]).collect();
         let stream: Vec<bool> = messages.iter().flat_map(|m| encode_frame(m)).collect();
-        let mut packed = PackedBits::new();
+        let mut packed = PackedBits::default();
         let mut got = Vec::new();
         for chunk in stream.chunks(17) {
             for &b in chunk {
@@ -488,6 +577,57 @@ mod tests {
             let via_bools = scan(&bits);
             let (via_packed, _) = scan_packed(&PackedBits::from_bools(&bits), false);
             prop_assert_eq!(via_bools, via_packed);
+        }
+
+        #[test]
+        fn packed_range_ops_match_the_bool_oracle(
+            a in proptest::collection::vec(any::<bool>(), 0..80),
+            b in proptest::collection::vec(any::<bool>(), 0..80),
+            lo in 0usize..80,
+            len in 0usize..80,
+            bit in any::<bool>(),
+        ) {
+            let (lo, hi) = (lo.min(b.len()), (lo + len).min(b.len()));
+            let mut packed = PackedBits::from_bools(&a);
+            packed.extend_from(&PackedBits::from_bools(&b), lo..hi);
+            let mut want = a.clone();
+            want.extend_from_slice(&b[lo..hi]);
+            // Derived equality compares whole words: the bits past the
+            // end must stay zero.
+            prop_assert_eq!(&packed, &PackedBits::from_bools(&want));
+            let r = lo.min(want.len())..hi.min(want.len());
+            let ones = want[r.clone()].iter().filter(|&&x| x).count();
+            prop_assert_eq!(packed.count_ones(r.clone()) as usize, ones);
+            packed.fill(r.clone(), bit);
+            want[r].fill(bit);
+            prop_assert_eq!(packed, PackedBits::from_bools(&want));
+        }
+
+        #[test]
+        fn lossy_bits_match_the_option_oracle(
+            a in proptest::collection::vec(0u8..3, 0..60),
+            b in proptest::collection::vec(0u8..3, 0..60),
+            lo in 0usize..60,
+            len in 0usize..60,
+        ) {
+            let verdict = |&x: &u8| [Some(false), Some(true), None][x as usize];
+            let a: Vec<Option<bool>> = a.iter().map(verdict).collect();
+            let b: Vec<Option<bool>> = b.iter().map(verdict).collect();
+            let (lo, hi) = (lo.min(b.len()), (lo + len).min(b.len()));
+            let mut got: LossyBits = a.iter().copied().collect();
+            got.extend_from(&b.iter().copied().collect(), lo..hi);
+            let mut want = a.clone();
+            want.extend_from_slice(&b[lo..hi]);
+            prop_assert_eq!(got.iter().collect::<Vec<_>>(), want.clone());
+            prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
+            let r = lo.min(want.len())..hi.min(want.len());
+            let intact = want[r.clone()].iter().all(Option::is_some);
+            let odd = want[r.clone()].iter().filter(|&&x| x == Some(true)).count() % 2 == 1;
+            prop_assert_eq!(got.is_intact(r.clone()), intact);
+            prop_assert_eq!(got.parity(r.clone()), odd);
+            got.erase(r.clone());
+            want[r].fill(None);
+            prop_assert_eq!(got, want.into_iter().collect::<LossyBits>());
         }
 
         #[test]

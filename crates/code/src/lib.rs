@@ -31,5 +31,5 @@ pub mod prbs;
 pub mod rs;
 pub mod scramble;
 
-pub use parity::{gob_check, gob_encode, GobStatus};
+pub use parity::{gob_encode, GobStatus};
 pub use rs::ReedSolomon;

@@ -32,9 +32,10 @@
 
 use crate::config::{InFrameConfig, KernelBackend};
 use crate::demux::{
-    demodulate_noised, direct_sweep, score_from_slices_noised, BlockScore, RegionCache,
+    demodulate_noised, direct_sweep, score_from_slices_noised, verdict, BlockScore, RegionCache,
 };
 use crate::parallel::ParallelEngine;
+use inframe_code::framing::LossyBits;
 use inframe_frame::integral::{box_blur_fast_into, BlurScratch};
 use inframe_frame::perturb::CaptureTransform;
 use inframe_frame::qplane::{self, horizontal_window_sums_band, QPlane};
@@ -455,21 +456,13 @@ impl BatchScorer {
     /// [`Demultiplexer::finish`]. `out` is cleared first.
     ///
     /// [`Demultiplexer::finish`]: crate::demux::Demultiplexer::finish
-    pub fn verdicts_into(&self, best: &[f32], out: &mut Vec<Option<bool>>) {
+    pub fn verdicts_into(&self, best: &[f32], out: &mut LossyBits) {
         let t = self.config.threshold;
         let m = self.config.margin;
         out.clear();
-        out.extend(best.iter().map(|&enc| {
-            if enc == UNREADABLE {
-                None
-            } else if enc > t + m {
-                Some(true)
-            } else if enc < t - m {
-                Some(false)
-            } else {
-                None
-            }
-        }));
+        for &s in best {
+            out.push(verdict((s != UNREADABLE).then_some(s), t, m));
+        }
     }
 }
 
@@ -633,13 +626,13 @@ mod tests {
         let batch = scorer(cfg, 1);
         let t = cfg.threshold;
         let m = cfg.margin;
-        let mut out = Vec::new();
+        let mut out = LossyBits::default();
         batch.verdicts_into(
             &[UNREADABLE, t + m + 0.1, t + m, t - m, t - m - 0.1, 0.0],
             &mut out,
         );
         assert_eq!(
-            out,
+            out.iter().collect::<Vec<_>>(),
             vec![None, Some(true), None, None, Some(false), Some(false)]
         );
     }

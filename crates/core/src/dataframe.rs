@@ -8,7 +8,8 @@
 
 use crate::config::CodingMode;
 use crate::layout::DataLayout;
-use inframe_code::parity::{gob_check, gob_encode, GobStats, GobStatus};
+use inframe_code::framing::{bytes_to_bits, LossyBits, PackedBits};
+use inframe_code::parity::{gob_encode, GobStats, GobStatus};
 use inframe_code::rs::ReedSolomon;
 
 /// One data frame: a bit per Block, in grid coordinates.
@@ -55,10 +56,7 @@ impl DataFrame {
             "payload must carry exactly the parity-mode capacity"
         );
         let per_gob = layout.blocks_per_gob() - 1;
-        let mut channel_bits = Vec::with_capacity(layout.num_blocks());
-        for gob_payload in payload.chunks(per_gob) {
-            channel_bits.extend(gob_encode(gob_payload));
-        }
+        let channel_bits: Vec<bool> = payload.chunks(per_gob).flat_map(gob_encode).collect();
         Self::from_channel_bits(layout, &channel_bits)
     }
 
@@ -69,17 +67,16 @@ impl DataFrame {
             k * codewords * 8,
             "payload must carry exactly the RS-mode capacity"
         );
-        let msg_bytes = pack_bits(payload);
+        let msg = PackedBits::from_bools(payload);
         let n = k + parity_bytes;
         let rs = ReedSolomon::new(n, k).expect("validated RS parameters");
         let mut coded = Vec::with_capacity(n * codewords);
-        for chunk in msg_bytes.chunks(k) {
+        for chunk in msg.as_bytes().chunks(k) {
             coded.extend(rs.encode(chunk).expect("length checked"));
         }
-        let mut channel_bits = unpack_bits(&coded);
-        channel_bits.truncate(layout.num_blocks());
-        // Pad any leftover blocks (grid bits not covered by whole
-        // codewords) with zeros.
+        let mut channel_bits = bytes_to_bits(&coded);
+        // Fit the grid, padding any leftover blocks (grid bits not
+        // covered by whole codewords) with zeros.
         channel_bits.resize(layout.num_blocks(), false);
         Self::from_channel_bits(layout, &channel_bits)
     }
@@ -87,9 +84,9 @@ impl DataFrame {
     fn from_channel_bits(layout: &DataLayout, channel_bits: &[bool]) -> Self {
         assert_eq!(channel_bits.len(), layout.num_blocks());
         let mut bits = vec![false; layout.num_blocks()];
-        for (idx, &b) in channel_bits.iter().enumerate() {
-            let (bx, by) = layout.block_at_channel_index(idx);
-            bits[by * layout.blocks_x + bx] = b;
+        let rows = (0..layout.num_gobs()).flat_map(|g| layout.gob_rows(g));
+        for (row, run) in rows.zip(channel_bits.chunks(layout.gob_size)) {
+            bits[row].copy_from_slice(run);
         }
         Self {
             blocks_x: layout.blocks_x,
@@ -108,16 +105,6 @@ impl DataFrame {
             "block out of range"
         );
         self.bits[by * self.blocks_x + bx]
-    }
-
-    /// Grid width in Blocks.
-    pub fn blocks_x(&self) -> usize {
-        self.blocks_x
-    }
-
-    /// Grid height in Blocks.
-    pub fn blocks_y(&self) -> usize {
-        self.blocks_y
     }
 }
 
@@ -141,45 +128,53 @@ pub fn payload_bits_rs(layout: &DataLayout, parity_bytes: usize) -> usize {
 
 /// Decodes received per-Block verdicts back into payload bits.
 ///
-/// `received` gives, per Block grid coordinate (row-major), `Some(bit)` for
-/// a decoded Block or `None` for an undecodable one.
+/// `received` holds one verdict per Block, row-major over the grid: the
+/// decoded bit, or an erasure for an undecodable Block.
 ///
 /// Returns the recovered payload (only bits from clean GOBs / corrected
-/// codewords; failed units contribute `None`s) and the GOB statistics that
-/// Figure 7 reports.
+/// codewords; failed units contribute erasures) and the GOB statistics
+/// that Figure 7 reports.
 pub fn decode(
     layout: &DataLayout,
-    received: &[Option<bool>],
+    received: &LossyBits,
     coding: CodingMode,
-) -> (Vec<Option<bool>>, GobStats) {
+) -> (LossyBits, GobStats) {
     assert_eq!(
         received.len(),
         layout.num_blocks(),
         "verdict length mismatch"
     );
-    // Reorder into channel order.
-    let channel: Vec<Option<bool>> = (0..layout.num_blocks())
-        .map(|idx| {
-            let (bx, by) = layout.block_at_channel_index(idx);
-            received[by * layout.blocks_x + bx]
-        })
-        .collect();
     match coding {
-        CodingMode::Parity => decode_parity(layout, &channel),
-        CodingMode::ReedSolomon { parity_bytes } => decode_rs(layout, &channel, parity_bytes),
+        CodingMode::Parity => decode_parity(layout, received),
+        CodingMode::ReedSolomon { parity_bytes } => decode_rs(layout, received, parity_bytes),
     }
 }
 
-fn decode_parity(layout: &DataLayout, channel: &[Option<bool>]) -> (Vec<Option<bool>>, GobStats) {
-    let per_gob = layout.blocks_per_gob();
+/// A GOB is available when none of its Blocks is erased, and erroneous
+/// when its Blocks (payload plus parity) XOR to 1.
+fn decode_parity(layout: &DataLayout, received: &LossyBits) -> (LossyBits, GobStats) {
+    let per_gob = layout.blocks_per_gob() - 1;
     let mut stats = GobStats::default();
-    let mut payload = Vec::with_capacity(layout.payload_bits_parity());
-    for gob in channel.chunks(per_gob) {
-        let (status, bits) = gob_check(gob);
+    let mut payload = LossyBits::with_capacity(layout.payload_bits_parity());
+    for g in 0..layout.num_gobs() {
+        let rows = || layout.gob_rows(g);
+        let status = if !rows().all(|row| received.is_intact(row)) {
+            GobStatus::Unavailable
+        } else if rows().fold(false, |odd, row| odd ^ received.parity(row)) {
+            GobStatus::Erroneous
+        } else {
+            GobStatus::Ok
+        };
         stats.record(status);
-        match (status, bits) {
-            (GobStatus::Ok, Some(bits)) => payload.extend(bits.into_iter().map(Some)),
-            _ => payload.extend(std::iter::repeat_n(None, per_gob - 1)),
+        if status == GobStatus::Ok {
+            // Channel order, less the trailing parity Block.
+            let end = payload.len() + per_gob;
+            for row in rows() {
+                let take = row.len().min(end - payload.len());
+                payload.extend_from(received, row.start..row.start + take);
+            }
+        } else {
+            (0..per_gob).for_each(|_| payload.push(None));
         }
     }
     (payload, stats)
@@ -187,65 +182,41 @@ fn decode_parity(layout: &DataLayout, channel: &[Option<bool>]) -> (Vec<Option<b
 
 fn decode_rs(
     layout: &DataLayout,
-    channel: &[Option<bool>],
+    received: &LossyBits,
     parity_bytes: usize,
-) -> (Vec<Option<bool>>, GobStats) {
+) -> (LossyBits, GobStats) {
     let (k, codewords) = rs_geometry(layout, parity_bytes);
     let n = k + parity_bytes;
     let rs = ReedSolomon::new(n, k).expect("validated RS parameters");
-    // Bits → bytes with erasure tracking: a byte is an erasure if any of
-    // its bits is undecodable.
-    let total_bytes = layout.num_blocks() / 8;
-    let mut bytes = vec![0u8; total_bytes];
-    let mut erased = vec![false; total_bytes];
-    for (i, byte) in bytes.iter_mut().enumerate() {
-        for j in 0..8 {
-            match channel[i * 8 + j] {
-                Some(true) => *byte |= 1 << (7 - j),
-                Some(false) => {}
-                None => erased[i] = true,
-            }
-        }
+    // Channel-order bits → bytes with erasure tracking: a byte is an
+    // erasure if any of its bits is undecodable.
+    let mut channel = LossyBits::with_capacity(layout.num_blocks());
+    for row in (0..layout.num_gobs()).flat_map(|g| layout.gob_rows(g)) {
+        channel.extend_from(received, row);
     }
+    let bytes = channel.values().as_bytes();
+    let erased = |byte: usize| !channel.is_intact(8 * byte..8 * byte + 8);
     // GobStats reinterpretation for RS mode: one "GOB" = one codeword;
     // available = corrected successfully, erroneous = correction failed.
     let mut stats = GobStats::default();
-    let mut payload = Vec::with_capacity(k * codewords * 8);
+    let mut payload = LossyBits::with_capacity(k * codewords * 8);
     for c in 0..codewords {
         let cw = &bytes[c * n..(c + 1) * n];
-        let erasures: Vec<usize> = (0..n).filter(|&i| erased[c * n + i]).collect();
+        let erasures: Vec<usize> = (0..n).filter(|&i| erased(c * n + i)).collect();
         match rs.decode(cw, &erasures) {
             Ok(msg) => {
                 stats.record(GobStatus::Ok);
-                payload.extend(unpack_bits(&msg).into_iter().map(Some));
+                bytes_to_bits(&msg)
+                    .into_iter()
+                    .for_each(|b| payload.push(Some(b)));
             }
             Err(_) => {
                 stats.record(GobStatus::Erroneous);
-                payload.extend(std::iter::repeat_n(None, k * 8));
+                (0..k * 8).for_each(|_| payload.push(None));
             }
         }
     }
     (payload, stats)
-}
-
-/// Packs bits (MSB-first) into bytes; the final partial byte is
-/// zero-padded.
-pub fn pack_bits(bits: &[bool]) -> Vec<u8> {
-    let mut out = vec![0u8; bits.len().div_ceil(8)];
-    for (i, &b) in bits.iter().enumerate() {
-        if b {
-            out[i / 8] |= 1 << (7 - i % 8);
-        }
-    }
-    out
-}
-
-/// Unpacks bytes into bits, MSB-first.
-pub fn unpack_bits(bytes: &[u8]) -> Vec<bool> {
-    bytes
-        .iter()
-        .flat_map(|&b| (0..8).map(move |i| (b >> (7 - i)) & 1 == 1))
-        .collect()
 }
 
 #[cfg(test)]
@@ -269,7 +240,7 @@ mod tests {
         let l = layout();
         let f = DataFrame::zero(&l);
         assert!(f.bits.iter().all(|&b| !b));
-        assert_eq!(f.blocks_x(), l.blocks_x);
+        assert_eq!(f.blocks_x, l.blocks_x);
     }
 
     #[test]
@@ -284,10 +255,10 @@ mod tests {
                 Some(frame.bit(bx, by))
             })
             .collect();
-        let (decoded, stats) = decode(&l, &received, CodingMode::Parity);
+        let (decoded, stats) = decode(&l, &received.iter().copied().collect(), CodingMode::Parity);
         assert_eq!(stats.available_ratio(), 1.0);
         assert_eq!(stats.error_rate(), 0.0);
-        let bits: Vec<bool> = decoded.into_iter().map(|b| b.unwrap()).collect();
+        let bits: Vec<bool> = decoded.iter().map(|b| b.unwrap()).collect();
         assert_eq!(bits, payload);
     }
 
@@ -300,7 +271,7 @@ mod tests {
             .map(|i| Some(frame.bit(i % l.blocks_x, i / l.blocks_x)))
             .collect();
         received[0] = Some(!received[0].unwrap());
-        let (_, stats) = decode(&l, &received, CodingMode::Parity);
+        let (_, stats) = decode(&l, &received.iter().copied().collect(), CodingMode::Parity);
         assert_eq!(stats.erroneous, 1);
         assert_eq!(stats.available_ratio(), 1.0);
     }
@@ -314,7 +285,7 @@ mod tests {
             .map(|i| Some(frame.bit(i % l.blocks_x, i / l.blocks_x)))
             .collect();
         received[5] = None;
-        let (decoded, stats) = decode(&l, &received, CodingMode::Parity);
+        let (decoded, stats) = decode(&l, &received.iter().copied().collect(), CodingMode::Parity);
         assert_eq!(stats.unavailable, 1);
         assert!(decoded.iter().any(|b| b.is_none()));
     }
@@ -331,9 +302,9 @@ mod tests {
         let received: Vec<Option<bool>> = (0..l.num_blocks())
             .map(|i| Some(frame.bit(i % l.blocks_x, i / l.blocks_x)))
             .collect();
-        let (decoded, stats) = decode(&l, &received, coding);
+        let (decoded, stats) = decode(&l, &received.iter().copied().collect(), coding);
         assert_eq!(stats.error_rate(), 0.0);
-        let bits: Vec<bool> = decoded.into_iter().map(|b| b.unwrap()).collect();
+        let bits: Vec<bool> = decoded.iter().map(|b| b.unwrap()).collect();
         assert_eq!(bits, payload);
     }
 
@@ -352,8 +323,8 @@ mod tests {
         for r in received.iter_mut().take(16) {
             *r = None;
         }
-        let (decoded, _) = decode(&l, &received, coding);
-        let bits: Vec<bool> = decoded.into_iter().map(|b| b.unwrap()).collect();
+        let (decoded, _) = decode(&l, &received.iter().copied().collect(), coding);
+        let bits: Vec<bool> = decoded.iter().map(|b| b.unwrap()).collect();
         assert_eq!(bits, payload, "RS must heal the erased run");
     }
 
@@ -369,8 +340,8 @@ mod tests {
 
     #[test]
     fn bit_packing_roundtrip_exact_bytes() {
-        let bits = unpack_bits(&[0xA5, 0x3C]);
-        assert_eq!(pack_bits(&bits), vec![0xA5, 0x3C]);
+        let bits = bytes_to_bits(&[0xA5, 0x3C]);
+        assert_eq!(PackedBits::from_bools(&bits).as_bytes(), [0xA5, 0x3C]);
     }
 
     #[test]
@@ -391,15 +362,16 @@ mod tests {
             let received: Vec<Option<bool>> = (0..l.num_blocks())
                 .map(|i| Some(frame.bit(i % l.blocks_x, i / l.blocks_x)))
                 .collect();
-            let (decoded, stats) = decode(&l, &received, CodingMode::Parity);
+            let (decoded, stats) = decode(&l, &received.iter().copied().collect(), CodingMode::Parity);
             prop_assert_eq!(stats.total(), l.num_gobs() as u64);
-            let bits: Vec<bool> = decoded.into_iter().map(|b| b.unwrap()).collect();
+            let bits: Vec<bool> = decoded.iter().map(|b| b.unwrap()).collect();
             prop_assert_eq!(bits, payload);
         }
 
         #[test]
         fn pack_unpack_roundtrip(bytes in proptest::collection::vec(any::<u8>(), 1..32)) {
-            prop_assert_eq!(pack_bits(&unpack_bits(&bytes)), bytes);
+            let packed = PackedBits::from_bools(&bytes_to_bits(&bytes));
+            prop_assert_eq!(packed.as_bytes(), &bytes[..]);
         }
     }
 }

@@ -23,6 +23,7 @@ use crate::dataframe;
 use crate::layout::DataLayout;
 use crate::metrics::ThroughputMeter;
 use crate::parallel::ParallelEngine;
+use inframe_code::framing::LossyBits;
 use inframe_code::parity::GobStats;
 use inframe_frame::geometry::Homography;
 use inframe_frame::integral::{
@@ -74,14 +75,24 @@ impl BlockScore {
     }
 }
 
+/// The `T ± margin` dead-zone rule: a readable score outside the margin
+/// around the threshold `t` decides its Block's bit.
+pub(crate) fn verdict(score: Option<f32>, t: f32, margin: f32) -> Option<bool> {
+    match score? {
+        s if s > t + margin => Some(true),
+        s if s < t - margin => Some(false),
+        _ => None,
+    }
+}
+
 /// One decoded data cycle.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DecodedDataFrame {
     /// Data cycle index.
     pub cycle: u64,
-    /// Recovered payload bits; `None` where the covering GOB/codeword
+    /// Recovered payload bits, erased where the covering GOB/codeword
     /// failed.
-    pub payload: Vec<Option<bool>>,
+    pub payload: LossyBits,
     /// GOB statistics (Figure 7's availability and error rate).
     pub stats: GobStats,
     /// Number of captures that contributed.
@@ -778,16 +789,7 @@ impl Demultiplexer {
         let mut acc = self.current.take()?;
         let t = self.config.threshold;
         let m = self.config.margin;
-        let verdicts: Vec<Option<bool>> = acc
-            .best
-            .iter()
-            .map(|score| match score.value() {
-                None => None,
-                Some(s) if s > t + m => Some(true),
-                Some(s) if s < t - m => Some(false),
-                Some(_) => None,
-            })
-            .collect();
+        let verdicts: LossyBits = acc.best.iter().map(|s| verdict(s.value(), t, m)).collect();
         // Threshold-distance telemetry: how much margin each readable
         // Block's decision had. A healthy channel is strongly bimodal
         // (large distances); scores crowding the dead zone are the
@@ -1299,11 +1301,7 @@ mod tests {
         demux.push_capture(&video, 0.01);
         let decoded = demux.finish().unwrap();
         assert_eq!(decoded.stats.available_ratio(), 1.0);
-        let zeros = decoded
-            .payload
-            .iter()
-            .filter(|b| **b == Some(false))
-            .count();
+        let zeros = decoded.payload.iter().filter(|b| *b == Some(false)).count();
         assert_eq!(zeros, decoded.payload.len());
     }
 
@@ -1407,7 +1405,7 @@ mod tests {
         for (bit, truth) in decoded.payload.iter().zip(&payload) {
             if let Some(b) = bit {
                 total += 1;
-                if b == truth {
+                if b == *truth {
                     correct += 1;
                 }
             }

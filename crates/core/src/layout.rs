@@ -7,6 +7,7 @@
 //! 50×30-Block grid spans 1800×1080 of the 1920×1080 panel.
 
 use crate::config::InFrameConfig;
+use std::ops::Range;
 
 /// A rectangle in display pixel coordinates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,34 +108,13 @@ impl DataLayout {
         }
     }
 
-    /// Linear Block index of `(bx, by)` in GOB-major order: GOBs row-major
-    /// over the GOB grid, Blocks row-major within each GOB. This is the
-    /// order in which bits are laid into the frame.
-    pub fn block_channel_index(&self, bx: usize, by: usize) -> usize {
-        let m = self.gob_size;
-        let (gx_count, _) = self.gob_grid();
-        let gx = bx / m;
-        let gy = by / m;
-        let gob_index = gy * gx_count + gx;
-        let lx = bx % m;
-        let ly = by % m;
-        gob_index * m * m + ly * m + lx
-    }
-
-    /// Inverse of [`DataLayout::block_channel_index`].
-    pub fn block_at_channel_index(&self, idx: usize) -> (usize, usize) {
-        let m = self.gob_size;
-        let (gx_count, _) = self.gob_grid();
-        let gob_index = idx / (m * m);
-        let within = idx % (m * m);
-        let gx = gob_index % gx_count;
-        let gy = gob_index / gx_count;
-        (gx * m + within % m, gy * m + within / m)
-    }
-
-    /// GOB index of Block `(bx, by)`.
-    pub fn gob_of_block(&self, bx: usize, by: usize) -> usize {
-        self.block_channel_index(bx, by) / self.blocks_per_gob()
+    /// The row-major Block-index ranges of GOB `gob` (GOBs row-major over
+    /// the grid), top row first. Over every GOB they give the channel
+    /// order bits are laid in: GOB by GOB, Blocks row-major within each.
+    pub fn gob_rows(&self, gob: usize) -> impl Iterator<Item = Range<usize>> {
+        let (m, blocks_x) = (self.gob_size, self.blocks_x);
+        let (gx, gy) = (gob % self.gob_grid().0, gob / self.gob_grid().0);
+        (gy * m..(gy + 1) * m).map(move |by| by * blocks_x + gx * m..by * blocks_x + (gx + 1) * m)
     }
 }
 
@@ -142,7 +122,6 @@ impl DataLayout {
 mod tests {
     use super::*;
     use crate::config::InFrameConfig;
-    use proptest::prelude::*;
 
     fn paper_layout() -> DataLayout {
         DataLayout::from_config(&InFrameConfig::paper())
@@ -177,47 +156,36 @@ mod tests {
         let _ = l.block_rect(50, 0);
     }
 
-    #[test]
-    fn channel_index_groups_gobs_contiguously() {
-        let l = DataLayout::from_config(&InFrameConfig::small_test());
-        // The four blocks of GOB (0,0) occupy channel indices 0..4.
-        let mut idxs = vec![
-            l.block_channel_index(0, 0),
-            l.block_channel_index(1, 0),
-            l.block_channel_index(0, 1),
-            l.block_channel_index(1, 1),
-        ];
-        idxs.sort_unstable();
-        assert_eq!(idxs, vec![0, 1, 2, 3]);
+    /// Channel index of Block `(bx, by)`: GOBs row-major over the GOB
+    /// grid, Blocks row-major within each GOB.
+    fn channel_index(l: &DataLayout, bx: usize, by: usize) -> usize {
+        let m = l.gob_size;
+        ((by / m) * l.gob_grid().0 + bx / m) * m * m + (by % m) * m + bx % m
     }
 
     #[test]
-    fn gob_of_block_matches_grid() {
+    fn gob_rows_start_at_the_gob_corner() {
         let l = DataLayout::from_config(&InFrameConfig::small_test());
-        assert_eq!(l.gob_of_block(0, 0), 0);
-        assert_eq!(l.gob_of_block(2, 0), 1);
-        assert_eq!(l.gob_of_block(0, 2), l.gob_grid().0);
+        let bx = l.blocks_x;
+        let first: Vec<usize> = l.gob_rows(0).flatten().collect();
+        assert_eq!(first, vec![0, 1, bx, bx + 1]);
+        assert_eq!(l.gob_rows(1).next(), Some(2..4));
+        assert_eq!(l.gob_rows(l.gob_grid().0).next(), Some(2 * bx..2 * bx + 2));
     }
 
-    proptest! {
-        #[test]
-        fn channel_index_roundtrip(bx in 0usize..16, by in 0usize..12) {
-            let l = DataLayout::from_config(&InFrameConfig::small_test());
-            let idx = l.block_channel_index(bx, by);
-            prop_assert!(idx < l.num_blocks());
-            prop_assert_eq!(l.block_at_channel_index(idx), (bx, by));
-        }
-
-        #[test]
-        fn channel_order_is_a_permutation(_x in 0..1) {
-            let l = DataLayout::from_config(&InFrameConfig::small_test());
-            let mut seen = vec![false; l.num_blocks()];
-            for (bx, by) in (0..l.num_blocks()).map(|i| l.block_at_channel_index(i)) {
-                let i = by * l.blocks_x + bx;
-                prop_assert!(!seen[i]);
-                seen[i] = true;
+    #[test]
+    fn gob_rows_walk_the_channel_order() {
+        for l in [
+            DataLayout::from_config(&InFrameConfig::small_test()),
+            paper_layout(),
+        ] {
+            let blocks = (0..l.num_gobs()).flat_map(|g| l.gob_rows(g)).flatten();
+            let mut n = 0;
+            for (idx, i) in blocks.enumerate() {
+                assert_eq!(channel_index(&l, i % l.blocks_x, i / l.blocks_x), idx);
+                n += 1;
             }
-            prop_assert!(seen.into_iter().all(|s| s));
+            assert_eq!(n, l.num_blocks());
         }
     }
 }

@@ -7,6 +7,7 @@
 //! every bar of Figure 7 from its printed annotations (e.g. gray, δ=20,
 //! τ=10: `1125 · 12 · 0.952 · 0.985 ≈ 12.6 kbps`).
 
+use inframe_code::framing::LossyBits;
 use std::time::Duration;
 
 /// Aggregated link performance over a run.
@@ -147,18 +148,10 @@ impl ThroughputMeter {
 
 /// Compares decoded payload bits to ground truth: returns
 /// `(correct, compared)` counting only bits that were actually recovered.
-pub fn bit_accuracy(decoded: &[Option<bool>], truth: &[bool]) -> (usize, usize) {
-    let mut correct = 0;
-    let mut compared = 0;
-    for (d, &t) in decoded.iter().zip(truth) {
-        if let Some(b) = d {
-            compared += 1;
-            if *b == t {
-                correct += 1;
-            }
-        }
-    }
-    (correct, compared)
+pub fn bit_accuracy(decoded: &LossyBits, truth: &[bool]) -> (usize, usize) {
+    let hit = |(d, &t): (Option<bool>, &bool)| Some(d? == t);
+    let hits = decoded.iter().zip(truth).filter_map(hit);
+    hits.fold((0, 0), |(correct, n), ok| (correct + ok as usize, n + 1))
 }
 
 #[cfg(test)]
@@ -275,7 +268,9 @@ mod tests {
 
     #[test]
     fn bit_accuracy_counts_only_recovered() {
-        let decoded = vec![Some(true), None, Some(false), Some(true)];
+        let decoded = [Some(true), None, Some(false), Some(true)]
+            .into_iter()
+            .collect();
         let truth = vec![true, true, true, true];
         let (correct, compared) = bit_accuracy(&decoded, &truth);
         assert_eq!(compared, 3);

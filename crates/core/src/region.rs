@@ -15,6 +15,8 @@
 //! frame, so its payload bits have no per-GOB locality to tile.
 
 use crate::layout::DataLayout;
+use inframe_code::framing::LossyBits;
+use std::ops::Range;
 
 /// A rectangular tiling of the GOB grid into independent sub-channels.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -105,16 +107,15 @@ impl RegionMap {
     ///
     /// # Panics
     /// Panics when `full` is not a whole frame of payload bits.
-    pub fn gather<T: Copy>(&self, full: &[T], region: usize, out: &mut Vec<T>) {
+    pub fn gather(&self, full: &LossyBits, region: usize, out: &mut LossyBits) {
         assert_eq!(
             full.len(),
             self.gob_index.len() * self.bits_per_gob,
             "payload is not a full frame"
         );
         out.clear();
-        for &g in self.region_gobs(region) {
-            let lo = g as usize * self.bits_per_gob;
-            out.extend_from_slice(&full[lo..lo + self.bits_per_gob]);
+        for bits in self.runs(region) {
+            out.extend_from(full, bits);
         }
     }
 
@@ -134,11 +135,10 @@ impl RegionMap {
             self.gob_index.len() * self.bits_per_gob,
             "payload is not a full frame"
         );
-        for (i, &g) in self.region_gobs(region).iter().enumerate() {
-            let src = i * self.bits_per_gob;
-            let dst = g as usize * self.bits_per_gob;
-            full[dst..dst + self.bits_per_gob]
-                .copy_from_slice(&region_payload[src..src + self.bits_per_gob]);
+        let runs = region_payload.chunks(self.bits_per_gob);
+        for (src, &g) in runs.zip(self.region_gobs(region)) {
+            let lo = g as usize * self.bits_per_gob;
+            full[lo..lo + src.len()].copy_from_slice(src);
         }
     }
 
@@ -169,17 +169,26 @@ impl RegionMap {
     /// error attribution stays with the frame-wide
     /// [`inframe_code::parity::GobStats`]; this split drives the
     /// per-region δ controllers.
-    pub fn region_availability(&self, full: &[Option<bool>], region: usize) -> (u64, u64) {
-        let (mut ok, mut lost) = (0u64, 0u64);
-        for &g in self.region_gobs(region) {
-            let lo = g as usize * self.bits_per_gob;
-            if full[lo..lo + self.bits_per_gob].iter().all(Option::is_some) {
-                ok += 1;
-            } else {
-                lost += 1;
+    pub fn region_availability(&self, full: &LossyBits, region: usize) -> (u64, u64) {
+        let bpg = self.bits_per_gob;
+        let mut lost = 0;
+        for bits in self.runs(region) {
+            if !full.is_intact(bits.clone()) {
+                let gobs = bits.step_by(bpg);
+                lost += gobs.filter(|&lo| !full.is_intact(lo..lo + bpg)).count();
             }
         }
-        (ok, lost)
+        ((self.gobs_per_region() - lost) as u64, lost as u64)
+    }
+
+    /// The payload bit ranges of `region`'s runs of consecutive GOBs
+    /// (contiguous, since the payload runs GOB by GOB).
+    fn runs(&self, region: usize) -> impl Iterator<Item = Range<usize>> + '_ {
+        let runs = self.region_gobs(region).chunk_by(|&a, &b| b == a + 1);
+        runs.map(|run| {
+            let lo = run[0] as usize * self.bits_per_gob;
+            lo..lo + run.len() * self.bits_per_gob
+        })
     }
 }
 
@@ -214,13 +223,17 @@ mod tests {
     fn gather_scatter_roundtrip() {
         let l = layout();
         let map = RegionMap::new(&l, 5, 5);
-        let full: Vec<u32> = (0..l.payload_bits_parity() as u32).collect();
-        let mut rebuilt = vec![0u32; full.len()];
-        let mut buf = Vec::new();
+        let full: Vec<bool> = (0..l.payload_bits_parity())
+            .map(|i| (i * 7919) % 5 < 2)
+            .collect();
+        let received: LossyBits = full.iter().map(|&b| Some(b)).collect();
+        let mut rebuilt = vec![false; full.len()];
+        let mut buf = LossyBits::default();
         for r in 0..map.num_regions() {
-            map.gather(&full, r, &mut buf);
+            map.gather(&received, r, &mut buf);
             assert_eq!(buf.len(), map.region_payload_bits());
-            map.scatter(&buf, r, &mut rebuilt);
+            let bits: Vec<bool> = buf.iter().map(|b| b.unwrap()).collect();
+            map.scatter(&bits, r, &mut rebuilt);
         }
         assert_eq!(rebuilt, full);
     }
@@ -264,6 +277,7 @@ mod tests {
         // Erase one bit in the first GOB of region 7.
         let g = map.region_gobs(7)[0] as usize;
         full[g * (l.blocks_per_gob() - 1)] = None;
+        let full: LossyBits = full.into_iter().collect();
         let (ok, lost) = map.region_availability(&full, 7);
         assert_eq!(lost, 1);
         assert_eq!(ok as usize, map.gobs_per_region() - 1);

@@ -33,7 +33,7 @@
 //!   S data bytes, and eliminating against it updates only the S data
 //!   bytes of the incoming row, not its K − j coefficients.
 
-use crate::symbol::{repair_coefficients, Symbol, SymbolHeader};
+use crate::symbol::{repair_coefficients, Symbol, SymbolHeader, MAX_SOURCE_SYMBOLS};
 use inframe_code::gf256;
 use inframe_frame::simd;
 
@@ -67,7 +67,7 @@ impl RlcEncoder {
     ///
     /// # Panics
     /// Panics on an empty object, a zero symbol size, or an object over
-    /// `u32::MAX` bytes.
+    /// `u32::MAX` bytes or [`MAX_SOURCE_SYMBOLS`] symbols.
     pub fn new(object_id: u16, data: &[u8], symbol_bytes: usize) -> Self {
         assert!(!data.is_empty(), "object must be nonempty");
         assert!(symbol_bytes > 0, "symbol size must be positive");
@@ -75,6 +75,8 @@ impl RlcEncoder {
             u32::try_from(data.len()).is_ok(),
             "object exceeds u32 length"
         );
+        let k = data.len().div_ceil(symbol_bytes);
+        assert!(k <= MAX_SOURCE_SYMBOLS, "{k} source symbols exceed the cap");
         let chunks = data
             .chunks(symbol_bytes)
             .map(|c| {

@@ -21,7 +21,7 @@
 //! in-flight demux cycle, discards any partially-scanned symbol, and
 //! moves to [`SessionState::Resync`] until the tracker re-locks — it
 //! never silently decodes against a dead phase. Decoded cycle payloads
-//! (with per-GOB losses as `None`) feed a bounded [`SymbolScanner`], and
+//! (with per-GOB losses erased) feed a bounded [`SymbolScanner`], and
 //! every recovered symbol flows into the per-object incremental
 //! [`ObjectDecoder`]s. Because the carousel is rateless, a late joiner
 //! needs no retransmission protocol: it simply keeps absorbing whatever
@@ -30,7 +30,7 @@
 use crate::carousel::SymbolGeometry;
 use crate::rlc::ObjectDecoder;
 use crate::symbol::Symbol;
-use inframe_code::framing::{scan_packed, PackedBits};
+use inframe_code::framing::{scan_packed, LossyBits, PackedBits};
 use inframe_code::parity::GobStats;
 use inframe_core::sync::{CycleSynchronizer, LockState, PhaseTracker, TrackerEvent, TrackerPolicy};
 use inframe_core::{
@@ -88,10 +88,12 @@ pub enum SessionState {
 
 /// Streaming frame-to-symbol scanner with a bounded rolling buffer.
 ///
-/// Cycle payloads append as packed bits (losses map to `0` and are
-/// rejected by the frame CRC); valid frames parse into [`Symbol`]s of the
-/// session's geometry. The buffer never grows past one maximal frame
-/// beyond what the streaming scan holds back.
+/// Cycle payloads append word by word; valid frames parse into
+/// [`Symbol`]s of the session's geometry. The buffer never grows past one
+/// maximal frame beyond what the streaming scan holds back. An erased bit
+/// reads as `0`, so a frame overlapping one is caught only by its CRC-16,
+/// which passes a damaged frame with probability about 2⁻¹⁶ (see
+/// ROADMAP, "No corrupt delivery").
 #[derive(Debug, Clone)]
 pub struct SymbolScanner {
     buf: PackedBits,
@@ -104,7 +106,7 @@ impl SymbolScanner {
     /// A scanner for symbols of `symbol_bytes` data bytes.
     pub fn new(symbol_bytes: usize) -> Self {
         Self {
-            buf: PackedBits::new(),
+            buf: PackedBits::default(),
             symbol_bytes,
             recovered: 0,
             rejected: 0,
@@ -113,8 +115,8 @@ impl SymbolScanner {
 
     /// Appends one cycle's payload and returns every symbol completed by
     /// it.
-    pub fn push_payload(&mut self, payload: &[Option<bool>]) -> Vec<Symbol> {
-        self.buf.push_option_bits(payload);
+    pub fn push_payload(&mut self, payload: &LossyBits) -> Vec<Symbol> {
+        self.buf.extend_from(payload.values(), 0..payload.len());
         let (frames, resume) = scan_packed(&self.buf, true);
         self.buf.discard_front(resume);
         let mut out = Vec::with_capacity(frames.len());
@@ -136,9 +138,14 @@ impl SymbolScanner {
     }
 
     /// Frames that validated but were not symbols of this geometry
-    /// (spurious CRC matches, foreign traffic).
+    /// (spurious CRC matches, foreign traffic, forged headers).
     pub fn rejected(&self) -> u64 {
         self.rejected
+    }
+
+    /// Bits held back for a frame that may still complete.
+    pub fn buffered_bits(&self) -> usize {
+        self.buf.bit_len()
     }
 
     /// Discards any partially-scanned symbol. Called on desync: bits
@@ -146,7 +153,7 @@ impl SymbolScanner {
     /// the bits that arrive after it — a CRC would usually catch the
     /// chimera, but "usually" is not a property to lean on at scale.
     pub fn reset(&mut self) {
-        self.buf = PackedBits::new();
+        self.buf = PackedBits::default();
     }
 }
 
@@ -370,9 +377,9 @@ impl ReceiverSession {
         }
     }
 
-    /// Feeds one decoded cycle payload (per-bit verdicts with losses as
-    /// `None`) plus its GOB statistics.
-    pub fn push_cycle(&mut self, payload: &[Option<bool>], stats: &GobStats) -> CycleReport {
+    /// Feeds one decoded cycle payload (losses erased) plus its GOB
+    /// statistics.
+    pub fn push_cycle(&mut self, payload: &LossyBits, stats: &GobStats) -> CycleReport {
         let cycle = self.last_cycle.map_or(0, |c| c + 1);
         self.push_cycle_indexed(payload, stats, cycle)
     }
@@ -382,7 +389,7 @@ impl ReceiverSession {
     /// partially-scanned symbol, see [`SymbolScanner::reset`]).
     pub fn push_cycle_indexed(
         &mut self,
-        payload: &[Option<bool>],
+        payload: &LossyBits,
         stats: &GobStats,
         cycle: u64,
     ) -> CycleReport {
@@ -534,7 +541,7 @@ impl ReceiverSession {
         report
     }
 
-    fn absorb(&mut self, payload: &[Option<bool>], cycle: u64) -> CycleReport {
+    fn absorb(&mut self, payload: &LossyBits, cycle: u64) -> CycleReport {
         // A hole in the cycle sequence means the scanner's partial symbol
         // lost its middle: discard it rather than splice across the gap.
         if self.last_cycle.is_some_and(|last| cycle > last + 1) {
@@ -697,9 +704,8 @@ impl ReceiverSession {
 
 /// Steps a whole fleet of cycle-level sessions through one decoded cycle.
 ///
-/// `verdicts` is row-major `sessions.len() × layout.num_blocks()` — one
-/// per-Block verdict row per receiver, as produced by
-/// [`inframe_core::BatchScorer::verdicts_into`]. Receivers whose `active`
+/// `verdicts` holds one per-Block verdict row per receiver, as produced
+/// by [`inframe_core::BatchScorer::verdicts_into`]. Receivers whose `active`
 /// flag is `false` (not yet joined, or dropped this cycle) are skipped
 /// and keep their cycle numbering gap, which the session's scanner
 /// interprets as a lost cycle exactly like the streaming path would.
@@ -714,23 +720,18 @@ pub fn absorb_cycle_bulk(
     layout: &DataLayout,
     coding: CodingMode,
     sessions: &mut [ReceiverSession],
-    verdicts: &[Option<bool>],
+    verdicts: &[LossyBits],
     active: &[bool],
     cycle: u64,
 ) {
-    let nb = layout.num_blocks();
-    assert_eq!(
-        verdicts.len(),
-        sessions.len() * nb,
-        "verdicts must be sessions × blocks"
-    );
+    assert_eq!(verdicts.len(), sessions.len(), "one row per session");
     assert_eq!(active.len(), sessions.len(), "one active flag per session");
     engine.for_each_row_band(sessions.len(), 1, sessions, |rows, band| {
         for (session, r) in band.iter_mut().zip(rows) {
             if !active[r] {
                 continue;
             }
-            let (bits, stats) = dataframe::decode(layout, &verdicts[r * nb..(r + 1) * nb], coding);
+            let (bits, stats) = dataframe::decode(layout, &verdicts[r], coding);
             session.push_cycle_indexed(&bits, &stats, cycle);
         }
     });
@@ -747,7 +748,7 @@ mod tests {
         (c, DataLayout::from_config(&c))
     }
 
-    fn clean(payload: &[bool]) -> Vec<Option<bool>> {
+    fn clean(payload: &[bool]) -> LossyBits {
         payload.iter().map(|&b| Some(b)).collect()
     }
 
@@ -786,7 +787,8 @@ mod tests {
         let mut rx = ReceiverSession::new(&cfg, car.geometry(), CompletionTarget::Objects(1));
         let stats = GobStats::default();
         // An all-lost cycle keeps the session merely synced.
-        let lost = vec![None; car.geometry().payload_bits_per_cycle];
+        let lost: LossyBits =
+            std::iter::repeat_n(None, car.geometry().payload_bits_per_cycle).collect();
         let r = rx.push_cycle(&lost, &stats);
         assert_eq!(r.symbols, 0);
         assert_eq!(rx.state(), SessionState::Synced);
@@ -898,11 +900,29 @@ mod tests {
             },
             data: vec![1, 2, 3], // 3 ≠ 8
         };
-        let bits: Vec<Option<bool>> = sym.encode_frame_bits().into_iter().map(Some).collect();
-        let got = sc.push_payload(&bits);
+        let got = sc.push_payload(&clean(&sym.encode_frame_bits()));
         assert!(got.is_empty());
         assert_eq!(sc.rejected(), 1);
         assert_eq!(sc.recovered(), 0);
+    }
+
+    #[test]
+    fn forged_object_length_is_rejected_before_a_decoder_exists() {
+        let (cfg, layout) = channel();
+        let g = SymbolGeometry::for_channel(&layout, cfg.coding);
+        let sym = Symbol {
+            header: crate::symbol::SymbolHeader {
+                object_id: 5,
+                object_len: u32::MAX,
+                seq: 0,
+            },
+            data: vec![0x5A; g.symbol_bytes],
+        };
+        let mut rx = ReceiverSession::new(&cfg, g, CompletionTarget::Never);
+        let r = rx.push_cycle(&clean(&sym.encode_frame_bits()), &GobStats::default());
+        assert_eq!(r.symbols, 0);
+        assert_eq!((rx.scanner().recovered(), rx.scanner().rejected()), (0, 1));
+        assert!(rx.decoder(5).is_none(), "no decoder for a forged K");
     }
 
     #[test]
@@ -910,7 +930,7 @@ mod tests {
         let mut sc = SymbolScanner::new(16);
         let mut state = 0xDEADBEEFu64;
         for _ in 0..50 {
-            let noise: Vec<Option<bool>> = (0..1125)
+            let noise: LossyBits = (0..1125)
                 .map(|_| {
                     state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
                     Some((state >> 33) & 1 == 1)
@@ -956,20 +976,21 @@ mod tests {
             },
             data: vec![0xAB; g.symbol_bytes],
         };
-        let bits: Vec<Option<bool>> = sym.encode_frame_bits().into_iter().map(Some).collect();
-        let half = bits.len() / 2;
+        let bits = sym.encode_frame_bits();
+        let (head, tail) = bits.split_at(bits.len() / 2);
+        let (head, tail) = (clean(head), clean(tail));
 
         // Contiguous cycles: the split frame is recovered.
         let mut rx = ReceiverSession::new(&cfg, g, CompletionTarget::Never);
         let stats = GobStats::default();
-        rx.push_cycle_indexed(&bits[..half], &stats, 0);
-        let r = rx.push_cycle_indexed(&bits[half..], &stats, 1);
+        rx.push_cycle_indexed(&head, &stats, 0);
+        let r = rx.push_cycle_indexed(&tail, &stats, 1);
         assert_eq!(r.symbols, 1, "contiguous halves must reassemble");
 
         // Same halves around a dropped cycle: discarded, not spliced.
         let mut rx = ReceiverSession::new(&cfg, g, CompletionTarget::Never);
-        rx.push_cycle_indexed(&bits[..half], &stats, 0);
-        let r = rx.push_cycle_indexed(&bits[half..], &stats, 2);
+        rx.push_cycle_indexed(&head, &stats, 0);
+        let r = rx.push_cycle_indexed(&tail, &stats, 2);
         assert_eq!(r.symbols, 0, "gap must discard the partial symbol");
         assert_eq!(rx.scanner().recovered(), 0);
     }
@@ -982,7 +1003,6 @@ mod tests {
         car.add_object(9, 1, &data);
         let geometry = car.geometry();
         let n = 5usize;
-        let nb = layout.num_blocks();
         let build = || {
             (0..n)
                 .map(|_| ReceiverSession::new(&cfg, geometry, CompletionTarget::AllOf(vec![9])))
@@ -996,21 +1016,21 @@ mod tests {
             let frame = inframe_core::DataFrame::encode(&layout, &payload, cfg.coding);
             // Heterogeneous fleet view: receiver r loses every (r + cycle)-th
             // GOB's blocks; receiver 3 joins late; receiver 4 drops one cycle.
-            let mut verdicts = vec![None; n * nb];
             let mut active = vec![true; n];
             active[3] = cycle >= 7;
             active[4] = cycle != 11;
-            for r in 0..n {
-                for by in 0..layout.blocks_y {
-                    for bx in 0..layout.blocks_x {
-                        let i = by * layout.blocks_x + bx;
-                        let lost = r > 0
-                            && (layout.gob_of_block(bx, by) + r + cycle as usize)
-                                .is_multiple_of(r + 3);
-                        verdicts[r * nb + i] = (!lost).then(|| frame.bit(bx, by));
-                    }
-                }
-            }
+            let verdicts: Vec<LossyBits> = (0..n)
+                .map(|r| {
+                    (0..layout.num_blocks())
+                        .map(|i| {
+                            let (bx, by) = (i % layout.blocks_x, i / layout.blocks_x);
+                            let gob = (by / 2) * layout.gob_grid().0 + bx / 2;
+                            let lost = r > 0 && (gob + r + cycle as usize).is_multiple_of(r + 3);
+                            (!lost).then(|| frame.bit(bx, by))
+                        })
+                        .collect()
+                })
+                .collect();
             absorb_cycle_bulk(
                 &engine, &layout, cfg.coding, &mut bulk, &verdicts, &active, cycle,
             );
@@ -1018,8 +1038,7 @@ mod tests {
                 if !active[r] {
                     continue;
                 }
-                let (bits, stats) =
-                    dataframe::decode(&layout, &verdicts[r * nb..(r + 1) * nb], cfg.coding);
+                let (bits, stats) = dataframe::decode(&layout, &verdicts[r], cfg.coding);
                 session.push_cycle_indexed(&bits, &stats, cycle);
             }
         }

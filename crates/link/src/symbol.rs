@@ -18,6 +18,12 @@ use inframe_code::framing;
 /// Header bytes inside the frame payload: id (2) + length (4) + seq (4).
 pub const HEADER_BYTES: usize = 10;
 
+/// Largest K (source symbols per object). K sizes a new decoder and comes
+/// from a header only a CRC-16 guards, so [`Symbol::from_frame_payload`]
+/// rejects any claim above it; [`crate::rlc::RlcEncoder::new`] refuses
+/// larger objects, so no honest header is rejected.
+pub const MAX_SOURCE_SYMBOLS: usize = 1 << 16;
+
 /// Total framed overhead per symbol: framing magic/length/CRC plus the
 /// symbol header.
 pub const SYMBOL_OVERHEAD_BYTES: usize = framing::OVERHEAD_BYTES + HEADER_BYTES;
@@ -75,8 +81,9 @@ impl Symbol {
     }
 
     /// Parses a recovered frame payload back into a symbol. Returns
-    /// `None` for payloads too short to hold a header plus one data byte
-    /// or describing an empty object.
+    /// `None` for payloads too short to hold a header plus one data byte,
+    /// or describing an empty object or one of more than
+    /// [`MAX_SOURCE_SYMBOLS`] symbols.
     pub fn from_frame_payload(bytes: &[u8]) -> Option<Self> {
         if bytes.len() <= HEADER_BYTES {
             return None;
@@ -86,7 +93,8 @@ impl Symbol {
             object_len: u32::from_be_bytes([bytes[2], bytes[3], bytes[4], bytes[5]]),
             seq: u32::from_be_bytes([bytes[6], bytes[7], bytes[8], bytes[9]]),
         };
-        if header.object_len == 0 {
+        let k = header.source_symbols(bytes.len() - HEADER_BYTES);
+        if header.object_len == 0 || k > MAX_SOURCE_SYMBOLS {
             return None;
         }
         Some(Self {
@@ -170,6 +178,23 @@ mod tests {
             data: vec![9],
         };
         assert!(Symbol::from_frame_payload(&zero_len.to_frame_payload()).is_none());
+    }
+
+    #[test]
+    fn oversized_k_rejected_at_the_cap() {
+        let claiming = |object_len: u32| Symbol {
+            header: SymbolHeader {
+                object_id: 1,
+                object_len,
+                seq: 0,
+            },
+            data: vec![0; 8],
+        };
+        let at_cap = (MAX_SOURCE_SYMBOLS * 8) as u32;
+        assert!(Symbol::from_frame_payload(&claiming(at_cap).to_frame_payload()).is_some());
+        for len in [at_cap + 1, u32::MAX] {
+            assert!(Symbol::from_frame_payload(&claiming(len).to_frame_payload()).is_none());
+        }
     }
 
     #[test]

@@ -20,6 +20,7 @@
 use crate::addr::AddressFilter;
 use crate::mac::MacScanner;
 use crate::stream::StreamRx;
+use inframe_code::framing::LossyBits;
 use inframe_code::parity::GobStats;
 use inframe_core::region::RegionMap;
 use inframe_link::feedback::{FeedbackReport, ObjectNack, RegionQuality, NACK_WORDS};
@@ -101,7 +102,7 @@ pub struct NetReceiver {
     ingested: usize,
     streams: BTreeMap<u8, OpenStream>,
     /// Scratch region payload (gather target).
-    region_buf: Vec<Option<bool>>,
+    region_buf: LossyBits,
     /// Scratch completed-object bytes (ingest staging).
     object_buf: Vec<u8>,
     /// Per-region decode-quality window since the last feedback report.
@@ -127,7 +128,7 @@ impl NetReceiver {
             .map(|_| SymbolScanner::new(geometry.symbol_bytes))
             .collect();
         let admission = filter.admission_mask();
-        let region_buf = Vec::with_capacity(map.region_payload_bits());
+        let region_buf = LossyBits::with_capacity(map.region_payload_bits());
         let region_window = vec![GobStats::default(); map.num_regions()];
         let rejected_mark = vec![0u64; map.num_regions()];
         Self {
@@ -212,11 +213,11 @@ impl NetReceiver {
     }
 
     /// Absorbs one full-frame cycle payload (channel order, per-GOB
-    /// losses as `None`): gathers each region's bits, scans them for
+    /// losses erased): gathers each region's bits, scans them for
     /// symbols, admission-filters on the object-id hint, and feeds the
     /// shared decoder pool. Newly completed objects are MAC-ingested
     /// before returning.
-    pub fn push_cycle(&mut self, full: &[Option<bool>]) {
+    pub fn push_cycle(&mut self, full: &LossyBits) {
         for r in 0..self.scanners.len() {
             // Decode-quality accounting for the feedback loop: per-GOB
             // availability from the erasure pattern, symbol-CRC
@@ -511,7 +512,7 @@ mod tests {
         (tx, rx)
     }
 
-    fn some(bits: &[bool]) -> Vec<Option<bool>> {
+    fn some(bits: &[bool]) -> LossyBits {
         bits.iter().map(|&b| Some(b)).collect()
     }
 
@@ -616,12 +617,12 @@ mod tests {
         let mut out = Vec::new();
         for _ in 0..600 {
             let payload = tx.next_cycle_payload();
-            let mut seen: Vec<Option<bool>> = some(&payload);
+            let mut seen = some(&payload);
             // Region 3 permanently occluded.
             for &g in m.region_gobs(3) {
                 let bits = m.region_payload_bits() / m.gobs_per_region();
                 let lo = g as usize * bits;
-                seen[lo..lo + bits].fill(None);
+                seen.erase(lo..lo + bits);
             }
             rx.push_cycle(&seen);
             if rx.pop_datagram(0, &mut out) {

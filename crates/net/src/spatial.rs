@@ -19,6 +19,7 @@
 //! for GOB-level simulation but only the *maximum* τ across regions can
 //! drive a physical display.
 
+use inframe_code::framing::LossyBits;
 use inframe_code::parity::GobStats;
 use inframe_core::layout::DataLayout;
 use inframe_core::region::RegionMap;
@@ -249,7 +250,7 @@ impl RegionControllerBank {
     /// should re-apply the global δ from
     /// [`RegionControllerBank::delta_envelope`] and the per-Block scales
     /// from [`RegionControllerBank::block_scales`]).
-    pub fn observe_cycle(&mut self, full: &[Option<bool>], frame_stats: &GobStats) -> bool {
+    pub fn observe_cycle(&mut self, full: &LossyBits, frame_stats: &GobStats) -> bool {
         let error_rate = frame_stats.error_rate();
         let mut any_command = false;
         for r in 0..self.controllers.len() {
@@ -342,6 +343,10 @@ mod tests {
         DataLayout::from_config(&InFrameConfig::paper())
     }
 
+    fn clean(bits: &[bool]) -> LossyBits {
+        bits.iter().map(|&b| Some(b)).collect()
+    }
+
     fn mux(tiles_x: usize, tiles_y: usize) -> SpatialMux {
         SpatialMux::new(RegionMap::new(&layout(), tiles_x, tiles_y))
     }
@@ -365,12 +370,12 @@ mod tests {
         m.add_object(7, 1, &data);
         let map = m.region_map().clone();
         let mut streams: Vec<Vec<bool>> = vec![Vec::new(); map.num_regions()];
-        let mut region_buf = Vec::new();
+        let mut region_buf = LossyBits::default();
         for _ in 0..200 {
-            let full = m.next_cycle_payload();
+            let full = clean(&m.next_cycle_payload());
             for (r, stream) in streams.iter_mut().enumerate() {
                 map.gather(&full, r, &mut region_buf);
-                stream.extend_from_slice(&region_buf);
+                stream.extend(region_buf.iter().map(|b| b.unwrap()));
             }
         }
         let mut dec: Option<ObjectDecoder> = None;
@@ -401,15 +406,16 @@ mod tests {
         m.add_object(3, 1, &data);
         let map = m.region_map().clone();
         let mut dec: Option<ObjectDecoder> = None;
-        let mut region_buf = Vec::new();
+        let mut region_buf = LossyBits::default();
         'outer: for _ in 0..400 {
-            let full = m.next_cycle_payload();
+            let full = clean(&m.next_cycle_payload());
             for r in 0..map.num_regions() {
                 if r == 1 {
                     continue; // region 1 occluded: its symbols never arrive
                 }
                 map.gather(&full, r, &mut region_buf);
-                for f in framing::scan(&region_buf) {
+                let bits: Vec<bool> = region_buf.iter().map(|b| b.unwrap()).collect();
+                for f in framing::scan(&bits) {
                     let s = Symbol::from_frame_payload(&f.payload).expect("valid");
                     let d = dec.get_or_insert_with(|| ObjectDecoder::for_symbol(&s));
                     d.absorb(&s);
@@ -443,10 +449,10 @@ mod tests {
         let mut bank = RegionControllerBank::new(&InFrameConfig::paper(), policy, map.clone());
         let bits = l.payload_bits_parity();
         // Region 7 erased, everything else clean.
-        let mut full: Vec<Option<bool>> = vec![Some(false); bits];
+        let mut full = clean(&vec![false; bits]);
         for &g in map.region_gobs(7) {
             let lo = g as usize * 3;
-            full[lo..lo + 3].fill(None);
+            full.erase(lo..lo + 3);
         }
         let stats = GobStats {
             available: (l.num_gobs() - map.gobs_per_region()) as u64,

@@ -34,6 +34,7 @@ use crate::pipeline::SimulationConfig;
 use crate::scenarios::Scenario;
 use inframe_camera::perturb::ae_gain_q12;
 use inframe_camera::Camera;
+use inframe_code::framing::LossyBits;
 use inframe_code::prbs::Xoshiro256;
 use inframe_core::batch::{SKIP, UNREADABLE};
 use inframe_core::demux::RegionCache;
@@ -348,8 +349,7 @@ struct CycleTables {
     current: u64,
     best: Vec<f32>,
     next_best: Vec<f32>,
-    verdicts: Vec<Option<bool>>,
-    row: Vec<Option<bool>>,
+    verdicts: Vec<LossyBits>,
     active: Vec<bool>,
 }
 
@@ -359,8 +359,7 @@ impl CycleTables {
             current: 0,
             best: vec![UNREADABLE; receivers * num_blocks],
             next_best: vec![UNREADABLE; receivers * num_blocks],
-            verdicts: vec![None; receivers * num_blocks],
-            row: Vec::with_capacity(num_blocks),
+            verdicts: vec![LossyBits::with_capacity(num_blocks); receivers],
             active: vec![false; receivers],
         }
     }
@@ -389,8 +388,7 @@ impl CycleTables {
         let nb = scorer.num_blocks();
         for (r, profile) in profiles.iter().enumerate() {
             self.active[r] = self.current >= profile.join_cycle;
-            scorer.verdicts_into(&self.best[r * nb..(r + 1) * nb], &mut self.row);
-            self.verdicts[r * nb..(r + 1) * nb].copy_from_slice(&self.row);
+            scorer.verdicts_into(&self.best[r * nb..(r + 1) * nb], &mut self.verdicts[r]);
         }
         absorb_cycle_bulk(
             engine,

@@ -229,7 +229,7 @@ mod tests {
         let bits: Vec<Option<bool>> = session
             .decoded()
             .iter()
-            .flat_map(|d| d.payload.iter().copied())
+            .flat_map(|d| d.payload.iter())
             .collect();
         let recovered = bits.iter().filter(|b| b.is_some()).count();
         let ratio = recovered as f64 / bits.len() as f64;

@@ -15,6 +15,7 @@
 //! scene-cut bursts. All randomness is seeded; time is simulated from τ
 //! and the refresh rate, never the wall clock.
 
+use inframe_code::framing::LossyBits;
 use inframe_code::parity::GobStats;
 use inframe_code::prbs::Xoshiro256;
 use inframe_core::dataframe::{self, DataFrame};
@@ -125,26 +126,17 @@ impl GobChannel {
     /// Transmits one data frame: per-GOB i.i.d. erasure at the current
     /// rate, surviving GOBs delivered verbatim. Returns row-major
     /// per-Block verdicts for [`dataframe::decode`].
-    pub fn transmit(
-        &mut self,
-        layout: &DataLayout,
-        frame: &DataFrame,
-        cycle: u64,
-    ) -> Vec<Option<bool>> {
+    pub fn transmit(&mut self, layout: &DataLayout, frame: &DataFrame, cycle: u64) -> LossyBits {
         let p = self.erasure_at(cycle);
-        let erased: Vec<bool> = (0..layout.num_gobs())
-            .map(|_| self.rng.next_f64() < p)
+        let mut out: LossyBits = (0..layout.num_blocks())
+            .map(|i| Some(frame.bit(i % layout.blocks_x, i / layout.blocks_x)))
             .collect();
-        (0..layout.num_blocks())
-            .map(|i| {
-                let (bx, by) = (i % layout.blocks_x, i / layout.blocks_x);
-                if erased[layout.gob_of_block(bx, by)] {
-                    None
-                } else {
-                    Some(frame.bit(bx, by))
-                }
-            })
-            .collect()
+        for g in 0..layout.num_gobs() {
+            if self.rng.next_f64() < p {
+                layout.gob_rows(g).for_each(|row| out.erase(row));
+            }
+        }
+        out
     }
 }
 
@@ -243,9 +235,9 @@ impl RegionChannel {
 
     /// Transmits one cycle's channel-order payload bits: per-GOB i.i.d.
     /// erasure at the GOB's region rate, occluded regions fully erased.
-    /// Returns one `Option<bool>` per payload bit, ready for
+    /// Returns the payload as received, ready for
     /// [`inframe_net::NetReceiver::push_cycle`].
-    pub fn transmit_payload(&mut self, payload: &[bool], cycle: u64) -> Vec<Option<bool>> {
+    pub fn transmit_payload(&mut self, payload: &[bool], cycle: u64) -> LossyBits {
         let bits_per_gob = self.map.region_payload_bits() / self.map.gobs_per_region();
         let num_gobs = self.map.num_regions() * self.map.gobs_per_region();
         assert_eq!(
@@ -253,15 +245,13 @@ impl RegionChannel {
             num_gobs * bits_per_gob,
             "payload is not a whole frame"
         );
-        let mut out: Vec<Option<bool>> = payload.iter().map(|&b| Some(b)).collect();
+        let mut out = LossyBits::from_bools(payload);
         for g in 0..num_gobs {
-            let region = self.map.region_of_gob(g);
-            let p = self.erasure_at(region, cycle);
+            let p = self.erasure_at(self.map.region_of_gob(g), cycle);
             // One draw per GOB regardless of p keeps runs comparable
             // across erasure settings with the same seed.
-            let erased = self.rng.next_f64() < p;
-            if erased {
-                out[g * bits_per_gob..(g + 1) * bits_per_gob].fill(None);
+            if self.rng.next_f64() < p {
+                out.erase(g * bits_per_gob..(g + 1) * bits_per_gob);
             }
         }
         out

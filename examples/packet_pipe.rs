@@ -13,6 +13,7 @@
 //! A fourth station with a foreign address shows the filters holding:
 //! it decodes nothing beyond what its admission mask lets through.
 
+use inframe::code::framing::LossyBits;
 use inframe::core::layout::DataLayout;
 use inframe::core::region::RegionMap;
 use inframe::core::InFrameConfig;
@@ -98,7 +99,7 @@ fn main() {
     let mut got_ticker = false;
     for cycle in 0..cycles {
         let payload = tx.next_cycle_payload();
-        let seen: Vec<Option<bool>> = payload.iter().map(|&b| Some(b)).collect();
+        let seen: LossyBits = payload.iter().map(|&b| Some(b)).collect();
         for rx in [&mut rx_a, &mut rx_b, &mut rx_c] {
             rx.push_cycle(&seen);
         }

@@ -12,6 +12,7 @@
 //! gray baseline — Figure 7's effect in an application setting.
 
 use inframe::code::crc::crc8;
+use inframe::code::framing::LossyBits;
 use inframe::core::sender::PayloadSource;
 use inframe::core::CodingMode;
 use inframe::link::session::CompletionTarget;
@@ -74,17 +75,13 @@ impl PayloadSource for TickerPayload {
 }
 
 /// Decodes one cycle's payload into a token.
-fn decode_cycle(payload: &[Option<bool>]) -> Option<String> {
+fn decode_cycle(payload: &LossyBits) -> Option<String> {
     if payload.len() < TOKEN_BYTES * 8 {
         return None;
     }
-    let mut bytes = Vec::with_capacity(TOKEN_BYTES);
-    for chunk in payload[..TOKEN_BYTES * 8].chunks(8) {
-        let mut b = 0u8;
-        for (i, bit) in chunk.iter().enumerate() {
-            b |= ((*bit)? as u8) << (7 - i);
-        }
-        bytes.push(b);
+    let mut bytes = vec![0u8; TOKEN_BYTES];
+    for (i, bit) in payload.iter().take(TOKEN_BYTES * 8).enumerate() {
+        bytes[i / 8] |= (bit? as u8) << (7 - i % 8);
     }
     TickerPayload::parse_token(&bytes)
 }

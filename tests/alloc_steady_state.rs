@@ -26,7 +26,9 @@
 //!   the completing symbol allocates, once, for the object, and
 //! * presenting a display frame performs **0 heap allocations** once
 //!   the stream's frame pool is warm, and capturing a camera frame
-//!   performs exactly **1** — the returned plane.
+//!   performs exactly **1** — the returned plane, and
+//! * a parity-mode `dataframe::decode` at paper geometry performs at
+//!   most **2** — the value and erasure words of the payload it returns.
 //!
 //! The display and camera are checked on a one-worker engine: spawning
 //! scoped worker threads allocates (a few small blocks per spawn), so a
@@ -44,14 +46,15 @@
 //! is confined to the allocator shim.
 
 use inframe::camera::{Camera, CameraConfig, CaptureGeometry};
+use inframe::code::framing::LossyBits;
 use inframe::core::batch::{BatchScorer, ScoreClass, SKIP, UNREADABLE};
 use inframe::core::config::KernelBackend;
-use inframe::core::dataframe::DataFrame;
+use inframe::core::dataframe::{self, DataFrame};
 use inframe::core::demux::{Demultiplexer, RegionCache};
 use inframe::core::parallel::ParallelEngine;
 use inframe::core::pattern::{self, Complementation};
 use inframe::core::sender::{PrbsPayload, Sender};
-use inframe::core::{DataLayout, InFrameConfig};
+use inframe::core::{CodingMode, DataLayout, InFrameConfig};
 use inframe::display::{DisplayConfig, DisplayStream, FrameEmission};
 use inframe::frame::geometry::Homography;
 use inframe::frame::perturb::{CaptureTransform, OcclusionRect};
@@ -203,7 +206,7 @@ fn batch_steady_state_is_allocation_free(backend: KernelBackend) {
         .map(|r| if r % 7 == 3 { SKIP } else { (r % 5) as u32 })
         .collect();
     let mut best = vec![UNREADABLE; receivers * nb];
-    let mut verdicts = Vec::new();
+    let mut verdicts = LossyBits::default();
     // Warm-up: size every internal buffer for this class mix.
     scorer.score_classes(&plus, &transforms, &classes);
     scorer.merge_assigned(&assign, &mut best);
@@ -415,7 +418,7 @@ fn feedback_arq_steady_state_is_allocation_free(telemetry: &Telemetry) {
     };
 
     let mut wire = Vec::new();
-    let mut full: Vec<Option<bool>> = Vec::new();
+    let mut full = LossyBits::default();
     // Warm rounds must outlast two onset effects: the receiver's own
     // NACKs only start once its round frontier clears the
     // frontier-slack gate, and the retransmit round-robin touches each
@@ -436,11 +439,8 @@ fn feedback_arq_steady_state_is_allocation_free(telemetry: &Telemetry) {
         // emitting here also drains the retransmit ring each round.
         let payload = mux.next_cycle_payload();
         full.clear();
-        full.extend(payload.iter().map(|&b| Some(b)));
-        let erase = full.len() / regions;
-        for slot in &mut full[..erase] {
-            *slot = None;
-        }
+        payload.iter().for_each(|&b| full.push(Some(b)));
+        full.erase(0..full.len() / regions);
         rx.push_cycle(&full);
 
         // Feedback/ARQ leg — report build, wire codec, aggregation,
@@ -592,6 +592,34 @@ fn object_decoder_steady_state_allocations() {
     );
 }
 
+fn dataframe_decode_allocations() {
+    // Paper geometry (375 GOBs), parity coding, with erased and flipped
+    // Blocks so every GOB outcome occurs: the decode allocates only the
+    // words of the payload it returns.
+    let layout = DataLayout::from_config(&InFrameConfig::paper());
+    let payload: Vec<bool> = (0..layout.payload_bits_parity())
+        .map(|i| i % 5 < 2)
+        .collect();
+    let frame = DataFrame::encode(&layout, &payload, CodingMode::Parity);
+    let received: LossyBits = (0..layout.num_blocks())
+        .map(|i| {
+            let bit = frame.bit(i % layout.blocks_x, i / layout.blocks_x);
+            (i % 97 != 0).then_some(bit ^ (i % 89 == 0))
+        })
+        .collect();
+    for _ in 0..3 {
+        let before = allocation_count();
+        let (bits, stats) = dataframe::decode(&layout, &received, CodingMode::Parity);
+        let delta = allocation_count() - before;
+        assert!(
+            stats.unavailable > 0 && stats.erroneous > 0,
+            "every outcome: {stats:?}"
+        );
+        assert!(delta <= 2, "decode allocated {delta} times");
+        drop(bits);
+    }
+}
+
 fn display_and_camera_steady_state_allocations() {
     // Quick geometry: a 240×168 panel and the 12-band Lumia-like camera
     // at 160×112, noise and optics blur on.
@@ -676,4 +704,6 @@ fn steady_state_hot_paths_allocate_nothing() {
     obs_ring_writer_steady_state_is_allocation_free();
     // The pixel chain between sender and demultiplexer.
     display_and_camera_steady_state_allocations();
+    // The PHY decode of one cycle's verdicts.
+    dataframe_decode_allocations();
 }

@@ -8,6 +8,7 @@
 //! on both kernel backends, at every supported SIMD dispatch level, and
 //! at worker counts 1–4.
 
+use inframe::code::framing::LossyBits;
 use inframe::core::batch::{BatchScorer, ScoreClass, SKIP, UNREADABLE};
 use inframe::core::config::KernelBackend;
 use inframe::core::dataframe::{self, DataFrame};
@@ -139,7 +140,7 @@ fn assert_fleet_equivalence(backend: KernelBackend, workers: usize, label: &str)
         scorer.merge_assigned(&assign, &mut best);
     }
 
-    let mut verdicts = Vec::new();
+    let mut verdicts = LossyBits::default();
     for (r, (name, transform)) in corpus.iter().enumerate() {
         // Reference: materialize this receiver's perturbed planes and run
         // them through a fresh streaming demultiplexer.

@@ -32,7 +32,10 @@ struct FramedSource {
 impl FramedSource {
     fn new(messages: &[&[u8]], seed: u64) -> Self {
         // Repeat the message block enough times to outlast the run.
-        let one_pass = framing::encode_stream(messages);
+        let one_pass: Vec<bool> = messages
+            .iter()
+            .flat_map(|m| framing::encode_frame(m))
+            .collect();
         let mut queue = Vec::new();
         while queue.len() < 50_000 {
             queue.extend_from_slice(&one_pass);

@@ -9,6 +9,7 @@
 //! tiled channel with one dirty patch: ≥ 2× single-channel goodput, and
 //! an interactive ticker that lands before the bulk transfer.
 
+use inframe::code::framing::LossyBits;
 use inframe::core::config::KernelBackend;
 use inframe::core::demux::{Demultiplexer, RegionCache};
 use inframe::core::parallel::ParallelEngine;
@@ -228,11 +229,11 @@ fn occluded_receiver_completes_within_twice_clean() {
     let mut out = Vec::new();
     for cycle in 0..1200u32 {
         let payload = tx.next_cycle_payload();
-        let seen: Vec<Option<bool>> = payload.iter().map(|&b| Some(b)).collect();
+        let seen: LossyBits = payload.iter().map(|&b| Some(b)).collect();
         let mut masked = seen.clone();
         for &g in map.region_gobs(occluded_region) {
             let lo = g as usize * bits;
-            masked[lo..lo + bits].fill(None);
+            masked.erase(lo..lo + bits);
         }
         if clean_cycle.is_none() {
             clean.push_cycle(&seen);
@@ -285,11 +286,11 @@ impl DirtyPatch {
         }
     }
 
-    fn transmit(&mut self, payload: &[bool], bits_per_gob: usize) -> Vec<Option<bool>> {
-        let mut seen: Vec<Option<bool>> = payload.iter().map(|&b| Some(b)).collect();
+    fn transmit(&mut self, payload: &[bool], bits_per_gob: usize) -> LossyBits {
+        let mut seen: LossyBits = payload.iter().map(|&b| Some(b)).collect();
         for (g, &in_patch) in self.patch.iter().enumerate() {
             if self.rng.random::<f64>() < if in_patch { self.patch_p } else { 0.01 } {
-                seen[g * bits_per_gob..(g + 1) * bits_per_gob].fill(None);
+                seen.erase(g * bits_per_gob..(g + 1) * bits_per_gob);
             }
         }
         seen
