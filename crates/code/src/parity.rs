@@ -27,10 +27,14 @@ pub enum GobStatus {
 /// Panics if `payload` is empty.
 pub fn gob_encode(payload: &[bool]) -> Vec<bool> {
     assert!(!payload.is_empty(), "payload must be nonempty");
-    let parity = payload.iter().fold(false, |acc, &b| acc ^ b);
     let mut out = payload.to_vec();
-    out.push(parity);
+    out.push(gob_parity(payload));
     out
+}
+
+/// The XOR parity bit [`gob_encode`] appends to a GOB's payload bits.
+pub fn gob_parity(payload: &[bool]) -> bool {
+    payload.iter().fold(false, |acc, &b| acc ^ b)
 }
 
 /// Aggregate statistics over many GOBs — exactly the quantities Figure 7

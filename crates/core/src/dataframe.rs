@@ -9,7 +9,7 @@
 use crate::config::CodingMode;
 use crate::layout::DataLayout;
 use inframe_code::framing::{bytes_to_bits, LossyBits, PackedBits};
-use inframe_code::parity::{gob_encode, GobStats, GobStatus};
+use inframe_code::parity::{gob_parity, GobStats, GobStatus};
 use inframe_code::rs::ReedSolomon;
 
 /// One data frame: a bit per Block, in grid coordinates.
@@ -56,8 +56,19 @@ impl DataFrame {
             "payload must carry exactly the parity-mode capacity"
         );
         let per_gob = layout.blocks_per_gob() - 1;
-        let channel_bits: Vec<bool> = payload.chunks(per_gob).flat_map(gob_encode).collect();
-        Self::from_channel_bits(layout, &channel_bits)
+        let mut bits = vec![false; layout.num_blocks()];
+        for (g, gob_payload) in payload.chunks(per_gob).enumerate() {
+            // Channel order: the GOB's payload bits, then their parity.
+            let channel = gob_payload.iter().copied().chain([gob_parity(gob_payload)]);
+            for (i, bit) in layout.gob_rows(g).flatten().zip(channel) {
+                bits[i] = bit;
+            }
+        }
+        Self {
+            blocks_x: layout.blocks_x,
+            blocks_y: layout.blocks_y,
+            bits,
+        }
     }
 
     fn encode_rs(layout: &DataLayout, payload: &[bool], parity_bytes: usize) -> Self {
@@ -366,6 +377,27 @@ mod tests {
             prop_assert_eq!(stats.total(), l.num_gobs() as u64);
             let bits: Vec<bool> = decoded.iter().map(|b| b.unwrap()).collect();
             prop_assert_eq!(bits, payload);
+        }
+
+        /// The encoder writes each GOB's bits straight into the grid; the
+        /// grid must hold what placing `gob_encode`'s channel bits run by
+        /// run gives, at GOB sizes 2 and 4 and at paper geometry.
+        #[test]
+        fn parity_encode_matches_gob_encode(seed in any::<u64>(), shape in 0usize..3) {
+            let c = match shape {
+                0 => InFrameConfig::small_test(),
+                1 => InFrameConfig { gob_size: 4, ..InFrameConfig::small_test() },
+                _ => InFrameConfig::paper(),
+            };
+            let l = DataLayout::from_config(&c);
+            let payload = random_payload(l.payload_bits_parity(), seed);
+            let per_gob = l.blocks_per_gob() - 1;
+            let channel: Vec<bool> = payload
+                .chunks(per_gob)
+                .flat_map(inframe_code::parity::gob_encode)
+                .collect();
+            let want = DataFrame::from_channel_bits(&l, &channel);
+            prop_assert_eq!(DataFrame::encode(&l, &payload, CodingMode::Parity), want);
         }
 
         #[test]

@@ -157,7 +157,9 @@ impl Multiplexer {
 
     /// Allocation-free form of [`Multiplexer::render`]: writes the
     /// displayed frame into `out` (typically a
-    /// [`inframe_frame::pool::FramePool`] checkout).
+    /// [`inframe_frame::pool::FramePool`] checkout). Every backend writes
+    /// every sample of every row, so `out` may hold anything on entry
+    /// ([`inframe_frame::pool::FramePool::checkout_for_overwrite`]).
     ///
     /// # Panics
     /// Panics if `out` or `video` is not display-shaped.

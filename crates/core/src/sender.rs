@@ -14,8 +14,15 @@ use inframe_frame::pool::{FramePool, PooledPlane};
 use inframe_frame::Plane;
 use inframe_obs::{names, Telemetry};
 use inframe_video::VideoSource;
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// How many data cycles of ground-truth payload a [`Sender`] keeps for
+/// [`Sender::sent_payload`]: the newest (pre-fetched) cycle and the ones
+/// before it. A receiver scoring its decodes as they arrive trails the
+/// sender by a cycle or two; the window bounds the log of a long run.
+pub const SENT_PAYLOAD_WINDOW: usize = 32;
 
 /// Supplies payload bits for successive data frames.
 pub trait PayloadSource {
@@ -77,8 +84,11 @@ pub struct Sender<V, P> {
     current_video: Option<Plane<f32>>,
     cur: DataFrame,
     next: DataFrame,
-    /// Ground truth: payload of each emitted data cycle, by cycle index.
-    sent_payloads: Vec<Vec<bool>>,
+    /// Ground truth: payloads of the last [`SENT_PAYLOAD_WINDOW`] data
+    /// cycles, oldest first.
+    sent_payloads: VecDeque<Vec<bool>>,
+    /// Cycle index of `sent_payloads[0]`.
+    first_sent_cycle: u64,
     display_index: u64,
     /// Pending (δ, τ) command, applied at the next cycle boundary.
     queued_modulation: Option<(f32, u32)>,
@@ -173,7 +183,8 @@ impl<V: VideoSource, P: PayloadSource> Sender<V, P> {
             payload,
             payload_bits,
             current_video: None,
-            sent_payloads: vec![p0, p1],
+            sent_payloads: VecDeque::from([p0, p1]),
+            first_sent_cycle: 0,
             cur,
             next,
             display_index: 0,
@@ -244,10 +255,13 @@ impl<V: VideoSource, P: PayloadSource> Sender<V, P> {
         self.config.kernel
     }
 
-    /// Ground-truth payload of data cycle `c` (available for every cycle
-    /// emitted so far, plus the pre-fetched next cycle).
+    /// Ground-truth payload of data cycle `c`: available for the last
+    /// [`SENT_PAYLOAD_WINDOW`] cycles up to and including the pre-fetched
+    /// next cycle. `None` for a cycle not fetched yet, and for one older
+    /// than the window, whose payload has been dropped.
     pub fn sent_payload(&self, c: u64) -> Option<&[bool]> {
-        self.sent_payloads.get(c as usize).map(|v| v.as_slice())
+        let i = usize::try_from(c.checked_sub(self.first_sent_cycle)?).ok()?;
+        self.sent_payloads.get(i).map(Vec::as_slice)
     }
 
     /// Queues a mid-run (δ, τ) modulation command. It takes effect at
@@ -334,12 +348,18 @@ impl<V: VideoSource, P: PayloadSource> Sender<V, P> {
             std::mem::swap(&mut self.cur, &mut self.next);
             let p = self.payload.next_payload(self.payload_bits);
             self.next = DataFrame::encode(&self.layout, &p, self.config.coding);
-            self.sent_payloads.push(p);
+            if self.sent_payloads.len() == SENT_PAYLOAD_WINDOW {
+                self.sent_payloads.pop_front();
+                self.first_sent_cycle += 1;
+            }
+            self.sent_payloads.push_back(p);
         }
         let video = self.current_video.as_ref().expect("fetched above");
         let started = Instant::now();
         let busy_before = self.mux.engine().busy();
-        let mut plane = self.pool.checkout();
+        // Every render writes every pixel of every row, so a recycled
+        // plane needs no zero fill first.
+        let mut plane = self.pool.checkout_for_overwrite();
         self.mux
             .render_into(&s, video, &self.cur, &self.next, &mut plane);
         let busy = self.mux.engine().busy().saturating_sub(busy_before);
@@ -425,6 +445,94 @@ mod tests {
         }
         // Payloads differ between cycles (PRBS).
         assert_ne!(s.sent_payload(0), s.sent_payload(1));
+    }
+
+    #[test]
+    fn payload_log_keeps_a_bounded_window() {
+        let c = InFrameConfig::small_test();
+        let mut s = sender(c);
+        let mut log = PrbsPayload::new(42);
+        let cycles = SENT_PAYLOAD_WINDOW as u64 + 5;
+        for _ in 0..cycles * c.tau as u64 {
+            s.next_frame().unwrap();
+        }
+        // Cycles 0..=cycles are fetched (the last one pre-fetched); only
+        // the newest window of them is kept.
+        let oldest = cycles + 1 - SENT_PAYLOAD_WINDOW as u64;
+        for cycle in 0..=cycles {
+            let want = log.next_payload(s.payload_bits());
+            let got = s.sent_payload(cycle);
+            if cycle < oldest {
+                assert_eq!(got, None, "cycle {cycle} is older than the window");
+            } else {
+                assert_eq!(got, Some(want.as_slice()), "cycle {cycle}");
+            }
+        }
+        assert_eq!(s.sent_payload(cycles + 1), None, "not fetched yet");
+    }
+
+    /// Every render overwrites every pixel of the plane it checks out: a
+    /// sender whose planes go back to its pool full of NaN emits the same
+    /// bits, frame for frame, as a sender that renders each frame into a
+    /// fresh plane. The grid leaves margins on all four sides, the video
+    /// is textured, and the run crosses per-Block amplitude scales (one
+    /// of them zero), a scale change between the plus and minus frame of
+    /// a pair (so that minus frame renders without its plus frame) and a
+    /// queued (δ, τ) change.
+    #[test]
+    fn recycled_planes_are_fully_overwritten() {
+        use crate::config::KernelBackend;
+        use inframe_video::synth::SunriseClip;
+        for kernel in [KernelBackend::Reference, KernelBackend::Quantized] {
+            let c = InFrameConfig {
+                kernel,
+                blocks_x: 14,
+                blocks_y: 10,
+                ..InFrameConfig::small_test()
+            };
+            let clip = || SunriseClip::new(c.display_w, c.display_h, 64, 3);
+            let mut recycled = Sender::new(c, clip(), PrbsPayload::new(5));
+            let mut fresh = Sender::new(c, clip(), PrbsPayload::new(5));
+            let scales: Vec<f32> = (0..recycled.layout().num_blocks())
+                .map(|i| (i % 4) as f32 / 3.0)
+                .collect();
+            let tau = c.tau as usize;
+            // Holding every frame keeps the fresh sender's pool from
+            // handing a buffer out twice.
+            let mut held = Vec::new();
+            let mut minus_frames = 0;
+            for f in 0..4 * tau {
+                for s in [&mut recycled, &mut fresh] {
+                    match f {
+                        5 => s.set_block_amp_scales(&scales),
+                        _ if f == tau + 1 => s.clear_block_amp_scales(),
+                        _ if f == tau + 4 => s.queue_modulation(12.0, 8),
+                        _ => {}
+                    }
+                }
+                let mut got = recycled.next_frame().unwrap();
+                let want = fresh.next_frame().unwrap();
+                assert_eq!(got.slot, want.slot);
+                if got.slot.sign == crate::multiplex::FrameSign::Minus {
+                    minus_frames += 1;
+                }
+                let same = got.plane.samples().iter().zip(want.plane.samples());
+                assert!(
+                    same.into_iter().all(|(g, w)| g.to_bits() == w.to_bits()),
+                    "{kernel:?} frame {f} differs"
+                );
+                got.plane.samples_mut().fill(f32::NAN);
+                held.push(want);
+            }
+            assert_eq!(
+                recycled.modulation(),
+                (12.0, 8),
+                "the queued change applied"
+            );
+            assert!(minus_frames > 0);
+            assert!(recycled.pool().stats().reused > 0, "planes were recycled");
+            assert_eq!(fresh.pool().stats().reused, 0, "every plane was fresh");
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use crate::config::DisplayConfig;
 use crate::emission::FrameEmission;
-use inframe_frame::{FramePool, ParallelEngine, Plane, PooledPlane};
+use inframe_frame::{simd, FramePool, ParallelEngine, Plane, PooledPlane};
 
 /// Presents a sequence of frames on a [`DisplayConfig`]-described panel.
 #[derive(Debug)]
@@ -95,6 +95,7 @@ impl DisplayStream {
         let decay = emission.lc_decay(emission.duration);
         let config = &self.config;
         let initial = &emission.initial;
+        let level = simd::active_level();
         self.engine.for_each_band_pair(
             &mut emission.target,
             &mut attained,
@@ -111,21 +112,20 @@ impl DisplayStream {
                 // restarting it per band changes no output.
                 let zero = (0f32.to_bits(), config.code_to_light(0.0));
                 let mut memo = [zero, zero];
-                for (((t, a), &c), &i) in target.iter_mut().zip(next).zip(codes).zip(initial) {
-                    let bits = c.to_bits();
-                    let light = if memo[0].0 == bits {
-                        memo[0].1
-                    } else if memo[1].0 == bits {
-                        memo.swap(0, 1);
-                        memo[0].1
-                    } else {
-                        let light = config.code_to_light(c);
-                        memo = [(bits, light), memo[0]];
-                        light
-                    };
-                    *t = light;
-                    *a = FrameEmission::lc(light, i, decay) as f32;
-                }
+                // Compiled for AVX2 where the CPU has it: a chunk the memo
+                // covers updates four pixels a step, with the same bits.
+                simd::run_at(
+                    level,
+                    #[inline(always)]
+                    || {
+                        let chunks = target.chunks_mut(CHUNK).zip(next.chunks_mut(CHUNK));
+                        for ((target, next), (codes, initial)) in
+                            chunks.zip(codes.chunks(CHUNK).zip(initial.chunks(CHUNK)))
+                        {
+                            present_chunk(config, decay, &mut memo, codes, initial, target, next);
+                        }
+                    },
+                );
             },
         );
         self.attained = Some(attained);
@@ -138,6 +138,62 @@ impl DisplayStream {
     /// a time).
     pub fn present_all(&mut self, frames: &[Plane<f32>]) -> Vec<FrameEmission> {
         frames.iter().map(|f| self.present(f)).collect()
+    }
+}
+
+/// Pixels per chunk of [`DisplayStream::present`]'s pass.
+const CHUNK: usize = 64;
+
+/// One chunk of [`DisplayStream::present`]: the target light of each code
+/// into `target`, and the level each pixel attains from `initial` into
+/// `attained`.
+///
+/// When both memo codes cover the whole chunk, each light is a select
+/// between the two memo lights and the LC update runs without a branch
+/// per pixel, so it vectorizes. Otherwise the chunk runs the per-pixel
+/// memo loop, which converts the codes the memo misses. The memo holds
+/// true lights either way, so both paths write the same bits.
+#[inline(always)]
+fn present_chunk(
+    config: &DisplayConfig,
+    decay: Option<f64>,
+    memo: &mut [(u32, f32); 2],
+    codes: &[f32],
+    initial: &[f32],
+    target: &mut [f32],
+    attained: &mut [f32],
+) {
+    let [(bits0, light0), (bits1, light1)] = *memo;
+    let covered = codes.iter().fold(true, |covered, c| {
+        let bits = c.to_bits();
+        covered & ((bits == bits0) | (bits == bits1))
+    });
+    let pixels = target
+        .iter_mut()
+        .zip(attained)
+        .zip(codes.iter().zip(initial));
+    if covered {
+        for ((t, a), (&c, &i)) in pixels {
+            let light = if c.to_bits() == bits0 { light0 } else { light1 };
+            *t = light;
+            *a = FrameEmission::lc(light, i, decay) as f32;
+        }
+        return;
+    }
+    for ((t, a), (&c, &i)) in pixels {
+        let bits = c.to_bits();
+        let light = if memo[0].0 == bits {
+            memo[0].1
+        } else if memo[1].0 == bits {
+            memo.swap(0, 1);
+            memo[0].1
+        } else {
+            let light = config.code_to_light(c);
+            *memo = [(bits, light), memo[0]];
+            light
+        };
+        *t = light;
+        *a = FrameEmission::lc(light, i, decay) as f32;
     }
 }
 
@@ -257,51 +313,78 @@ mod tests {
         }
     }
 
-    /// The transfer memo against an oracle that converts every pixel:
+    /// The chunked present against an oracle that converts every pixel:
     /// rows cycling through three codes (V, V + P, V − P) in runs of 4,
-    /// rows alternating two codes, rows of random codes and a flat row,
-    /// at a size where two workers really split the bands.
+    /// rows alternating two codes, the same with a third code every 97
+    /// pixels (so it arrives mid-chunk after chunks the memo covered),
+    /// rows of random codes and a flat row. Widths 1024 and 1001 (not a
+    /// multiple of the chunk, so chunks straddle rows and each band ends
+    /// on a short one), at a size where two workers really split the
+    /// bands, on a panel with a response time and on the ideal panel
+    /// (no LC decay), at every SIMD level.
     #[test]
     fn present_matches_the_transfer_function_on_every_pixel() {
         let (v, p) = (127.0f32, 20.0f32);
-        let mut hash = 0x2545_F491_4F6C_DD1Du64;
-        let frames: Vec<Plane<f32>> = (0..3)
-            .map(|i| {
-                Plane::from_fn(1024, 161, |x, y| match y % 4 {
-                    0 => [v, v + p, v - p][(x / 4 + i) % 3],
-                    1 => [v + p, v - p][(x / 4 + y + i) % 2],
-                    2 => {
-                        hash ^= hash << 13;
-                        hash ^= hash >> 7;
-                        hash ^= hash << 17;
-                        (hash % 2560) as f32 / 10.0
-                    }
-                    _ => v,
+        let frames = |width: usize| -> Vec<Plane<f32>> {
+            let mut hash = 0x2545_F491_4F6C_DD1Du64;
+            (0..3)
+                .map(|i| {
+                    Plane::from_fn(width, 161, |x, y| match y % 5 {
+                        0 => [v, v + p, v - p][(x / 4 + i) % 3],
+                        1 => [v + p, v - p][(x / 4 + y + i) % 2],
+                        2 if x % 97 == 50 => v + 3.0,
+                        2 => [v + p, v][(x / 3 + i) % 2],
+                        3 => {
+                            hash ^= hash << 13;
+                            hash ^= hash >> 7;
+                            hash ^= hash << 17;
+                            (hash % 2560) as f32 / 10.0
+                        }
+                        _ => v,
+                    })
                 })
-            })
-            .collect();
-        let config = DisplayConfig::eizo_fg2421();
-        for workers in [1usize, 2] {
-            let mut s = DisplayStream::with_engine(config, Arc::new(ParallelEngine::new(workers)));
-            let mut attained = vec![0.0f32; 1024 * 161];
-            for frame in &frames {
-                let e = s.present(frame);
-                let decay = e.lc_decay(e.duration);
-                for (k, (&code, a)) in frame.samples().iter().zip(&mut attained).enumerate() {
-                    let target = config.code_to_light(code);
-                    assert_eq!(e.initial.samples()[k].to_bits(), a.to_bits(), "initial {k}");
-                    assert_eq!(
-                        e.target.samples()[k].to_bits(),
-                        target.to_bits(),
-                        "target {k}"
-                    );
-                    *a = FrameEmission::lc(target, *a, decay) as f32;
+                .collect()
+        };
+        for level in simd::SimdLevel::supported() {
+            simd::force_level(Some(level));
+            for config in [DisplayConfig::eizo_fg2421(), DisplayConfig::ideal_120hz()] {
+                for width in [1024, 1001] {
+                    for workers in [1usize, 2] {
+                        let engine = Arc::new(ParallelEngine::new(workers));
+                        let mut s = DisplayStream::with_engine(config, engine);
+                        let mut attained = vec![0.0f32; width * 161];
+                        let at = format!("{level:?}, width {width}, {workers} workers");
+                        for frame in &frames(width) {
+                            let e = s.present(frame);
+                            let decay = e.lc_decay(e.duration);
+                            assert_eq!(decay.is_none(), config.response_tau_ms == 0.0);
+                            let pixels = frame.samples().iter().zip(&mut attained);
+                            for (k, (&code, a)) in pixels.enumerate() {
+                                let target = config.code_to_light(code);
+                                assert_eq!(
+                                    e.initial.samples()[k].to_bits(),
+                                    a.to_bits(),
+                                    "initial {k} ({at})"
+                                );
+                                assert_eq!(
+                                    e.target.samples()[k].to_bits(),
+                                    target.to_bits(),
+                                    "target {k} ({at})"
+                                );
+                                *a = FrameEmission::lc(target, *a, decay) as f32;
+                            }
+                        }
+                        let last = s.attained.as_ref().expect("a frame was presented");
+                        let same = last.samples().iter().zip(&attained);
+                        assert!(
+                            same.into_iter().all(|(g, w)| g.to_bits() == w.to_bits()),
+                            "attained ({at})"
+                        );
+                    }
                 }
             }
-            let last = s.attained.as_ref().expect("a frame was presented");
-            let same = last.samples().iter().zip(&attained);
-            assert!(same.into_iter().all(|(g, w)| g.to_bits() == w.to_bits()));
         }
+        simd::force_level(None);
     }
 
     #[test]

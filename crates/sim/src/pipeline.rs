@@ -151,31 +151,35 @@ impl Simulation {
             c.camera.height,
         )
         .with_telemetry(tele);
+        // Each decoded cycle is scored against the sender's ground truth
+        // as it arrives, while the sender still holds that payload.
         let mut decoded: Vec<DecodedDataFrame> = Vec::new();
-        pump.run(&mut camera, |_, capture, t_mid, _| {
+        let (mut bits_correct, mut bits_compared) = (0, 0);
+        let mut score = |frame: DecodedDataFrame, truth: Option<&[bool]>| {
+            if let Some(truth) = truth {
+                let (correct, compared) = bit_accuracy(&frame.payload, truth);
+                bits_correct += correct;
+                bits_compared += compared;
+            }
+            decoded.push(frame);
+        };
+        pump.run(&mut camera, |_, capture, t_mid, sender| {
             if let Some(frame) = capture
                 .ok()
                 .and_then(|cap| demux.push_capture(&cap.plane, t_mid))
             {
-                decoded.push(frame);
+                let cycle = frame.cycle;
+                score(frame, sender.sent_payload(cycle));
             }
             ControlFlow::Continue(())
         });
-        if let Some(frame) = demux.finish() {
-            decoded.push(frame);
-        }
         let sender = pump.sender();
-
-        // Score against ground truth, reporting into the spine.
-        let mut bits_correct = 0;
-        let mut bits_compared = 0;
-        for d in &decoded {
-            if let Some(truth) = sender.sent_payload(d.cycle) {
-                let (correct, compared) = bit_accuracy(&d.payload, truth);
-                bits_correct += correct;
-                bits_compared += compared;
-            }
+        if let Some(frame) = demux.finish() {
+            let cycle = frame.cycle;
+            score(frame, sender.sent_payload(cycle));
         }
+
+        // Report the score into the spine.
         tele.counter(names::chan::BITS_CORRECT)
             .add(bits_correct as u64);
         tele.counter(names::chan::BITS_COMPARED)

@@ -27,6 +27,8 @@
 //! * presenting a display frame performs **0 heap allocations** once
 //!   the stream's frame pool is warm, and capturing a camera frame
 //!   performs exactly **1** — the returned plane, and
+//! * a parity-mode `DataFrame::encode` at paper geometry performs at
+//!   most **2** — the Block grid it returns, and
 //! * a parity-mode `dataframe::decode` at paper geometry performs at
 //!   most **2** — the value and erasure words of the payload it returns.
 //!
@@ -620,6 +622,22 @@ fn dataframe_decode_allocations() {
     }
 }
 
+fn dataframe_encode_allocations() {
+    // Paper geometry (375 GOBs), parity coding: the encode allocates only
+    // the Block grid it returns.
+    let layout = DataLayout::from_config(&InFrameConfig::paper());
+    let payload: Vec<bool> = (0..layout.payload_bits_parity())
+        .map(|i| i % 7 < 3)
+        .collect();
+    for _ in 0..3 {
+        let before = allocation_count();
+        let frame = DataFrame::encode(&layout, &payload, CodingMode::Parity);
+        let delta = allocation_count() - before;
+        assert!(delta <= 2, "encode allocated {delta} times");
+        drop(frame);
+    }
+}
+
 fn display_and_camera_steady_state_allocations() {
     // Quick geometry: a 240×168 panel and the 12-band Lumia-like camera
     // at 160×112, noise and optics blur on.
@@ -704,6 +722,7 @@ fn steady_state_hot_paths_allocate_nothing() {
     obs_ring_writer_steady_state_is_allocation_free();
     // The pixel chain between sender and demultiplexer.
     display_and_camera_steady_state_allocations();
-    // The PHY decode of one cycle's verdicts.
+    // The PHY encode of one cycle's payload and decode of its verdicts.
+    dataframe_encode_allocations();
     dataframe_decode_allocations();
 }
