@@ -8,37 +8,30 @@
 //!    light; its capture differs by a cheap photometric transform
 //!    ([`CaptureTransform`]: AE gain, AWB shift, occlusion) plus sensor
 //!    noise. Receivers therefore collapse into a small set of **variant
-//!    sweeps** (one direct row sweep per *distinct* transform, shared by
-//!    every receiver carrying it) and **score classes** (a variant plus
-//!    a noise power folded into the slice energies — pure accumulator
+//!    scorings** (one blur per *distinct* transform, shared by every
+//!    receiver carrying it) and **score classes** (a variant plus a
+//!    noise power folded into the slice energies — per-Block
 //!    arithmetic, no pixels touched).
-//! 2. A pure AWB shift never even needs its own sweep: the high-pass is
-//!    shift-invariant under the replicate-border box means (verified by
-//!    [`CaptureTransform::shifts_without_clamp`] eligibility plus the
-//!    fleet equivalence suite), so those classes alias the identity
-//!    variant's accumulators outright.
-//! 3. Per-receiver state is then one `f32` row per receiver, folded by
+//! 2. Per-receiver state is then one `f32` row per receiver, folded by
 //!    [`BatchScorer::merge_assigned`] — a branch-free max loop the
 //!    engine band-slices over *receivers* when N is large.
 //!
-//! The batch path reuses the exact kernels of the streaming
-//! [`Demultiplexer`](crate::demux::Demultiplexer) (`direct_sweep`, `score_from_slices`,
-//! `demodulate`), so its decode decisions are bit-identical to looping
-//! `push_capture` over per-receiver materialized captures — enforced by
-//! `tests/fleet_equivalence.rs` across backends, SIMD levels, and
-//! worker counts. It is also the kernel-launch shape a GPU
-//! `KernelBackend` port would batch: V sweeps + C folds + one N×B max
-//! reduction per capture.
+//! The batch path reuses the exact demodulator of the streaming
+//! [`Demultiplexer`](crate::demux::Demultiplexer) (`demodulate`, with the
+//! noise power as one extra energy term), so its decode decisions are
+//! bit-identical to looping `push_capture` over per-receiver materialized
+//! captures — enforced by `tests/fleet_equivalence.rs` across SIMD levels
+//! and worker counts. It is also the kernel-launch shape a GPU port
+//! would batch: V blurs + C demodulations + one N×B max reduction per
+//! capture.
 
-use crate::config::{InFrameConfig, KernelBackend};
-use crate::demux::{
-    demodulate_noised, direct_sweep, score_from_slices_noised, verdict, BlockScore, RegionCache,
-};
+use crate::config::InFrameConfig;
+use crate::demux::{demodulate_noised, verdict, BlockScore, RegionCache};
 use crate::parallel::ParallelEngine;
 use inframe_code::framing::LossyBits;
 use inframe_frame::integral::{box_blur_fast_into, BlurScratch};
-use inframe_frame::perturb::CaptureTransform;
-use inframe_frame::qplane::{self, horizontal_window_sums_band, QPlane};
+use inframe_frame::perturb::{materialize_in_place, CaptureTransform};
+use inframe_frame::qplane::{self, QPlane};
 use inframe_frame::Plane;
 use inframe_obs::{names, Telemetry};
 use std::sync::Arc;
@@ -68,9 +61,8 @@ pub struct ScoreClass {
     /// [`BatchScorer::score_classes`].
     pub transform: u32,
     /// Expected per-cell sensor-noise power in squared Q8.7 raw units,
-    /// folded into each slice's energy term (see
-    /// `score_from_slices_noised`); `0` reproduces the noiseless scores
-    /// bit-exactly.
+    /// folded into each slice's energy term (see `demodulate_noised`);
+    /// `0` reproduces the noiseless scores bit-exactly.
     pub noise_raw_sq: i64,
 }
 
@@ -94,28 +86,15 @@ impl ScoreClass {
 }
 
 /// Scores every distinct receiver class of one capture against shared
-/// sweeps, then folds per-receiver bests with a flat max. See the
-/// module docs for the three-level sharing scheme.
+/// blurs, then folds per-receiver bests with a flat max. See the module
+/// docs for the sharing scheme.
 pub struct BatchScorer {
     config: InFrameConfig,
     cache: Arc<RegionCache>,
     engine: Arc<ParallelEngine>,
-    // Quantized-backend working set (allocated on either backend — the
-    // reference path also materializes variants through the quantized
-    // bridge so both backends score the same capture bytes).
-    qbase: QPlane,
+    /// Quantize scratch of [`materialize_in_place`].
     qvar: QPlane,
-    rowsum: Vec<i32>,
-    col: Vec<i32>,
-    row_s: Vec<i32>,
-    row_q: Vec<i64>,
-    acc_s: Vec<i64>,
-    acc_q: Vec<i64>,
-    /// Identity-variant accumulators, kept across the transform loop so
-    /// pure-AWB-shift variants can alias them without a sweep.
-    base_acc_s: Vec<i64>,
-    base_acc_q: Vec<i64>,
-    // Reference-backend working set.
+    /// The current variant, its blur and the blur's scratch.
     fvar: Plane<f32>,
     smoothed: Plane<f32>,
     blur: BlurScratch,
@@ -123,16 +102,15 @@ pub struct BatchScorer {
     /// [`BatchScorer::score_classes`] call.
     class_scores: Vec<f32>,
     num_classes: usize,
-    /// Histogram (ns): one `score_classes` fan-out (all sweeps + folds).
+    /// Histogram (ns): one `score_classes` fan-out (all blurs and
+    /// demodulations).
     score_ns: inframe_obs::Histogram,
     /// Counter: per-receiver scorings fanned out by `merge_assigned`.
     fanout: inframe_obs::Counter,
 }
 
 impl BatchScorer {
-    /// Creates a batch scorer over a prebuilt region cache. The kernel
-    /// backend follows `config.kernel`, exactly like the streaming
-    /// [`Demultiplexer`](crate::demux::Demultiplexer).
+    /// Creates a batch scorer over a prebuilt region cache.
     pub fn new(
         config: InFrameConfig,
         cache: Arc<RegionCache>,
@@ -140,20 +118,10 @@ impl BatchScorer {
     ) -> Self {
         config.validate();
         let (w, h) = cache.sensor_shape();
-        let total_slices = cache.program.total_slices;
         Self {
             config,
             engine,
-            qbase: QPlane::new(w, h),
             qvar: QPlane::new(w, h),
-            rowsum: vec![0; w * h],
-            col: Vec::new(),
-            row_s: vec![0; w + 1],
-            row_q: vec![0; w + 1],
-            acc_s: vec![0; total_slices],
-            acc_q: vec![0; total_slices],
-            base_acc_s: vec![0; total_slices],
-            base_acc_q: vec![0; total_slices],
             fvar: Plane::filled(w, h, 0.0),
             smoothed: Plane::filled(w, h, 0.0),
             blur: BlurScratch::default(),
@@ -197,11 +165,14 @@ impl BatchScorer {
 
     /// Scores one shared capture under every class. `transforms` lists
     /// the distinct photometric variants; `classes` pair a transform
-    /// with a noise power. Cost: one sweep per transform that needs one
-    /// (identity and unclamped pure AWB shifts share a single sweep),
-    /// plus one accumulator fold per class — independent of how many
-    /// receivers later map onto each class. Allocation-free once the
-    /// buffers are warm for this class count.
+    /// with a noise power. Each variant is materialized exactly as a
+    /// sequential receiver would capture it ([`materialize_in_place`])
+    /// and blurred once; each class then demodulates that variant with
+    /// its noise power folded into the slice energies. Cost: one blur
+    /// per transform some class uses plus one demodulation pass per
+    /// class — independent of how many receivers later map onto each
+    /// class. Allocation-free once the buffers are warm for this class
+    /// count.
     ///
     /// # Panics
     /// Panics if the capture's shape differs from the cache's sensor
@@ -227,145 +198,10 @@ impl BatchScorer {
         self.num_classes = classes.len();
         self.class_scores.clear();
         self.class_scores.resize(classes.len() * nb, UNREADABLE);
-        // Owned clone of the handle so the span guard does not hold a
-        // borrow of `self` across the &mut dispatch below.
-        let timer = self.score_ns.clone();
-        let _span = timer.span();
-        match self.config.kernel {
-            KernelBackend::Quantized => self.score_classes_quantized(base, transforms, classes),
-            KernelBackend::Reference => self.score_classes_reference(base, transforms, classes),
-        }
-    }
-
-    /// Quantized backend: quantize the shared capture once, run one
-    /// direct row sweep per distinct transform, fold each class from
-    /// the transform's accumulators. The sweep is the exact
-    /// `direct_sweep` of the streaming single-worker path (bit-identical
-    /// to the multi-worker prefix-table path by the PR-6 equivalence
-    /// guarantee), so batched scores equal the sequential reference at
-    /// every worker count.
-    fn score_classes_quantized(
-        &mut self,
-        base: &Plane<f32>,
-        transforms: &[CaptureTransform],
-        classes: &[ScoreClass],
-    ) {
         let Self {
+            ref score_ns,
             ref cache,
             ref engine,
-            ref mut qbase,
-            ref mut qvar,
-            ref mut rowsum,
-            ref mut col,
-            ref mut row_s,
-            ref mut row_q,
-            ref mut acc_s,
-            ref mut acc_q,
-            ref mut base_acc_s,
-            ref mut base_acc_q,
-            ref mut class_scores,
-            ..
-        } = *self;
-        let (w, h) = cache.sensor_shape();
-        let r = cache.smooth_radius();
-        let nb = cache.num_regions();
-        let prog = &cache.program;
-        qbase.quantize_from(base);
-        // Raw range of the shared capture, for AWB shift-aliasing
-        // eligibility (a shift that would clamp any pixel gets its own
-        // sweep instead). Scanned lazily — only if a candidate exists.
-        let mut raw_range: Option<(i16, i16)> = None;
-        let mut have_base_sweep = false;
-        for (ti, t) in transforms.iter().enumerate() {
-            let ti = ti as u32;
-            if !classes.iter().any(|c| c.transform == ti) {
-                continue;
-            }
-            let aliases_identity = t.is_identity() || {
-                t.gain_q12 == inframe_frame::perturb::GAIN_ONE_Q12
-                    && t.occlusion.is_none_or(|o| o.is_empty())
-                    && {
-                        let (lo, hi) = *raw_range.get_or_insert_with(|| {
-                            qbase
-                                .samples()
-                                .iter()
-                                .fold((i16::MAX, i16::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v)))
-                        });
-                        t.shifts_without_clamp(lo, hi)
-                    }
-            };
-            let (var_s, var_q): (&[i64], &[i64]) = if aliases_identity {
-                if !have_base_sweep {
-                    engine.for_each_row_band(h, w, rowsum, |rows, rs| {
-                        for (i, y) in rows.enumerate() {
-                            let src = &qbase.samples()[y * w..(y + 1) * w];
-                            horizontal_window_sums_band(src, w, r, &mut rs[i * w..(i + 1) * w]);
-                        }
-                    });
-                    direct_sweep(
-                        prog, qbase, rowsum, r, col, row_s, row_q, base_acc_s, base_acc_q,
-                    );
-                    have_base_sweep = true;
-                }
-                (base_acc_s, base_acc_q)
-            } else {
-                // Variant stage 1, band-parallel like the streaming
-                // path: apply the transform row-wise from the shared
-                // quantized capture and take horizontal window sums
-                // while the row is in L1.
-                let qb: &QPlane = qbase;
-                engine.for_each_row_band2(
-                    h,
-                    w,
-                    qvar.samples_mut(),
-                    w,
-                    rowsum,
-                    |_, rows, cap, rs| {
-                        for (i, y) in rows.enumerate() {
-                            let dst = &mut cap[i * w..(i + 1) * w];
-                            t.apply_row(y, &qb.samples()[y * w..(y + 1) * w], dst);
-                            horizontal_window_sums_band(dst, w, r, &mut rs[i * w..(i + 1) * w]);
-                        }
-                    },
-                );
-                direct_sweep(prog, qvar, rowsum, r, col, row_s, row_q, acc_s, acc_q);
-                (acc_s, acc_q)
-            };
-            // Fold every class of this transform: pure accumulator
-            // arithmetic, parallel over regions.
-            for (ci, cl) in classes.iter().enumerate() {
-                if cl.transform != ti {
-                    continue;
-                }
-                let out = &mut class_scores[ci * nb..(ci + 1) * nb];
-                engine.map_into(&cache.regions, out, |ri, region| {
-                    let base_slot = prog.slice_base[ri] as usize;
-                    let n = region.qt.slice_weights.len();
-                    encode_score(score_from_slices_noised(
-                        &region.qt,
-                        &var_s[base_slot..base_slot + n],
-                        &var_q[base_slot..base_slot + n],
-                        cl.noise_raw_sq,
-                    ))
-                });
-            }
-        }
-    }
-
-    /// Reference backend (the oracle): fully materialize each variant
-    /// through the quantized bridge — exactly the capture a sequential
-    /// receiver would push — blur it, and demodulate per class with the
-    /// noise power folded into the slice energies.
-    fn score_classes_reference(
-        &mut self,
-        base: &Plane<f32>,
-        transforms: &[CaptureTransform],
-        classes: &[ScoreClass],
-    ) {
-        let Self {
-            ref cache,
-            ref engine,
-            ref mut qbase,
             ref mut qvar,
             ref mut fvar,
             ref mut smoothed,
@@ -373,19 +209,16 @@ impl BatchScorer {
             ref mut class_scores,
             ..
         } = *self;
+        let _span = score_ns.span();
         let r = cache.smooth_radius();
-        let nb = cache.num_regions();
         let scale = qplane::LSB as f64;
-        qbase.quantize_from(base);
         for (ti, t) in transforms.iter().enumerate() {
             let ti = ti as u32;
             if !classes.iter().any(|c| c.transform == ti) {
                 continue;
             }
-            t.apply_raw(qbase, qvar);
-            for (d, &raw) in fvar.samples_mut().iter_mut().zip(qvar.samples()) {
-                *d = qplane::dequantize(raw);
-            }
+            fvar.samples_mut().copy_from_slice(base.samples());
+            materialize_in_place(fvar, t, qvar);
             box_blur_fast_into(fvar, r, blur, smoothed);
             for (ci, cl) in classes.iter().enumerate() {
                 if cl.transform != ti {
@@ -473,7 +306,7 @@ mod tests {
     use inframe_frame::geometry::Homography;
     use inframe_frame::perturb::{materialized, OcclusionRect};
 
-    fn small_cfg(kernel: KernelBackend) -> InFrameConfig {
+    fn small_cfg() -> InFrameConfig {
         InFrameConfig {
             display_w: 96,
             display_h: 64,
@@ -481,7 +314,6 @@ mod tests {
             block_size: 4,
             blocks_x: 6,
             blocks_y: 4,
-            kernel,
             ..InFrameConfig::paper()
         }
     }
@@ -499,33 +331,31 @@ mod tests {
 
     #[test]
     fn identity_class_matches_streaming_demux() {
-        for kernel in [KernelBackend::Reference, KernelBackend::Quantized] {
-            let cfg = small_cfg(kernel);
-            let capture = checker_capture(&cfg);
-            let mut batch = scorer(cfg, 1);
-            batch.score_classes(
-                &capture,
-                &[CaptureTransform::IDENTITY],
-                &[ScoreClass::clean(0)],
-            );
-            let mut demux = Demultiplexer::with_cache(
-                cfg,
-                Arc::clone(batch.region_cache()),
-                Arc::new(ParallelEngine::new(1)),
-            );
-            demux.push_capture(&capture, 0.01);
-            let want: Vec<f32> = demux
-                .last_scores()
-                .iter()
-                .map(|&s| encode_score(s))
-                .collect();
-            assert_eq!(batch.class_scores(0), &want[..], "kernel {kernel:?}");
-        }
+        let cfg = small_cfg();
+        let capture = checker_capture(&cfg);
+        let mut batch = scorer(cfg, 1);
+        batch.score_classes(
+            &capture,
+            &[CaptureTransform::IDENTITY],
+            &[ScoreClass::clean(0)],
+        );
+        let mut demux = Demultiplexer::with_cache(
+            cfg,
+            Arc::clone(batch.region_cache()),
+            Arc::new(ParallelEngine::new(1)),
+        );
+        demux.push_capture(&capture, 0.01);
+        let want: Vec<f32> = demux
+            .last_scores()
+            .iter()
+            .map(|&s| encode_score(s))
+            .collect();
+        assert_eq!(batch.class_scores(0), &want[..]);
     }
 
     #[test]
-    fn awb_shift_aliases_identity_sweep_exactly() {
-        let cfg = small_cfg(KernelBackend::Quantized);
+    fn awb_shift_class_matches_the_shifted_capture() {
+        let cfg = small_cfg();
         let capture = checker_capture(&cfg);
         let shift = CaptureTransform {
             awb_raw: 640, // +5 code values
@@ -537,10 +367,8 @@ mod tests {
             &[CaptureTransform::IDENTITY, shift],
             &[ScoreClass::clean(0), ScoreClass::clean(1)],
         );
-        // The aliased class reuses the identity accumulators…
-        assert_eq!(batch.class_scores(0), batch.class_scores(1));
-        // …and that is also what a from-scratch scoring of the shifted
-        // capture produces (shift invariance is real, not assumed).
+        // The shifted class scores exactly what a from-scratch scoring
+        // of the materialized shifted capture produces.
         let shifted = materialized(&capture, &shift);
         let mut direct = scorer(cfg, 1);
         direct.score_classes(
@@ -553,38 +381,36 @@ mod tests {
 
     #[test]
     fn noise_class_lowers_scores_deterministically() {
-        for kernel in [KernelBackend::Reference, KernelBackend::Quantized] {
-            let cfg = small_cfg(kernel);
-            let capture = checker_capture(&cfg);
-            let mut batch = scorer(cfg, 1);
-            let noisy = ScoreClass {
-                transform: 0,
-                noise_raw_sq: ScoreClass::noise_raw_sq_from_sigma(3.0),
-            };
-            batch.score_classes(
-                &capture,
-                &[CaptureTransform::IDENTITY],
-                &[ScoreClass::clean(0), noisy],
-            );
-            let clean: Vec<f32> = batch.class_scores(0).to_vec();
-            let degraded: Vec<f32> = batch.class_scores(1).to_vec();
-            assert!(
-                clean
-                    .iter()
-                    .zip(&degraded)
-                    .all(|(c, d)| d <= c && *d > UNREADABLE),
-                "noise must lower (never raise) every readable score; kernel {kernel:?}"
-            );
-            assert!(
-                clean.iter().zip(&degraded).any(|(c, d)| d < c),
-                "a 3-code-sigma noise class must actually bite; kernel {kernel:?}"
-            );
-        }
+        let cfg = small_cfg();
+        let capture = checker_capture(&cfg);
+        let mut batch = scorer(cfg, 1);
+        let noisy = ScoreClass {
+            transform: 0,
+            noise_raw_sq: ScoreClass::noise_raw_sq_from_sigma(3.0),
+        };
+        batch.score_classes(
+            &capture,
+            &[CaptureTransform::IDENTITY],
+            &[ScoreClass::clean(0), noisy],
+        );
+        let clean: Vec<f32> = batch.class_scores(0).to_vec();
+        let degraded: Vec<f32> = batch.class_scores(1).to_vec();
+        assert!(
+            clean
+                .iter()
+                .zip(&degraded)
+                .all(|(c, d)| d <= c && *d > UNREADABLE),
+            "noise must lower (never raise) every readable score"
+        );
+        assert!(
+            clean.iter().zip(&degraded).any(|(c, d)| d < c),
+            "a 3-code-sigma noise class must actually bite"
+        );
     }
 
     #[test]
     fn merge_assigned_folds_per_receiver_maxima() {
-        let cfg = small_cfg(KernelBackend::Quantized);
+        let cfg = small_cfg();
         let capture = checker_capture(&cfg);
         let occluded = CaptureTransform {
             occlusion: Some(OcclusionRect {
@@ -622,7 +448,7 @@ mod tests {
 
     #[test]
     fn verdicts_match_streaming_finish_rule() {
-        let cfg = small_cfg(KernelBackend::Quantized);
+        let cfg = small_cfg();
         let batch = scorer(cfg, 1);
         let t = cfg.threshold;
         let m = cfg.margin;
@@ -640,7 +466,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "transform out of range")]
     fn out_of_range_class_rejected() {
-        let cfg = small_cfg(KernelBackend::Quantized);
+        let cfg = small_cfg();
         let capture = checker_capture(&cfg);
         let mut batch = scorer(cfg, 1);
         batch.score_classes(

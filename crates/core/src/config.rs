@@ -19,26 +19,26 @@ pub enum CodingMode {
     },
 }
 
-/// Which kernel implementations the pipeline's hot stages run on.
+/// Which render the sender runs.
 ///
-/// Both backends implement the same pipeline; [`KernelBackend::Reference`]
-/// is the scalar f32/f64 oracle, [`KernelBackend::Quantized`] routes the
-/// render and demux inner loops through the Q8.7 fixed-point layer
-/// (`inframe_frame::qplane`, `QIntegral`, the chessboard LUT). Decoded
-/// bits are identical across backends on the test corpus; raw block
-/// scores agree within 1 LSB of Q8.7 (1/128 code value) — enforced by
+/// The receiver has one scorer, the exact f32/f64 demodulator, whatever
+/// the backend. The backend picks only the sender's render:
+/// [`KernelBackend::Reference`] is the f32 oracle,
+/// [`KernelBackend::Quantized`] the chessboard LUT render
+/// (`pattern::ChessLut`, `pattern::render_frame_lut`), which snaps
+/// Block amplitudes to LUT steps and offsets to Q8.7. Decoded bits are
+/// identical across backends on the test corpus, enforced by
 /// `tests/kernel_equivalence.rs`.
 ///
-/// The quantized backend's hot loops additionally dispatch to explicit
+/// The LUT render's hot loops additionally dispatch to explicit
 /// SSE2/AVX2 paths via [`inframe_frame::simd`]; the `INFRAME_SIMD`
 /// environment variable (`off`/`sse2`/`avx2`) caps the level for
-/// testing, and every level decodes bit-identically.
+/// testing, and every level renders bit-identically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelBackend {
-    /// Scalar f32/f64 kernels — the bit-exact oracle.
+    /// Scalar f32 render — the bit-exact oracle.
     Reference,
-    /// i16 Q8.7 fixed-point kernels: O(1) sliding-window blur,
-    /// integral-image demodulation, LUT-based chessboard render.
+    /// Chessboard LUT render with Q8.7 offsets.
     Quantized,
 }
 
@@ -56,7 +56,7 @@ impl KernelBackend {
     /// Backend from the `INFRAME_KERNEL` environment variable (default
     /// [`KernelBackend::Reference`]). Config constructors call this, so
     /// `INFRAME_KERNEL=quantized cargo test` runs the whole corpus on the
-    /// fixed-point path.
+    /// LUT render.
     pub fn from_env() -> Self {
         Self::parse(std::env::var("INFRAME_KERNEL").ok().as_deref())
     }
@@ -100,9 +100,8 @@ pub struct InFrameConfig {
     pub margin: f32,
     /// Channel coding mode.
     pub coding: CodingMode,
-    /// Kernel backend for the render/demux hot paths. Defaults to the
-    /// `INFRAME_KERNEL` environment variable (see
-    /// [`KernelBackend::from_env`]).
+    /// The sender's render backend. Defaults to the `INFRAME_KERNEL`
+    /// environment variable (see [`KernelBackend::from_env`]).
     pub kernel: KernelBackend,
 }
 

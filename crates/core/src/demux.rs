@@ -18,7 +18,7 @@
 //! Blocks whose best score falls inside the dead zone `T ± margin` are
 //! declared undecodable and make their GOB unavailable.
 
-use crate::config::{InFrameConfig, KernelBackend};
+use crate::config::InFrameConfig;
 use crate::dataframe;
 use crate::layout::DataLayout;
 use crate::metrics::ThroughputMeter;
@@ -26,16 +26,10 @@ use crate::parallel::ParallelEngine;
 use inframe_code::framing::LossyBits;
 use inframe_code::parity::GobStats;
 use inframe_frame::geometry::Homography;
-use inframe_frame::integral::{
-    box_blur_fast_into, build_highpass_band, highpass_row_into, prime_highpass_columns,
-    BlurScratch, QRowPrefix,
-};
-use inframe_frame::qplane::{self, horizontal_window_sums_band, QPlane};
-use inframe_frame::simd;
+use inframe_frame::integral::{box_blur_fast_into, BlurScratch};
 use inframe_frame::Plane;
 use inframe_obs::{names, Telemetry};
 use std::sync::Arc;
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// Demodulation result of one Block in one capture.
@@ -101,142 +95,14 @@ pub struct DecodedDataFrame {
 
 /// Per-Block sensor-space region plus its demodulation template.
 /// `pub(crate)` so the batched scorer (`crate::batch`) can replay the
-/// same regions against shared sweeps.
+/// same regions against shared captures.
 #[derive(Debug, Clone)]
 pub(crate) struct BlockRegion {
     pub(crate) x: usize,
     pub(crate) y: usize,
     /// The ±1 chessboard template over the region (0 where the sensor
-    /// pixel maps outside the Block). Reference-backend representation.
+    /// pixel maps outside the Block).
     pub(crate) template: Plane<f32>,
-    /// Run-length compressed template for the quantized backend.
-    pub(crate) qt: QTemplate,
-}
-
-/// Run-length compressed chessboard template: per row, the signed runs of
-/// nonzero template cells plus their merged extents, and per demodulation
-/// slice the precomputed static weight (nonzero-cell count).
-///
-/// With this, [`demodulate_quantized`] evaluates `Σ hp·t` as a handful of
-/// integral-image row-segment sums per template row (one per chessboard
-/// column stripe) and `Σ hp²` as one segment sum per merged span —
-/// instead of re-walking every sensor pixel of every Block per capture.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct QTemplate {
-    /// Per template row: half-open index range into `runs`.
-    row_runs: Vec<(u32, u32)>,
-    /// Per template row: half-open index range into `spans`.
-    row_spans: Vec<(u32, u32)>,
-    /// Signed runs `(x0, x1, sign)`, x region-relative, half-open.
-    runs: Vec<(u16, u16, i8)>,
-    /// Maximal nonzero intervals `(x0, x1)` per row (energy sums).
-    spans: Vec<(u16, u16)>,
-    /// Rows per demodulation slice (`(h/4).max(2)`, as in [`demodulate`]).
-    slice_h: usize,
-    /// Static weight (`Σ |t|`) per slice.
-    pub(crate) slice_weights: Vec<f64>,
-    /// Flattened absolute [`QRowPrefix`] table indices, one `(lo, hi)`
-    /// pair per run, grouped by slice — the gather-friendly layout
-    /// [`inframe_frame::simd::signed_segment_sums_sliced`] consumes. Built
-    /// for a specific sensor stride; a capture of any other shape falls
-    /// back to the per-run `row_sum` loop.
-    g_run_lo: Vec<u32>,
-    /// Upper table index per run (`g_run_lo[i]..g_run_hi[i]`).
-    g_run_hi: Vec<u32>,
-    /// Run sign as ±1, parallel to `g_run_lo`.
-    g_run_sign: Vec<i32>,
-    /// Lower table index per merged span (energy sums).
-    g_span_lo: Vec<u32>,
-    /// Upper table index per merged span.
-    g_span_hi: Vec<u32>,
-    /// Per slice: half-open index range into the flattened run arrays.
-    slice_runs: Vec<(u32, u32)>,
-    /// Per slice: half-open index range into the flattened span arrays.
-    slice_spans: Vec<(u32, u32)>,
-    /// The `sensor_w + 1` table stride the absolute indices assume
-    /// (0 = not built; gather path disabled).
-    gather_stride: usize,
-}
-
-impl QTemplate {
-    /// Flattens the run-length template into absolute prefix-table
-    /// indices for one `(region, sensor)` placement. `stride` is the
-    /// [`QRowPrefix`] row stride (`sensor_w + 1`).
-    fn build_gather(&mut self, region_x: usize, region_y: usize, stride: usize) {
-        let h = self.row_runs.len();
-        // Absolute indices must round-trip through u32 gather lanes.
-        if (region_y + h) * stride + region_x >= u32::MAX as usize {
-            return;
-        }
-        self.gather_stride = stride;
-        let num_slices = self.slice_weights.len();
-        for s in 0..num_slices {
-            let run_start = self.g_run_lo.len() as u32;
-            let span_start = self.g_span_lo.len() as u32;
-            let y1 = ((s + 1) * self.slice_h).min(h);
-            for dy in s * self.slice_h..y1 {
-                let base = (region_y + dy) * stride + region_x;
-                let (r0, r1) = self.row_runs[dy];
-                for &(x0, x1, sign) in &self.runs[r0 as usize..r1 as usize] {
-                    self.g_run_lo.push((base + x0 as usize) as u32);
-                    self.g_run_hi.push((base + x1 as usize) as u32);
-                    self.g_run_sign.push(sign as i32);
-                }
-                let (s0, s1) = self.row_spans[dy];
-                for &(x0, x1) in &self.spans[s0 as usize..s1 as usize] {
-                    self.g_span_lo.push((base + x0 as usize) as u32);
-                    self.g_span_hi.push((base + x1 as usize) as u32);
-                }
-            }
-            self.slice_runs
-                .push((run_start, self.g_run_lo.len() as u32));
-            self.slice_spans
-                .push((span_start, self.g_span_lo.len() as u32));
-        }
-    }
-}
-
-/// Builds the run-length template representation from the dense `±1/0`
-/// template plane.
-fn build_qtemplate(template: &Plane<f32>) -> QTemplate {
-    let (w, h) = template.shape();
-    let slice_h = (h / 4).max(2);
-    let num_slices = h.div_ceil(slice_h);
-    let mut qt = QTemplate {
-        slice_h,
-        slice_weights: vec![0.0; num_slices],
-        ..QTemplate::default()
-    };
-    for dy in 0..h {
-        let run_start = qt.runs.len() as u32;
-        let span_start = qt.spans.len() as u32;
-        let row = template.row(dy);
-        let mut x = 0;
-        while x < w {
-            let sign = row[x];
-            if sign == 0.0 {
-                x += 1;
-                continue;
-            }
-            let x0 = x;
-            while x < w && row[x] == sign {
-                x += 1;
-            }
-            qt.runs
-                .push((x0 as u16, x as u16, if sign > 0.0 { 1 } else { -1 }));
-            qt.slice_weights[dy / slice_h] += (x - x0) as f64;
-            let extend = qt.spans.len() as u32 > span_start
-                && qt.spans.last().is_some_and(|s| s.1 as usize == x0);
-            if extend {
-                qt.spans.last_mut().expect("just checked").1 = x as u16;
-            } else {
-                qt.spans.push((x0 as u16, x as u16));
-            }
-        }
-        qt.row_runs.push((run_start, qt.runs.len() as u32));
-        qt.row_spans.push((span_start, qt.spans.len() as u32));
-    }
-    qt
 }
 
 /// Immutable per-geometry receiver state: every Block's sensor region and
@@ -250,106 +116,10 @@ fn build_qtemplate(template: &Plane<f32>) -> QTemplate {
 #[derive(Debug)]
 pub struct RegionCache {
     pub(crate) regions: Vec<BlockRegion>,
-    /// Row-major scoring program for the single-worker direct sweep.
-    pub(crate) program: RowProgram,
     /// Smoothing radius for the high-pass prefilter, sensor pixels.
     smooth_radius: usize,
     sensor_w: usize,
     sensor_h: usize,
-}
-
-/// The per-Block templates re-bucketed by **sensor row**: for each row,
-/// every run/span segment any region reads there, with absolute sensor
-/// columns and a flat per-`(region, slice)` accumulator index.
-///
-/// The single-worker quantized path sweeps the capture once in row order,
-/// computes each high-pass prefix row into L1-resident scratch
-/// ([`highpass_row_into`]) and applies that row's program entries into the
-/// slice accumulators — the full prefix tables (12 bytes/px of write
-/// traffic per capture) are never materialized. Accumulation order differs
-/// from the per-region path (row-major vs region-major), but `i64`
-/// addition over the same exact segment sums is associative, so the
-/// resulting slice sums — and the scores — are bit-identical.
-#[derive(Debug, Default)]
-pub(crate) struct RowProgram {
-    /// Per sensor row `0..rows_used`: half-open ranges `(runs, spans)`
-    /// into the flattened arrays below.
-    pub(crate) rows: Vec<(u32, u32, u32, u32)>,
-    /// `(x0, x1, tag)` — absolute half-open sensor columns of a signed
-    /// template run; `tag` is the accumulator index with the run's sign
-    /// in the top bit (set = negative).
-    pub(crate) runs: Vec<(u32, u32, u32)>,
-    /// `(x0, x1, acc)` — absolute columns of an energy span.
-    pub(crate) spans: Vec<(u32, u32, u32)>,
-    /// Per region: first accumulator slot (a region's slices are
-    /// contiguous).
-    pub(crate) slice_base: Vec<u32>,
-    /// Accumulator slots across all regions (`Σ slices`).
-    pub(crate) total_slices: usize,
-}
-
-impl RowProgram {
-    fn build(regions: &[BlockRegion]) -> Self {
-        let mut slice_base = Vec::with_capacity(regions.len());
-        let mut total_slices = 0usize;
-        for rg in regions {
-            slice_base.push(total_slices as u32);
-            total_slices += rg.qt.slice_weights.len();
-        }
-        let rows_used = regions
-            .iter()
-            .map(|rg| rg.y + rg.qt.row_runs.len())
-            .max()
-            .unwrap_or(0);
-        // Build-time bucketing by row; flattened below so the hot sweep
-        // walks two contiguous arrays.
-        let mut by_row_runs: Vec<Vec<(u32, u32, u32)>> = vec![Vec::new(); rows_used];
-        let mut by_row_spans: Vec<Vec<(u32, u32, u32)>> = vec![Vec::new(); rows_used];
-        for (ri, rg) in regions.iter().enumerate() {
-            let qt = &rg.qt;
-            for dy in 0..qt.row_runs.len() {
-                let y = rg.y + dy;
-                let acc = slice_base[ri] + (dy / qt.slice_h) as u32;
-                let (r0, r1) = qt.row_runs[dy];
-                for &(x0, x1, sign) in &qt.runs[r0 as usize..r1 as usize] {
-                    let tag = acc | if sign < 0 { 1 << 31 } else { 0 };
-                    by_row_runs[y].push((
-                        (rg.x + x0 as usize) as u32,
-                        (rg.x + x1 as usize) as u32,
-                        tag,
-                    ));
-                }
-                let (s0, s1) = qt.row_spans[dy];
-                for &(x0, x1) in &qt.spans[s0 as usize..s1 as usize] {
-                    by_row_spans[y].push((
-                        (rg.x + x0 as usize) as u32,
-                        (rg.x + x1 as usize) as u32,
-                        acc,
-                    ));
-                }
-            }
-        }
-        let mut program = RowProgram {
-            rows: Vec::with_capacity(rows_used),
-            runs: Vec::with_capacity(by_row_runs.iter().map(Vec::len).sum()),
-            spans: Vec::with_capacity(by_row_spans.iter().map(Vec::len).sum()),
-            slice_base,
-            total_slices,
-        };
-        for (rr, rs) in by_row_runs.into_iter().zip(by_row_spans) {
-            let r0 = program.runs.len() as u32;
-            let s0 = program.spans.len() as u32;
-            program.runs.extend(rr);
-            program.spans.extend(rs);
-            program.rows.push((
-                r0,
-                program.runs.len() as u32,
-                s0,
-                program.spans.len() as u32,
-            ));
-        }
-        program
-    }
 }
 
 impl RegionCache {
@@ -381,10 +151,8 @@ impl RegionCache {
                 regions.push(region);
             }
         }
-        let program = RowProgram::build(&regions);
         Arc::new(Self {
             regions,
-            program,
             smooth_radius,
             sensor_w,
             sensor_h,
@@ -426,8 +194,6 @@ pub struct Demultiplexer {
     /// Retired `best` vector of the previously finished cycle, recycled
     /// into the next [`CycleAccumulator`].
     retired_best: Vec<BlockScore>,
-    /// Fixed-point working set, allocated only on the quantized backend.
-    quant: Option<QuantState>,
     meter: ThroughputMeter,
     obs: DemuxObs,
 }
@@ -445,7 +211,6 @@ struct DemuxObs {
     /// [`names::kern`] for the unit rationale).
     ns_per_px: inframe_obs::Histogram,
     margin_milli: inframe_obs::Histogram,
-    band_rows: inframe_obs::ShardedCounter,
     chan_cycles: inframe_obs::Counter,
     gob_ok: inframe_obs::Counter,
     gob_erroneous: inframe_obs::Counter,
@@ -460,7 +225,6 @@ impl DemuxObs {
             score_ns: telemetry.histogram(names::demux::SCORE_NS),
             ns_per_px: telemetry.histogram(names::kern::DEMUX_NS_PER_PX),
             margin_milli: telemetry.histogram(names::demux::MARGIN_MILLI),
-            band_rows: telemetry.sharded_counter(names::demux::BAND_ROWS),
             chan_cycles: telemetry.counter(names::chan::CYCLES),
             gob_ok: telemetry.counter(names::chan::GOB_OK),
             gob_erroneous: telemetry.counter(names::chan::GOB_ERRONEOUS),
@@ -468,35 +232,6 @@ impl DemuxObs {
             telemetry: telemetry.clone(),
         }
     }
-}
-
-/// Reused fixed-point buffers of the quantized scoring path. The
-/// smoothed and residual planes are never materialized: each band worker
-/// quantizes its rows and computes their horizontal window sums (stage
-/// 1), then fuses vertical windowing, subtraction and the row-prefix
-/// build in one sweep (stage 2, [`build_highpass_band`]).
-#[derive(Debug)]
-struct QuantState {
-    capture: QPlane,
-    /// Horizontal window sums of the quantized capture (stage 1 output;
-    /// stage 2 reads across band edges, so it lives outside the bands).
-    rowsum: Vec<i32>,
-    /// Per-band vertical running-sum scratch, keyed by band index. The
-    /// mutex is uncontended by construction (each band has exactly one
-    /// worker); it exists to keep the scoring closure `Fn`.
-    cols: Vec<Mutex<Vec<i32>>>,
-    /// Row-prefix tables over the high-pass residual (multi-worker and
-    /// mismatched-shape captures only; the single-worker direct sweep
-    /// never touches them).
-    prefix: QRowPrefix,
-    /// Direct-sweep slice accumulators (`Σ hp·t` per `(region, slice)`).
-    acc_s: Vec<i64>,
-    /// Direct-sweep energy accumulators (`Σ hp²`).
-    acc_q: Vec<i64>,
-    /// One high-pass prefix row (`sensor_w + 1`) of direct-sweep scratch.
-    row_s: Vec<i32>,
-    /// Squared-prefix counterpart of `row_s`.
-    row_q: Vec<i64>,
 }
 
 struct CycleAccumulator {
@@ -539,18 +274,6 @@ impl Demultiplexer {
         config.validate();
         let (sensor_w, sensor_h) = cache.sensor_shape();
         let meter = ThroughputMeter::new(engine.workers());
-        let quant = (config.kernel == KernelBackend::Quantized).then(|| QuantState {
-            capture: QPlane::new(sensor_w, sensor_h),
-            rowsum: vec![0; sensor_w * sensor_h],
-            cols: (0..engine.workers())
-                .map(|_| Mutex::new(Vec::new()))
-                .collect(),
-            prefix: QRowPrefix::default(),
-            acc_s: vec![0; cache.program.total_slices],
-            acc_q: vec![0; cache.program.total_slices],
-            row_s: vec![0; sensor_w + 1],
-            row_q: vec![0; sensor_w + 1],
-        });
         Self {
             cycle_duration: config.tau as f64 / config.refresh_hz,
             layout: DataLayout::from_config(&config),
@@ -562,7 +285,6 @@ impl Demultiplexer {
             scratch: BlurScratch::default(),
             score_buf: Vec::new(),
             retired_best: Vec::new(),
-            quant,
             meter,
             obs: DemuxObs::default(),
         }
@@ -645,127 +367,27 @@ impl Demultiplexer {
         completed
     }
 
-    /// Scores one capture into the reused `score_buf` on the configured
-    /// backend: one shared high-pass per capture, then per-Block
-    /// demodulation fanned out over the workers via
-    /// [`ParallelEngine::map_into`]. Allocation-free in steady state.
+    /// Scores one capture into the reused `score_buf`: one shared
+    /// high-pass per capture, then per-Block demodulation fanned out over
+    /// the workers via [`ParallelEngine::map_into`]. Allocation-free in
+    /// steady state.
     fn score_capture_pooled(&mut self, capture: &Plane<f32>) {
         let started = Instant::now();
         let busy_before = self.engine.busy();
         self.score_buf.clear();
         self.score_buf
             .resize(self.cache.regions.len(), BlockScore::Unreadable);
-        match self.config.kernel {
-            KernelBackend::Reference => {
-                box_blur_fast_into(
-                    capture,
-                    self.cache.smooth_radius,
-                    &mut self.scratch,
-                    &mut self.smoothed,
-                );
-                let smoothed = &self.smoothed;
-                self.engine
-                    .map_into(&self.cache.regions, &mut self.score_buf, |_, region| {
-                        demodulate(capture, smoothed, region)
-                    });
-            }
-            KernelBackend::Quantized => {
-                let q = self
-                    .quant
-                    .as_mut()
-                    .expect("quantized state is allocated at construction");
-                let (w, h) = (capture.width(), capture.height());
-                let r = self.cache.smooth_radius;
-                if q.capture.shape() != (w, h) {
-                    q.capture.reshape(w, h);
-                }
-                if q.rowsum.len() != w * h {
-                    q.rowsum.clear();
-                    q.rowsum.resize(w * h, 0);
-                }
-                // Stage 1 (band-parallel): quantize the capture and take
-                // each row's horizontal window sums — both row-local.
-                let level = simd::active_level();
-                self.engine.for_each_row_band2(
-                    h,
-                    w,
-                    q.capture.samples_mut(),
-                    w,
-                    &mut q.rowsum,
-                    |_, rows, cap, rs| {
-                        // Row-interleaved so the window sums read the
-                        // just-quantized row while it is still in L1.
-                        for (i, y) in rows.enumerate() {
-                            let dst = &mut cap[i * w..(i + 1) * w];
-                            simd::quantize_slice(level, capture.row(y), dst);
-                            horizontal_window_sums_band(dst, w, r, &mut rs[i * w..(i + 1) * w]);
-                        }
-                    },
-                );
-                if self.engine.workers() == 1 && (w, h) == self.cache.sensor_shape() {
-                    // Direct row sweep: compute each high-pass prefix row
-                    // into one reused `w + 1` scratch row and fold the
-                    // row's template segments straight into per-(region,
-                    // slice) accumulators — the prefix tables are never
-                    // materialized, eliminating their 12 bytes/px of
-                    // write traffic per capture. Exact i64 sums in a
-                    // different (row-major) order, so the scores stay
-                    // bit-identical to the table path.
-                    let mut col = q.cols[0].lock().expect("col scratch lock");
-                    let prog = &self.cache.program;
-                    direct_sweep(
-                        prog,
-                        &q.capture,
-                        &q.rowsum,
-                        r,
-                        &mut col,
-                        &mut q.row_s,
-                        &mut q.row_q,
-                        &mut q.acc_s,
-                        &mut q.acc_q,
-                    );
-                    self.obs.band_rows.add(0, prog.rows.len() as u64);
-                    for (ri, region) in self.cache.regions.iter().enumerate() {
-                        let base = prog.slice_base[ri] as usize;
-                        let n = region.qt.slice_weights.len();
-                        self.score_buf[ri] = score_from_slices(
-                            &region.qt,
-                            &q.acc_s[base..base + n],
-                            &q.acc_q[base..base + n],
-                        );
-                    }
-                } else {
-                    q.prefix.reshape(w, h);
-                    // Stage 2 (band-parallel): fused vertical window,
-                    // residual `capture − blur(capture)` and row-prefix
-                    // build — bit-identical to the blur→subtract→build
-                    // composition and to every other band partition.
-                    let qcap = &q.capture;
-                    let rowsum = &q.rowsum;
-                    let cols = &q.cols;
-                    let (sum, sq) = q.prefix.tables_mut();
-                    let stride = w + 1;
-                    let band_rows = &self.obs.band_rows;
-                    self.engine.for_each_row_band2(
-                        h,
-                        stride,
-                        sum,
-                        stride,
-                        sq,
-                        |band, rows, bs, bq| {
-                            band_rows.add(band, rows.len() as u64);
-                            let mut col = cols[band].lock().expect("col scratch lock");
-                            build_highpass_band(bs, bq, qcap, rowsum, r, rows, &mut col);
-                        },
-                    );
-                    let prefix = &q.prefix;
-                    self.engine
-                        .map_into(&self.cache.regions, &mut self.score_buf, |_, region| {
-                            demodulate_quantized(prefix, region)
-                        });
-                }
-            }
-        }
+        box_blur_fast_into(
+            capture,
+            self.cache.smooth_radius,
+            &mut self.scratch,
+            &mut self.smoothed,
+        );
+        let smoothed = &self.smoothed;
+        self.engine
+            .map_into(&self.cache.regions, &mut self.score_buf, |_, region| {
+                demodulate(capture, smoothed, region)
+            });
         let busy = self.engine.busy().saturating_sub(busy_before);
         let elapsed = started.elapsed();
         self.meter.record_frame(elapsed, busy);
@@ -779,7 +401,7 @@ impl Demultiplexer {
 
     /// Per-Block scores of the most recently scored capture (empty before
     /// the first in-phase capture). Exposed so equivalence tests can
-    /// compare raw backend scores without re-running the blur.
+    /// compare raw scores without re-running the blur.
     pub fn last_scores(&self) -> &[BlockScore] {
         &self.score_buf
     }
@@ -834,8 +456,8 @@ impl Demultiplexer {
     }
 
     /// Raw per-Block scores of a single capture — exposed for calibration
-    /// and the threshold ablation. Always runs the reference kernels (it
-    /// is the oracle); Blocks with no usable sensor pixels report `0.0`.
+    /// and the threshold ablation. Blocks with no usable sensor pixels
+    /// report `0.0`.
     /// Thin allocating wrapper over [`Demultiplexer::score_capture_into`].
     pub fn score_capture(&mut self, capture: &Plane<f32>) -> Vec<f32> {
         let mut out = Vec::with_capacity(self.cache.regions.len());
@@ -861,43 +483,6 @@ impl Demultiplexer {
                 .value()
                 .unwrap_or(0.0)
         }));
-    }
-}
-
-/// One full direct row sweep: computes each fused high-pass prefix row
-/// into L1-resident scratch and folds the row program's segments into
-/// the per-`(region, slice)` accumulators. Shared verbatim by the
-/// single-worker streaming path and the batched scorer
-/// (`crate::batch`), which replays it once per distinct photometric
-/// variant — keeping the two bit-identical by construction.
-#[allow(clippy::too_many_arguments)] // scratch-threading seam; all slices
-pub(crate) fn direct_sweep(
-    prog: &RowProgram,
-    qcap: &QPlane,
-    rowsum: &[i32],
-    r: usize,
-    col: &mut Vec<i32>,
-    row_s: &mut [i32],
-    row_q: &mut [i64],
-    acc_s: &mut [i64],
-    acc_q: &mut [i64],
-) {
-    let (w, h) = qcap.shape();
-    prime_highpass_columns(rowsum, w, h, r, 0, col);
-    acc_s.fill(0);
-    acc_q.fill(0);
-    let level = simd::active_level();
-    for (y, &(r0, r1, s0, s1)) in prog.rows.iter().enumerate() {
-        highpass_row_into(qcap, rowsum, r, y, col, row_s, row_q);
-        simd::sweep_row_segments(
-            level,
-            row_s,
-            row_q,
-            &prog.runs[r0 as usize..r1 as usize],
-            &prog.spans[s0 as usize..s1 as usize],
-            acc_s,
-            acc_q,
-        );
     }
 }
 
@@ -970,116 +555,6 @@ pub(crate) fn demodulate_noised(
         total += (acc.abs() - noise_floor).max(0.0);
         total_weight += weight;
         y0 = y1;
-    }
-    if total_weight == 0.0 {
-        BlockScore::Unreadable
-    } else {
-        BlockScore::Readable((2.0 * total / total_weight) as f32)
-    }
-}
-
-/// Quantized-backend demodulation: the same per-slice correlate /
-/// noise-floor-subtract formula as [`demodulate`], but with `Σ hp·t` and
-/// `Σ hp²` pulled from the high-pass residual's [`QRowPrefix`] via the
-/// region's run-length template — a handful of O(1) row-segment lookups
-/// per template row instead of a walk over every sensor pixel.
-///
-/// The integer segment sums are **exact**, so the result is independent
-/// of how Blocks are partitioned across workers (PR 1's bit-identical
-/// guarantee carries over to the quantized path by construction).
-fn demodulate_quantized(integral: &QRowPrefix, region: &BlockRegion) -> BlockScore {
-    let qt = &region.qt;
-    let h = qt.row_runs.len();
-    // The flattened gather indices bake in a specific sensor stride; use
-    // them (and the wide segment-sum kernels) only when this capture's
-    // prefix table matches the geometry the cache was built for.
-    let gather = qt.gather_stride == integral.shape().0 + 1;
-    // A Block has at most ~6 rolling-shutter slices (`slice_h = h/4`,
-    // floored at 2 rows); the batched gathers fill both stack arrays in
-    // one validated kernel call each instead of two calls per slice.
-    const MAX_SLICES: usize = 16;
-    let num_slices = qt.slice_weights.len();
-    assert!(num_slices <= MAX_SLICES, "unexpected slice count");
-    let mut accs = [0i64; MAX_SLICES];
-    let mut energies = [0i64; MAX_SLICES];
-    if gather {
-        let level = simd::active_level();
-        let (sum_tab, sq_tab) = integral.tables();
-        simd::signed_segment_sums_sliced(
-            level,
-            sum_tab,
-            &qt.g_run_lo,
-            &qt.g_run_hi,
-            &qt.g_run_sign,
-            &qt.slice_runs,
-            &mut accs[..num_slices],
-        );
-        simd::segment_sums_sliced(
-            level,
-            sq_tab,
-            &qt.g_span_lo,
-            &qt.g_span_hi,
-            &qt.slice_spans,
-            &mut energies[..num_slices],
-        );
-    } else {
-        for dy in 0..h {
-            let slice = dy / qt.slice_h;
-            let y = region.y + dy;
-            let (r0, r1) = qt.row_runs[dy];
-            for &(x0, x1, sign) in &qt.runs[r0 as usize..r1 as usize] {
-                let s = integral.row_sum(y, region.x + x0 as usize, region.x + x1 as usize);
-                accs[slice] += if sign > 0 { s } else { -s };
-            }
-            let (s0, s1) = qt.row_spans[dy];
-            for &(x0, x1) in &qt.spans[s0 as usize..s1 as usize] {
-                energies[slice] +=
-                    integral.row_sum_sq(y, region.x + x0 as usize, region.x + x1 as usize);
-            }
-        }
-    }
-    score_from_slices(qt, &accs[..num_slices], &energies[..num_slices])
-}
-
-/// Folds exact per-slice integer sums (`Σ hp·t` and `Σ hp²`, Q8.7 raw
-/// units) into a Block score — the shared back end of
-/// [`demodulate_quantized`] and the direct row sweep. Same per-slice
-/// correlate / noise-floor-subtract formula as [`demodulate`].
-fn score_from_slices(qt: &QTemplate, accs: &[i64], energies: &[i64]) -> BlockScore {
-    score_from_slices_noised(qt, accs, energies, 0)
-}
-
-/// [`score_from_slices`] with a per-cell expected noise power (in
-/// squared Q8.7 raw units) added to each slice's energy — the quantized
-/// twin of [`demodulate_noised`]'s noise-as-class model, kept in the
-/// integer domain so noise classes fold into exact i64 sums.
-/// `noise_raw_sq = 0` is bit-identical to the unnoised path.
-pub(crate) fn score_from_slices_noised(
-    qt: &QTemplate,
-    accs: &[i64],
-    energies: &[i64],
-    noise_raw_sq: i64,
-) -> BlockScore {
-    // Q8.7 raw → code values; energies carry two factors of the scale.
-    let scale = qplane::LSB as f64;
-    let scale_sq = scale * scale;
-    let mut total = 0.0f64;
-    let mut total_weight = 0.0f64;
-    for (slice, (&acc_raw, &energy_raw)) in accs.iter().zip(energies).enumerate() {
-        let weight = qt.slice_weights[slice];
-        // Slice weights are integral (run-length counts), so the noise
-        // energy lands as an exact i64 before any float rounding.
-        let energy_raw = energy_raw + noise_raw_sq * weight as i64;
-        let acc = acc_raw as f64 * scale;
-        let energy = energy_raw as f64 * scale_sq;
-        let incoherent = if weight > 0.0 {
-            (energy - acc * acc / weight).max(0.0)
-        } else {
-            0.0
-        };
-        let noise_floor = (2.0 / std::f64::consts::PI * incoherent).sqrt();
-        total += (acc.abs() - noise_floor).max(0.0);
-        total_weight += weight;
     }
     if total_weight == 0.0 {
         BlockScore::Unreadable
@@ -1166,13 +641,10 @@ fn build_region(
             None => 0.0,
         }
     });
-    let mut qt = build_qtemplate(&template);
-    qt.build_gather(x0, y0, sensor_w + 1);
     BlockRegion {
         x: x0,
         y: y0,
         template,
-        qt,
     }
 }
 

@@ -8,9 +8,8 @@
 //!
 //! These are the **reference** (oracle) implementations: scalar, O(r) per
 //! pixel, written for clarity. The performance-sensitive receiver path uses
-//! [`crate::integral::box_blur_fast_into`] (f32/f64 backend) or the
-//! fixed-point [`crate::qplane::sliding_box_blur_into`] (quantized
-//! backend), both property-tested against [`box_blur`] here.
+//! [`crate::integral::box_blur_fast_into`], property-tested against
+//! [`box_blur`] here.
 
 use crate::plane::Plane;
 

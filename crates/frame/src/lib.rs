@@ -24,12 +24,13 @@
 //! * [`parallel`] — the band-sliced worker engine ([`ParallelEngine`])
 //!   every pixel stage runs its rows on, bit-identical at any worker
 //!   count.
-//! * [`qplane`] — Q8.7 fixed-point planes and the O(1) sliding-window
-//!   blur behind the quantized kernel backend; [`integral`] adds the
-//!   paired integer summed-area tables it scores Blocks with.
-//! * [`simd`] — explicit SSE2/AVX2 paths for the quantized hot kernels
-//!   with one-time runtime dispatch (`INFRAME_SIMD` override), each
-//!   bit-identical to the scalar oracle.
+//! * [`integral`] — the O(1)-per-pixel box blur the receiver smooths
+//!   every capture with.
+//! * [`qplane`] — Q8.7 fixed-point planes, used by the LUT render and
+//!   by [`perturb`]'s integer capture transforms.
+//! * [`simd`] — explicit SSE2/AVX2 paths for the LUT render's kernels
+//!   and the GF(2⁸) row operations, with one-time runtime dispatch
+//!   (`INFRAME_SIMD` override), each bit-identical to the scalar oracle.
 //! * [`draw`] — checkerboard/disc drawing helpers used by the
 //!   synthetic video generators.
 //! * [`io`] — binary PGM reading and writing so examples can emit

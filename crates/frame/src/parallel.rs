@@ -148,14 +148,10 @@ impl ParallelEngine {
     }
 
     /// Whether `height` rows of `per_row_elems` elements each, split into
-    /// one band per worker, justify spawning worker threads. Where banding
-    /// is semantically visible (the indexed
-    /// [`ParallelEngine::for_each_row_band2`], whose callers key per-band
-    /// scratch off the band index), the non-spawn path still applies the
-    /// exact same band partition sequentially. The other band methods'
-    /// callbacks are pure per-row, so their non-spawn path makes one
-    /// full-range call instead — bit-identical output, and it skips the
-    /// band bookkeeping that cost the 1080p 4-worker render ~9% against
+    /// one band per worker, justify spawning worker threads. The band
+    /// methods' callbacks are pure per-row, so their non-spawn path makes
+    /// one full-range call — bit-identical output, and it skips the band
+    /// bookkeeping that cost the 1080p 4-worker render ~9% against
     /// 1-worker on a single-core machine (where spawning never engages).
     fn spawn_bands(&self, height: usize, per_row_elems: usize) -> bool {
         self.workers > 1
@@ -205,49 +201,8 @@ impl ParallelEngine {
         self.for_each_row_band(height, width, plane.samples_mut(), f);
     }
 
-    /// Runs `f` over matching row bands of two row-major buffers with
-    /// independent element types and strides — the raw-buffer sibling of
-    /// [`ParallelEngine::for_each_band_pair`], used by the quantized
-    /// receiver front end (capture plane + window sums, then the paired
-    /// prefix tables). The closure receives the band's index (stable for
-    /// a given height and worker count, so callers can key per-band
-    /// scratch off it), its row range, and the two mutable band slices.
-    ///
-    /// # Panics
-    /// Panics if a buffer's length is not `height` times its stride, or a
-    /// worker panics.
-    pub fn for_each_row_band2<A, B, F>(
-        &self,
-        height: usize,
-        stride_a: usize,
-        a: &mut [A],
-        stride_b: usize,
-        b: &mut [B],
-        f: F,
-    ) where
-        A: Send,
-        B: Send,
-        F: Fn(usize, Range<usize>, &mut [A], &mut [B]) + Sync,
-    {
-        assert_eq!(a.len(), height * stride_a, "buffer a must be h × stride");
-        assert_eq!(b.len(), height * stride_b, "buffer b must be h × stride");
-        if self.workers == 1 || height <= 1 {
-            self.timed(|| f(0, 0..height, a, b));
-            return;
-        }
-        let ranges = band_rows(height, self.workers);
-        let bands_a = split_rows(a, stride_a, ranges.clone());
-        let bands = bands_a.zip(split_rows(b, stride_b, ranges)).enumerate();
-        let job = |(band, ((rows, band_a), (_, band_b)))| f(band, rows, band_a, band_b);
-        if self.spawn_bands(height, stride_a + stride_b) {
-            self.scatter(bands, job);
-        } else {
-            self.timed(|| bands.for_each(job));
-        }
-    }
-
     /// Runs `f` over row bands of a single row-major buffer — the
-    /// one-buffer sibling of [`ParallelEngine::for_each_row_band2`], used
+    /// raw-buffer sibling of [`ParallelEngine::for_each_band`], used
     /// by the fleet simulator to band-slice over *receivers* rather than
     /// pixel rows (each receiver owns `stride` consecutive elements: its
     /// per-block score row, or a single session slot at stride 1). The
@@ -476,29 +431,6 @@ mod tests {
         for workers in [2usize, 4, 7] {
             let got = run(ParallelEngine::new(workers));
             assert!(got == reference, "workers = {workers}");
-        }
-    }
-
-    #[test]
-    fn indexed_row_bands_see_the_same_partition_spawned_or_not() {
-        // Each band fills its rows with its index and first row; a narrow
-        // buffer runs the bands inline, a wide one spawns them.
-        let want: Vec<usize> = band_rows(11, 3)
-            .enumerate()
-            .flat_map(|(band, rows)| rows.clone().map(move |_| band * 100 + rows.start))
-            .collect();
-        let engine = ParallelEngine::new(3);
-        for stride in [2, spawning_width(11, 3)] {
-            let mut a = vec![0usize; 11 * stride];
-            let mut b = vec![0usize; 11];
-            engine.for_each_row_band2(11, stride, &mut a, 1, &mut b, |band, rows, sa, sb| {
-                sa.fill(band * 100 + rows.start);
-                sb.fill(band * 100 + rows.start);
-            });
-            assert_eq!(b, want, "stride {stride}");
-            let rows: Vec<usize> = a.chunks(stride).map(|row| row[0]).collect();
-            assert_eq!(rows, want, "stride {stride}");
-            assert!(a.chunks(stride).all(|row| row.iter().all(|&v| v == row[0])));
         }
     }
 

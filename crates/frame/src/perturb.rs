@@ -1,30 +1,22 @@
 //! Receiver-side photometric capture perturbations in the quantized
 //! Q8.7 domain.
 //!
-//! The batched demultiplexer ([`crate::qplane`] raws swept once per
-//! *distinct* transform, then folded per noise class) and the sequential
-//! single-receiver reference must see byte-identical captures, so
-//! perturbations are defined on the **integer** raws rather than on f32
+//! The batched demultiplexer (one scoring per *distinct* transform, then
+//! one fold per noise class) and the sequential single-receiver
+//! reference must see byte-identical captures, so perturbations are
+//! defined on the **integer** [`crate::qplane`] raws rather than on f32
 //! pixels: `dequantize(raw) = raw · 2⁻⁷` is exact and re-quantizes to
 //! the same raw (the LSB is a power of two), which makes
 //! [`materialized`] a lossless bridge — the f32 plane it returns is what
 //! a sequential receiver pushes through `push_capture`, and quantizing
-//! it back reproduces the transformed raws the batch path swept.
+//! it back reproduces the transformed raws the batch path scored.
 //!
 //! A transform is `clamp(round(raw · gain) + awb)` followed by an
 //! optional occlusion rectangle painted at a fixed level — the cheap
-//! affine/masking algebra the fleet simulator draws per receiver. Two
-//! identities matter downstream:
-//!
-//! - **Photometric identity** (unity gain, zero AWB) copies raws
-//!   verbatim, with *no* clamp — so out-of-code-range synthetic inputs
-//!   survive the round trip bit-exactly.
-//! - **Pure AWB shift** (unity gain, no occlusion, no pixel clamping)
-//!   adds one constant to every raw. The demodulator's high-pass is
-//!   shift-invariant under replicate-border box means, so such variants
-//!   can alias the identity sweep's accumulators (see
-//!   `core`'s `BatchScorer`, which checks eligibility with
-//!   [`CaptureTransform::shifts_without_clamp`]).
+//! affine/masking algebra the fleet simulator draws per receiver. The
+//! **photometric identity** (unity gain, zero AWB) copies raws verbatim,
+//! with *no* clamp — so out-of-code-range synthetic inputs survive the
+//! round trip bit-exactly.
 
 use crate::plane::Plane;
 use crate::qplane::{self, QPlane};
@@ -87,23 +79,6 @@ impl CaptureTransform {
         self.gain_q12 == GAIN_ONE_Q12 && self.awb_raw == 0
     }
 
-    /// Whether the whole transform is the identity.
-    pub fn is_identity(&self) -> bool {
-        self.is_photometric_identity() && self.occlusion.is_none_or(|o| o.is_empty())
-    }
-
-    /// Whether this transform is a *pure uniform shift* of `base`: unity
-    /// gain, no occlusion, and no pixel clamps at this base's raw range.
-    /// Such a variant's high-pass accumulators equal the identity
-    /// variant's exactly (replicate-border box means are shift
-    /// invariant), so the batch scorer reuses the shared sweep for it.
-    pub fn shifts_without_clamp(&self, base_min: i16, base_max: i16) -> bool {
-        self.gain_q12 == GAIN_ONE_Q12
-            && self.occlusion.is_none_or(|o| o.is_empty())
-            && (base_min as i32 + self.awb_raw as i32) >= 0
-            && (base_max as i32 + self.awb_raw as i32) <= CODE_MAX_RAW as i32
-    }
-
     /// The gain+AWB map on one raw. The photometric identity copies the
     /// raw verbatim (no clamp); anything else rounds the gain product
     /// half-up, adds the AWB offset, and clamps to the code range.
@@ -115,37 +90,6 @@ impl CaptureTransform {
         let scaled = (raw as i64 * self.gain_q12 as i64 + (GAIN_ONE_Q12 as i64 / 2))
             .div_euclid(GAIN_ONE_Q12 as i64);
         (scaled + self.awb_raw as i64).clamp(0, CODE_MAX_RAW as i64) as i16
-    }
-
-    /// Applies the photometric map to one row span, then the occlusion
-    /// overwrite where the rectangle intersects row `y`. `src` and `dst`
-    /// are the same row of two same-shaped planes.
-    pub fn apply_row(&self, y: usize, src: &[i16], dst: &mut [i16]) {
-        debug_assert_eq!(src.len(), dst.len());
-        if self.is_photometric_identity() {
-            dst.copy_from_slice(src);
-        } else {
-            for (d, &s) in dst.iter_mut().zip(src.iter()) {
-                *d = self.apply_raw_value(s);
-            }
-        }
-        if let Some(o) = self.occlusion {
-            if !o.is_empty() && y >= o.y0 && y < o.y0 + o.h && o.x0 < dst.len() {
-                let x1 = (o.x0 + o.w).min(dst.len());
-                dst[o.x0..x1].fill(o.level_raw);
-            }
-        }
-    }
-
-    /// Applies the full transform `src → dst` (same-shaped planes).
-    pub fn apply_raw(&self, src: &QPlane, dst: &mut QPlane) {
-        assert_eq!(src.shape(), dst.shape(), "transform planes must match");
-        let (w, h) = src.shape();
-        for y in 0..h {
-            let row = &src.samples()[y * w..(y + 1) * w];
-            let drow = &mut dst.samples_mut()[y * w..(y + 1) * w];
-            self.apply_row(y, row, drow);
-        }
     }
 
     /// Applies the full transform in place.
@@ -172,11 +116,10 @@ impl CaptureTransform {
 
 /// What a receiver with transform `t` actually captures, as an f32
 /// plane: quantize the shared capture, transform the raws, dequantize.
-/// This is the **canonical materialization** — pushing it through the
-/// sequential demultiplexer re-quantizes to exactly the raws the batch
-/// path swept, which is what makes batch scoring bit-identical to the
-/// per-receiver loop on both kernel backends. In-place, allocation-free
-/// variant; `qscratch` is reshaped as needed.
+/// This is the **canonical materialization**, used by the batch scorer
+/// and by the per-receiver reference alike, which is what makes batch
+/// scoring bit-identical to the per-receiver loop. In-place,
+/// allocation-free variant; `qscratch` is reshaped as needed.
 pub fn materialize_in_place(plane: &mut Plane<f32>, t: &CaptureTransform, qscratch: &mut QPlane) {
     qscratch.quantize_from(plane);
     t.apply_raw_in_place(qscratch);
@@ -201,7 +144,6 @@ mod tests {
     #[test]
     fn identity_copies_raws_verbatim_even_out_of_range() {
         let t = CaptureTransform::IDENTITY;
-        assert!(t.is_identity());
         // Out-of-code-range raws survive — no clamp on the identity.
         for raw in [-300i16, -1, 0, 77, CODE_MAX_RAW, i16::MAX] {
             assert_eq!(t.apply_raw_value(raw), raw);
@@ -209,8 +151,8 @@ mod tests {
         let mut q = QPlane::new(4, 3);
         q.samples_mut()
             .copy_from_slice(&[-5, 0, 1, 2, 100, 200, 300, 400, 32000, 32640, 12345, -7]);
-        let mut out = QPlane::new(4, 3);
-        t.apply_raw(&q, &mut out);
+        let mut out = q.clone();
+        t.apply_raw_in_place(&mut out);
         assert_eq!(out.samples(), q.samples());
     }
 
@@ -229,25 +171,6 @@ mod tests {
             occlusion: None,
         };
         assert_eq!(half.apply_raw_value(101), 51); // 50.5 rounds up
-    }
-
-    #[test]
-    fn awb_shift_detection_matches_clamping() {
-        let t = CaptureTransform {
-            gain_q12: GAIN_ONE_Q12,
-            awb_raw: 256,
-            occlusion: None,
-        };
-        assert!(t.shifts_without_clamp(0, CODE_MAX_RAW - 256));
-        assert!(!t.shifts_without_clamp(0, CODE_MAX_RAW)); // top clamps
-        let neg = CaptureTransform {
-            awb_raw: -128,
-            ..CaptureTransform::IDENTITY
-        };
-        assert!(neg.shifts_without_clamp(128, CODE_MAX_RAW));
-        assert!(!neg.shifts_without_clamp(0, CODE_MAX_RAW)); // bottom clamps
-                                                             // Within range it truly is a pure shift.
-        assert_eq!(t.apply_raw_value(1000), 1256);
     }
 
     #[test]
@@ -282,9 +205,8 @@ mod tests {
         let cap = materialized(&base, &t);
         // Quantizing the materialized capture reproduces the transformed
         // raws exactly — the lossless bridge batch scoring relies on.
-        let qbase = QPlane::from_plane(&base);
-        let mut want = QPlane::new(16, 9);
-        t.apply_raw(&qbase, &mut want);
+        let mut want = QPlane::from_plane(&base);
+        t.apply_raw_in_place(&mut want);
         assert_eq!(QPlane::from_plane(&cap).samples(), want.samples());
     }
 }

@@ -56,9 +56,6 @@ pub mod demux {
     /// readable block at decode time — the margin the thresholding
     /// decision had to spare.
     pub const MARGIN_MILLI: &str = "core.demux.margin_milli";
-    /// Sharded counter: rows processed by quantized front-end band
-    /// workers, keyed by band index.
-    pub const BAND_ROWS: &str = "core.demux.band_rows";
 }
 
 /// Per-stage kernel throughput (`core::sender` / `core::demux`).

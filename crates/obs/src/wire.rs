@@ -618,9 +618,10 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
 }
 
 fn get_str<'a>(buf: &'a [u8], pos: &mut usize) -> Option<&'a str> {
-    let len = get_varint(buf, pos)? as usize;
-    let s = buf.get(*pos..*pos + len)?;
-    *pos += len;
+    let len = usize::try_from(get_varint(buf, pos)?).ok()?;
+    let end = pos.checked_add(len)?;
+    let s = buf.get(*pos..end)?;
+    *pos = end;
     std::str::from_utf8(s).ok()
 }
 
@@ -1145,6 +1146,74 @@ mod tests {
             .expect("kind name present");
         buf[at] = b'x';
         assert!(verify_schema(&buf).is_err());
+    }
+
+    #[test]
+    fn snapshot_with_a_huge_string_length_is_rejected() {
+        // One counter whose name claims 2⁶⁴ − 1 bytes: the end of the
+        // string must not wrap past the buffer.
+        let mut payload = vec![0x01];
+        payload.extend([0xFF; 9]);
+        payload.push(0x01);
+        assert!(decode_snapshot(&payload).is_none());
+    }
+
+    /// A valid snapshot payload with every section populated.
+    fn sample_snapshot() -> Vec<u8> {
+        let tele = crate::Telemetry::new();
+        tele.counter("core.demux.captures").add(41);
+        tele.gauge("core.sender.pool_live").set(3);
+        tele.sharded_counter("test.sharded").add(1, 7);
+        let h = tele.histogram("core.demux.score_ns");
+        for v in [1, 900, 70_000, u64::MAX / 3] {
+            h.record(v);
+        }
+        let mut out = Vec::new();
+        encode_snapshot(&mut out, &tele.summary());
+        out
+    }
+
+    /// Every prefix of `valid` and every single-byte xor of it, through
+    /// `decode`, which must return (anything) rather than panic.
+    fn survives_prefixes_and_byte_flips(valid: &[u8], decode: impl Fn(&[u8])) {
+        for end in 0..=valid.len() {
+            decode(&valid[..end]);
+        }
+        let mut buf = valid.to_vec();
+        for i in 0..buf.len() {
+            for mask in 1..=255u8 {
+                buf[i] ^= mask;
+                decode(&buf);
+                buf[i] ^= mask;
+            }
+        }
+    }
+
+    #[test]
+    fn decoders_never_panic_on_truncated_or_mutated_input() {
+        let snapshot = sample_snapshot();
+        assert!(decode_snapshot(&snapshot).is_some());
+        survives_prefixes_and_byte_flips(&snapshot, |b| {
+            let _ = decode_snapshot(b);
+        });
+
+        let mut schema = Vec::new();
+        encode_schema(&mut schema);
+        assert_eq!(verify_schema(&schema), Ok(VERSION));
+        survives_prefixes_and_byte_flips(&schema, |b| {
+            let _ = verify_schema(b);
+        });
+
+        let mut records = Vec::new();
+        let mut enc = CodecState::default();
+        for rec in &sample_events() {
+            encode_record(&mut records, &mut enc, rec);
+        }
+        survives_prefixes_and_byte_flips(&records, |b| {
+            let mut state = CodecState::default();
+            let mut pos = 0;
+            while pos < b.len() && decode_record(b, &mut pos, &mut state).is_some() {}
+        });
     }
 
     #[test]

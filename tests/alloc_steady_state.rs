@@ -1,7 +1,7 @@
-//! Literal zero-allocation proof for the steady-state hot paths, on both
-//! kernel backends: a counting global allocator wraps the system one, and
-//! the single test below (one binary, one test — so no concurrent test
-//! can pollute the counter deltas) asserts that
+//! Literal zero-allocation proof for the steady-state hot paths (the
+//! render on both backends): a counting global allocator wraps the
+//! system one, and the single test below (one binary, one test — so no
+//! concurrent test can pollute the counter deltas) asserts that
 //!
 //! * scoring a capture inside an open cycle performs **0 heap
 //!   allocations**, and
@@ -98,11 +98,8 @@ fn allocation_count() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
-fn demux_steady_state_is_allocation_free(backend: KernelBackend, telemetry: &Telemetry) {
-    let cfg = InFrameConfig {
-        kernel: backend,
-        ..InFrameConfig::small_test()
-    };
+fn demux_steady_state_is_allocation_free(telemetry: &Telemetry) {
+    let cfg = InFrameConfig::small_test();
     let layout = DataLayout::from_config(&cfg);
     let payload: Vec<bool> = (0..layout.payload_bits_parity())
         .map(|i| i % 3 == 0)
@@ -139,7 +136,7 @@ fn demux_steady_state_is_allocation_free(backend: KernelBackend, telemetry: &Tel
         assert_eq!(
             delta,
             0,
-            "{backend:?} (telemetry {}): capture {i} allocated {delta} times in steady state",
+            "telemetry {}: capture {i} allocated {delta} times in steady state",
             if telemetry.is_enabled() { "on" } else { "off" }
         );
     }
@@ -147,11 +144,8 @@ fn demux_steady_state_is_allocation_free(backend: KernelBackend, telemetry: &Tel
     assert_eq!(decoded.captures_used, 9);
 }
 
-fn batch_steady_state_is_allocation_free(backend: KernelBackend) {
-    let cfg = InFrameConfig {
-        kernel: backend,
-        ..InFrameConfig::small_test()
-    };
+fn batch_steady_state_is_allocation_free() {
+    let cfg = InFrameConfig::small_test();
     let layout = DataLayout::from_config(&cfg);
     let payload: Vec<bool> = (0..layout.payload_bits_parity())
         .map(|i| i % 3 == 0)
@@ -169,9 +163,8 @@ fn batch_steady_state_is_allocation_free(backend: KernelBackend) {
     let cache = RegionCache::build(&cfg, &Homography::identity(), cfg.display_w, cfg.display_h);
     let mut scorer = BatchScorer::new(cfg, cache, Arc::new(ParallelEngine::new(1)));
     let nb = scorer.num_blocks();
-    // A representative class mix: identity, pure AWB shift (aliases the
-    // identity sweep), a gain step and an occlusion (each their own
-    // sweep), plus a noised fold on the identity sweep.
+    // A representative class mix: identity, pure AWB shift, a gain step
+    // and an occlusion, plus a noised class on the identity variant.
     let transforms = [
         CaptureTransform::IDENTITY,
         CaptureTransform {
@@ -226,7 +219,7 @@ fn batch_steady_state_is_allocation_free(backend: KernelBackend) {
         let delta = allocation_count() - before;
         assert_eq!(
             delta, 0,
-            "{backend:?}: batch round {i} allocated {delta} times in steady state"
+            "batch round {i} allocated {delta} times in steady state"
         );
     }
 }
@@ -692,17 +685,17 @@ fn display_and_camera_steady_state_allocations() {
 fn steady_state_hot_paths_allocate_nothing() {
     // Every supported SIMD dispatch tier must preserve the guarantee —
     // the vector kernels write through caller-provided buffers only.
-    // (The reference backend ignores the level; looping it anyway also
+    // (The reference render ignores the level; looping it anyway also
     // proves the dispatch check itself stays off the allocator.)
     for level in simd::SimdLevel::supported() {
         simd::force_level(Some(level));
-        for backend in [KernelBackend::Reference, KernelBackend::Quantized] {
-            for telemetry in [Telemetry::disabled(), Telemetry::new()] {
-                demux_steady_state_is_allocation_free(backend, &telemetry);
+        for telemetry in [Telemetry::disabled(), Telemetry::new()] {
+            demux_steady_state_is_allocation_free(&telemetry);
+            for backend in [KernelBackend::Reference, KernelBackend::Quantized] {
                 render_steady_state_is_allocation_free(backend, &telemetry);
             }
-            batch_steady_state_is_allocation_free(backend);
         }
+        batch_steady_state_is_allocation_free();
     }
     simd::force_level(None);
     // The rateless decoder's row kernels dispatch on the SIMD level.

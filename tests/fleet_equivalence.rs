@@ -1,16 +1,15 @@
 //! The batched fleet seam must be invisible: scoring N perturbed views
-//! of one capture through [`BatchScorer`] — shared sweeps, per-class
-//! accumulator folds, assignment fan-out — must produce **bit-identical**
-//! decode decisions to the reference fleet, which materializes each
-//! receiver's perturbed capture as a real plane and runs it through its
-//! own streaming [`Demultiplexer`]. Proven for the perturbation corpus
-//! (identity, pure AWB shift, AE gain step, occlusion, the combination)
-//! on both kernel backends, at every supported SIMD dispatch level, and
-//! at worker counts 1–4.
+//! of one capture through [`BatchScorer`] — one blur per variant,
+//! per-class demodulation, assignment fan-out — must produce
+//! **bit-identical** decode decisions to the reference fleet, which
+//! materializes each receiver's perturbed capture as a real plane and
+//! runs it through its own streaming [`Demultiplexer`]. Proven for the
+//! perturbation corpus (identity, pure AWB shift, AE gain step,
+//! occlusion, the combination) at every supported SIMD dispatch level
+//! and at worker counts 1–4.
 
 use inframe::code::framing::LossyBits;
 use inframe::core::batch::{BatchScorer, ScoreClass, SKIP, UNREADABLE};
-use inframe::core::config::KernelBackend;
 use inframe::core::dataframe::{self, DataFrame};
 use inframe::core::demux::{Demultiplexer, RegionCache};
 use inframe::core::parallel::ParallelEngine;
@@ -107,13 +106,10 @@ fn corpus(cfg: &InFrameConfig) -> Vec<(&'static str, CaptureTransform)> {
     ]
 }
 
-/// Runs one backend × worker count and asserts batch == sequential for
-/// every receiver in the corpus.
-fn assert_fleet_equivalence(backend: KernelBackend, workers: usize, label: &str) {
-    let cfg = InFrameConfig {
-        kernel: backend,
-        ..InFrameConfig::small_test()
-    };
+/// Runs one worker count and asserts batch == sequential for every
+/// receiver in the corpus.
+fn assert_fleet_equivalence(workers: usize, label: &str) {
+    let cfg = InFrameConfig::small_test();
     let corpus = corpus(&cfg);
     let caps = captures(&cfg);
     let layout = DataLayout::from_config(&cfg);
@@ -182,21 +178,14 @@ fn assert_fleet_equivalence(backend: KernelBackend, workers: usize, label: &str)
 }
 
 /// Acceptance: batched fleet scoring is bit-identical to the looping
-/// single-receiver reference on both backends, every supported SIMD
-/// level, workers 1–4.
+/// single-receiver reference at every supported SIMD level, workers 1–4.
 #[test]
 fn batched_fleet_scoring_matches_sequential_reference() {
     let _restore = SimdGuard;
     for level in simd::SimdLevel::supported() {
         simd::force_level(Some(level));
-        for backend in [KernelBackend::Reference, KernelBackend::Quantized] {
-            for workers in 1..=4 {
-                assert_fleet_equivalence(
-                    backend,
-                    workers,
-                    &format!("{backend:?}/{}/{workers}w", level.name()),
-                );
-            }
+        for workers in 1..=4 {
+            assert_fleet_equivalence(workers, &format!("{}/{workers}w", level.name()));
         }
     }
 }

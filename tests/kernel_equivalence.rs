@@ -1,25 +1,24 @@
-//! The quantized kernel layer must be invisible to the link: on the whole
-//! test corpus the Q8.7 backend decodes **exactly the same bits** as the
-//! f32 reference, its raw block scores stay within one Q8.7 LSB (1/128
-//! code value) of the reference scores, and — like the reference — its
-//! output is bit-identical for every worker count (`INFRAME_WORKERS`
-//! 1–6 equivalents), because all of its integer reductions are exact.
+//! The LUT render must be invisible to the link: on the whole test
+//! corpus a receiver decodes **exactly the same bits** from the chessboard
+//! LUT render ([`KernelBackend::Quantized`]) as from the f32 reference
+//! render, at every SIMD level, and — like the reference — the LUT
+//! render's frames are bit-identical for every worker count and SIMD
+//! level. The receiver has one scorer, so only the render differs.
 
 use inframe::core::config::KernelBackend;
 use inframe::core::dataframe::DataFrame;
-use inframe::core::demux::{BlockScore, DecodedDataFrame, Demultiplexer, RegionCache};
+use inframe::core::demux::{DecodedDataFrame, Demultiplexer, RegionCache};
+use inframe::core::multiplex::{self, Multiplexer};
 use inframe::core::parallel::ParallelEngine;
-use inframe::core::pattern::{self, Complementation};
+use inframe::core::pattern::Complementation;
 use inframe::core::sender::{PrbsPayload, Sender};
 use inframe::core::{DataLayout, InFrameConfig};
 use inframe::frame::geometry::Homography;
-use inframe::frame::qplane;
 use inframe::frame::resample::downsample_area;
 use inframe::frame::simd;
 use inframe::frame::Plane;
 use inframe::video::synth::MovingBarsClip;
 use inframe::video::FrameRate;
-use proptest::prelude::*;
 use std::sync::Arc;
 
 fn textured_video(cfg: &InFrameConfig, seed: u64) -> Plane<f32> {
@@ -44,211 +43,187 @@ fn bars(cfg: &InFrameConfig) -> MovingBarsClip {
     )
 }
 
-/// One corpus entry: a set of captures for one data cycle, plus the
-/// registration/sensor geometry they were captured under.
+/// One corpus entry: what the display shows during data cycle 0, which
+/// of its frames the camera captures, and the registration/sensor
+/// geometry they are captured under.
 struct Scenario {
     name: &'static str,
+    video: Plane<f32>,
+    complementation: Complementation,
+    /// Payload bit `i` is set when `i % key == 0`.
+    key: usize,
+    /// Amplitude scale applied to every Block (1.0 = full δ).
+    amp_scale: f32,
+    /// Displayed-frame indices of cycle 0 to capture (even = `V + P`,
+    /// odd = `V − P`).
+    frames: &'static [u64],
+    /// Whether a washed-out capture (the plain video) follows.
+    washed_out: bool,
     registration: Homography,
     sensor_w: usize,
     sensor_h: usize,
-    captures: Vec<Plane<f32>>,
 }
 
-/// The equivalence corpus: clean solid-video captures, textured video,
-/// minus frames, fractional envelope amplitudes, and a 2/3-resolution
-/// sensor (non-integer capture values through the area downsample).
+/// The equivalence corpus: clean solid-video pairs, textured video with
+/// a washed-out capture, fractional Block amplitudes, and a
+/// 2/3-resolution sensor (non-integer capture values through the area
+/// downsample).
 fn corpus(cfg: &InFrameConfig) -> Vec<Scenario> {
-    let layout = DataLayout::from_config(cfg);
-    let frame_for = |key: usize| {
-        let payload: Vec<bool> = (0..layout.payload_bits_parity())
-            .map(|i| i % key == 0)
-            .collect();
-        DataFrame::encode(&layout, &payload, cfg.coding)
-    };
-    let full = |frame: &DataFrame| {
-        let f = frame.clone();
-        move |bx: usize, by: usize| if f.bit(bx, by) { 1.0 } else { 0.0 }
-    };
-    let mut scenarios = Vec::new();
-
-    let f3 = frame_for(3);
     let solid = Plane::filled(cfg.display_w, cfg.display_h, 127.0);
-    let (plus, minus) = pattern::complementary_pair(
-        &layout,
-        &solid,
-        &f3,
-        cfg.delta,
-        Complementation::Code,
-        full(&f3),
-    );
-    scenarios.push(Scenario {
-        name: "solid-code-pair",
-        registration: Homography::identity(),
-        sensor_w: cfg.display_w,
-        sensor_h: cfg.display_h,
-        captures: vec![plus, minus],
-    });
-
-    let f2 = frame_for(2);
     let textured = textured_video(cfg, 11);
-    let (plus, _) = pattern::complementary_pair(
-        &layout,
-        &textured,
-        &f2,
-        cfg.delta,
-        Complementation::Luminance,
-        full(&f2),
-    );
-    scenarios.push(Scenario {
-        name: "textured-luminance",
+    let full = |name, video, complementation, key, amp_scale, frames, washed_out| Scenario {
+        name,
+        video,
+        complementation,
+        key,
+        amp_scale,
+        frames,
+        washed_out,
         registration: Homography::identity(),
         sensor_w: cfg.display_w,
         sensor_h: cfg.display_h,
-        captures: vec![plus, textured.clone()],
-    });
-
-    let f4 = frame_for(4);
-    let faint = pattern::complementary_pair(
-        &layout,
-        &solid,
-        &f4,
-        cfg.delta,
-        Complementation::Code,
-        |bx, by| if f4.bit(bx, by) { 0.6 } else { 0.0 },
-    )
-    .0;
-    scenarios.push(Scenario {
-        name: "fractional-amplitude",
-        registration: Homography::identity(),
-        sensor_w: cfg.display_w,
-        sensor_h: cfg.display_h,
-        captures: vec![faint],
-    });
-
-    // 2/3-resolution sensor: captures carry non-integer values, so the
-    // Q8.7 quantizer actually rounds.
-    let sw = cfg.display_w * 2 / 3;
-    let sh = cfg.display_h * 2 / 3;
-    let (plus, _) = pattern::complementary_pair(
-        &layout,
-        &textured,
-        &f3,
-        cfg.delta,
-        Complementation::Code,
-        full(&f3),
-    );
-    scenarios.push(Scenario {
-        name: "downscaled-sensor",
-        registration: Homography::scale(
-            sw as f64 / cfg.display_w as f64,
-            sh as f64 / cfg.display_h as f64,
+    };
+    let (sw, sh) = (cfg.display_w * 2 / 3, cfg.display_h * 2 / 3);
+    vec![
+        full(
+            "solid-code-pair",
+            solid.clone(),
+            Complementation::Code,
+            3,
+            1.0,
+            &[0, 1],
+            false,
         ),
-        sensor_w: sw,
-        sensor_h: sh,
-        captures: vec![downsample_area(&plus, sw, sh)],
-    });
-
-    scenarios
+        full(
+            "textured-luminance",
+            textured.clone(),
+            Complementation::Luminance,
+            2,
+            1.0,
+            &[0],
+            true,
+        ),
+        full(
+            "fractional-amplitude",
+            solid,
+            Complementation::Code,
+            4,
+            0.6,
+            &[0],
+            false,
+        ),
+        Scenario {
+            registration: Homography::scale(
+                sw as f64 / cfg.display_w as f64,
+                sh as f64 / cfg.display_h as f64,
+            ),
+            sensor_w: sw,
+            sensor_h: sh,
+            ..full(
+                "downscaled-sensor",
+                textured,
+                Complementation::Code,
+                3,
+                1.0,
+                &[0],
+                false,
+            )
+        },
+    ]
 }
 
-fn run_backend(
-    cfg: &InFrameConfig,
-    backend: KernelBackend,
-    workers: usize,
-    scenario: &Scenario,
-) -> (DecodedDataFrame, Vec<Vec<BlockScore>>) {
+/// Renders a scenario's captures with the given render backend.
+fn render(cfg: &InFrameConfig, scenario: &Scenario, backend: KernelBackend) -> Vec<Plane<f32>> {
     let cfg = InFrameConfig {
         kernel: backend,
+        complementation: scenario.complementation,
         ..*cfg
     };
+    let layout = DataLayout::from_config(&cfg);
+    let payload: Vec<bool> = (0..layout.payload_bits_parity())
+        .map(|i| i % scenario.key == 0)
+        .collect();
+    let frame = DataFrame::encode(&layout, &payload, cfg.coding);
+    let mut mux = Multiplexer::new(cfg);
+    if scenario.amp_scale != 1.0 {
+        mux.set_block_amp_scales(&vec![scenario.amp_scale; layout.num_blocks()]);
+    }
+    let mut captures: Vec<Plane<f32>> = scenario
+        .frames
+        .iter()
+        .map(|&f| {
+            let mut out = Plane::filled(cfg.display_w, cfg.display_h, 0.0);
+            let slot = multiplex::slot(&cfg, f);
+            mux.render_into(&slot, &scenario.video, &frame, &frame, &mut out);
+            out
+        })
+        .collect();
+    if scenario.washed_out {
+        captures.push(scenario.video.clone());
+    }
+    if (scenario.sensor_w, scenario.sensor_h) != (cfg.display_w, cfg.display_h) {
+        for c in &mut captures {
+            *c = downsample_area(c, scenario.sensor_w, scenario.sensor_h);
+        }
+    }
+    captures
+}
+
+/// Decodes one cycle of captures.
+fn decode(cfg: &InFrameConfig, scenario: &Scenario, captures: &[Plane<f32>]) -> DecodedDataFrame {
     let cache = RegionCache::build(
-        &cfg,
+        cfg,
         &scenario.registration,
         scenario.sensor_w,
         scenario.sensor_h,
     );
-    let engine = Arc::new(ParallelEngine::new(workers));
-    let mut demux = Demultiplexer::with_cache(cfg, cache, engine);
+    let mut demux = Demultiplexer::with_cache(*cfg, cache, Arc::new(ParallelEngine::new(1)));
     let d = demux.cycle_duration();
-    let mut scores = Vec::new();
-    for (i, capture) in scenario.captures.iter().enumerate() {
+    for (i, capture) in captures.iter().enumerate() {
         // All captures land in the scored first half of cycle 0.
         demux.push_capture(capture, (0.05 + 0.1 * i as f64) * d);
-        scores.push(demux.last_scores().to_vec());
     }
-    (demux.finish().expect("one cycle accumulated"), scores)
+    demux.finish().expect("one cycle accumulated")
 }
 
-/// Acceptance: decoded bits are identical across backends on the entire
-/// corpus (stats and all).
+/// Acceptance: on the entire corpus a receiver decodes identical bits
+/// (stats and all) from the reference render and from the LUT render at
+/// every supported SIMD level.
 #[test]
 fn decoded_bits_identical_across_backends_on_corpus() {
+    let _restore = SimdGuard;
     let cfg = InFrameConfig::small_test();
     for scenario in corpus(&cfg) {
-        let (reference, _) = run_backend(&cfg, KernelBackend::Reference, 1, &scenario);
-        let (quantized, _) = run_backend(&cfg, KernelBackend::Quantized, 1, &scenario);
-        assert_eq!(
-            quantized, reference,
-            "decode differs on scenario {}",
+        let reference = decode(
+            &cfg,
+            &scenario,
+            &render(&cfg, &scenario, KernelBackend::Reference),
+        );
+        assert!(
+            reference.stats.available > 0,
+            "{}: the reference render must decode",
             scenario.name
         );
-    }
-}
-
-/// Acceptance: raw per-capture block scores of the quantized backend stay
-/// within one Q8.7 LSB of the reference, and readability agrees exactly.
-#[test]
-fn quantized_scores_within_one_lsb_of_reference() {
-    let cfg = InFrameConfig::small_test();
-    for scenario in corpus(&cfg) {
-        let (_, ref_scores) = run_backend(&cfg, KernelBackend::Reference, 1, &scenario);
-        let (_, q_scores) = run_backend(&cfg, KernelBackend::Quantized, 1, &scenario);
-        for (c, (rs, qs)) in ref_scores.iter().zip(&q_scores).enumerate() {
-            assert_eq!(rs.len(), qs.len());
-            for (b, (r, q)) in rs.iter().zip(qs).enumerate() {
-                match (r.value(), q.value()) {
-                    (Some(rv), Some(qv)) => assert!(
-                        (rv - qv).abs() <= qplane::LSB,
-                        "{} capture {c} block {b}: {qv} vs {rv}",
-                        scenario.name
-                    ),
-                    (None, None) => {}
-                    _ => panic!(
-                        "{} capture {c} block {b}: readability disagrees ({r:?} vs {q:?})",
-                        scenario.name
-                    ),
-                }
-            }
-        }
-    }
-}
-
-/// The quantized demux is bit-identical for every worker count 1–6: its
-/// reductions are exact integer sums over a fixed partition.
-#[test]
-fn quantized_decode_identical_across_worker_counts() {
-    let cfg = InFrameConfig::small_test();
-    for scenario in corpus(&cfg) {
-        let (reference, ref_scores) = run_backend(&cfg, KernelBackend::Quantized, 1, &scenario);
-        for workers in 2..=6usize {
-            let (decoded, scores) = run_backend(&cfg, KernelBackend::Quantized, workers, &scenario);
-            assert_eq!(
-                decoded, reference,
-                "{} decode differs at {workers} workers",
-                scenario.name
+        for level in simd::SimdLevel::supported() {
+            simd::force_level(Some(level));
+            let lut = decode(
+                &cfg,
+                &scenario,
+                &render(&cfg, &scenario, KernelBackend::Quantized),
             );
             assert_eq!(
-                scores, ref_scores,
-                "{} scores differ at {workers} workers",
-                scenario.name
+                lut,
+                reference,
+                "decode differs on scenario {} at {}",
+                scenario.name,
+                level.name()
             );
         }
     }
 }
 
-/// The quantized sender (LUT render) is bit-identical for every worker
-/// count, and stays within the documented amplitude-snap + Q8.7 bound of
-/// the reference sender on real moving video.
+/// The LUT-render sender is bit-identical for every worker count on
+/// moving video.
 #[test]
 fn quantized_sender_bit_identical_across_worker_counts() {
     let cfg = InFrameConfig {
@@ -280,8 +255,8 @@ fn quantized_sender_bit_identical_across_worker_counts() {
     }
 }
 
-/// End-to-end: a quantized sender feeding a quantized receiver recovers
-/// the same payload a reference/reference link does.
+/// End-to-end: a receiver recovers the same payload from a LUT-render
+/// sender as from a reference-render sender.
 #[test]
 fn quantized_link_decodes_same_payload_as_reference_link() {
     let run = |backend: KernelBackend| {
@@ -334,45 +309,9 @@ impl Drop for SimdGuard {
     }
 }
 
-/// Tentpole acceptance: on every corpus case, every supported SIMD level
-/// (`INFRAME_SIMD=off|sse2|avx2` equivalents, skipping levels this CPU
-/// lacks) decodes the same bits and produces bit-identical raw scores as
-/// the scalar oracle — at multiple worker counts, so the vector kernels
-/// are also exercised across band boundaries.
-#[test]
-fn quantized_decode_identical_across_simd_levels() {
-    let _restore = SimdGuard;
-    let cfg = InFrameConfig::small_test();
-    for scenario in corpus(&cfg) {
-        simd::force_level(Some(simd::SimdLevel::Scalar));
-        let (oracle, oracle_scores) = run_backend(&cfg, KernelBackend::Quantized, 1, &scenario);
-        for level in simd::SimdLevel::supported() {
-            simd::force_level(Some(level));
-            for workers in [1usize, 3] {
-                let (decoded, scores) =
-                    run_backend(&cfg, KernelBackend::Quantized, workers, &scenario);
-                assert_eq!(
-                    decoded,
-                    oracle,
-                    "{} decode differs at {} × {workers} workers",
-                    scenario.name,
-                    level.name()
-                );
-                assert_eq!(
-                    scores,
-                    oracle_scores,
-                    "{} scores differ at {} × {workers} workers",
-                    scenario.name,
-                    level.name()
-                );
-            }
-        }
-    }
-}
-
-/// The quantized sender renders bit-identical display frames at every
+/// The LUT-render sender renders bit-identical display frames at every
 /// supported SIMD level (the LUT-apply kernel is part of the oracle
-/// contract, not just the demux side).
+/// contract).
 #[test]
 fn quantized_sender_bit_identical_across_simd_levels() {
     let _restore = SimdGuard;
@@ -408,49 +347,6 @@ fn quantized_sender_bit_identical_across_simd_levels() {
                 "frame {i} differs at {}",
                 level.name()
             );
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Property: across random textures, amplitudes, and worker counts,
-    /// the quantized demux scores identically for every worker count and
-    /// within one LSB of the reference.
-    #[test]
-    fn quantized_scoring_is_deterministic_and_close(
-        seed in 0u64..1_000_000,
-        workers in 1usize..7,
-    ) {
-        let cfg = InFrameConfig::small_test();
-        let layout = DataLayout::from_config(&cfg);
-        let video = textured_video(&cfg, seed);
-        let payload: Vec<bool> = (0..layout.payload_bits_parity())
-            .map(|i| (i as u64 ^ seed).is_multiple_of(2))
-            .collect();
-        let frame = DataFrame::encode(&layout, &payload, cfg.coding);
-        let (plus, _) = pattern::complementary_pair(
-            &layout, &video, &frame, cfg.delta, Complementation::Code,
-            |bx, by| if frame.bit(bx, by) { 1.0 } else { 0.0 },
-        );
-        let scenario = Scenario {
-            name: "prop",
-            registration: Homography::identity(),
-            sensor_w: cfg.display_w,
-            sensor_h: cfg.display_h,
-            captures: vec![plus],
-        };
-        let (_, base) = run_backend(&cfg, KernelBackend::Quantized, 1, &scenario);
-        let (_, multi) = run_backend(&cfg, KernelBackend::Quantized, workers, &scenario);
-        prop_assert_eq!(&multi, &base, "worker-count dependence at {} workers", workers);
-        let (_, reference) = run_backend(&cfg, KernelBackend::Reference, 1, &scenario);
-        for (r, q) in reference[0].iter().zip(&base[0]) {
-            match (r.value(), q.value()) {
-                (Some(rv), Some(qv)) => prop_assert!((rv - qv).abs() <= qplane::LSB),
-                (None, None) => {}
-                _ => prop_assert!(false, "readability disagrees"),
-            }
         }
     }
 }
